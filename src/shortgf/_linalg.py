@@ -35,28 +35,6 @@ def vadd(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vscale(c, a):
-    return tuple(c * x for x in a)
-
-
-def mat_vec(rows, v):
-    return tuple(dot(r, v) for r in rows)
-
-
-def mat_mul(a_rows, b_rows):
-    """Product of two matrices given as row lists."""
-    bt = list(zip(*b_rows))
-    return tuple(tuple(dot(r, c) for c in bt) for r in a_rows)
-
-
-def transpose(rows):
-    return tuple(zip(*rows))
-
-
 def det_int(rows):
     """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
     n = len(rows)
@@ -462,11 +440,6 @@ def lattice_points(rows, bounds, limit=None, first_only=False):
     return out
 
 
-def has_lattice_point(rows, bounds):
-    pts = lattice_points(rows, bounds, first_only=True)
-    return bool(pts)
-
-
 def _solve_cramer_int(mat, rhs, n):
     """Solve an integer n x n system; returns (nums, den) with den > 0, or None."""
     d = det_int(mat)
@@ -558,7 +531,10 @@ def recession_is_nontrivial(rows, n):
 
 
 def matrix_inverse_fraction(rows):
-    """Exact inverse of a square integer matrix as rows of Fractions."""
+    """Exact inverse of a square integer matrix as rows of Fractions.
+
+    The Fraction reference for `scaled_inverse_int`.
+    """
     n = len(rows)
     cols = []
     for j in range(n):
@@ -570,20 +546,50 @@ def matrix_inverse_fraction(rows):
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
+def scaled_inverse_int(rows):
+    """Integer inverse of a nonsingular square integer matrix W, scaled by |det W|.
+
+    Returns (d, R) with d = |det W| > 0 and R = d * W^-1 (the adjugate up to
+    sign) as rows of ints, or None when W is singular.  Fraction-free
+    (Bareiss) Gauss-Jordan on [W | I]: after step k every entry is a
+    (k+1) x (k+1) minor, so each division by the previous pivot is exact.
+    """
+    n = len(rows)
+    w = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if w[i][k]), None)
+        if piv is None:
+            return None
+        w[k], w[piv] = w[piv], w[k]
+        rk = w[k]
+        pk = rk[k]
+        for i in range(n):
+            if i != k:
+                f = w[i][k]
+                w[i] = [(pk * x - f * y) // prev for x, y in zip(w[i], rk)]
+        prev = pk
+    sign = 1 if prev > 0 else -1
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in w)
+
+
 def enumerate_parallelepiped(gen_cols, max_points=200_000):
     """Integer points of {sum_i lam_i g_i : lam in [0,1)^d} for a full-rank basis.
 
     gen_cols: list of d integer d-vectors (the generators, as columns).
-    Returns a list of (point, lam) pairs; includes the origin.
+    Returns a sorted list of (point, lam) pairs, lam as Fractions; includes
+    the origin.  Each coset representative rep of Z^d / W Z^d is mapped into
+    the parallelepiped with integer arithmetic: R rep = det * lam_raw, so
+    divmod by det gives floor(lam_raw) and the fractional part.
     """
     d = len(gen_cols)
     w_rows = tuple(tuple(gen_cols[j][i] for j in range(d)) for i in range(d))
-    det = abs(det_int(w_rows))
-    if det == 0:
+    inv = scaled_inverse_int(w_rows)
+    if inv is None:
         raise ValueError("generators not full rank")
+    det, r_rows = inv
     if det > max_points:
         raise ResourceLimitError(f"parallelepiped has {det} lattice classes")
-    w_inv = matrix_inverse_fraction(w_rows)
     h, _, pivots = hnf_columns([list(r) for r in w_rows], d)
     diag = [1] * d
     for ri, ci in pivots:
@@ -591,13 +597,17 @@ def enumerate_parallelepiped(gen_cols, max_points=200_000):
     pts = []
 
     def visit(rep):
-        lam = mat_vec(w_inv, rep)
-        frac = tuple(x - (x.numerator // x.denominator) for x in lam)
+        floors = []
+        frac = []
+        for row in r_rows:
+            q, rem = divmod(dot(row, rep), det)
+            floors.append(q)
+            frac.append(Fraction(rem, det))
         pt = tuple(
-            rep[i] - sum(gen_cols[j][i] * (lam[j].numerator // lam[j].denominator) for j in range(d))
+            rep[i] - sum(gen_cols[j][i] * floors[j] for j in range(d))
             for i in range(d)
         )
-        pts.append((pt, frac))
+        pts.append((pt, tuple(frac)))
 
     rep = [0] * d
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 import random
 
 from ._series import EpsSeries, eulerian_polynomials
-from .errors import DegenerateDirectionError, ZeroImageError
+from .errors import DegenerateDirectionError, InfiniteSupportError, ZeroImageError
 from .gfcore import (
     GFTerm,
     ShortGF,
@@ -156,11 +156,16 @@ def evaluate_at_one(f, seed=0):
 
     For a GF of finite support this is the cardinality of the support; for a
     short power series of finite support it is the sum of all coefficients.
-    The caller asserts finite support.
+    A finite support makes f a Laurent polynomial, so the poles eps^-j
+    (j >= 1) of the summed term series cancel; when they do not, f has
+    infinite support and InfiniteSupportError is raised.  The check is
+    necessary but not sufficient: poles can cancel at the drawn lam for
+    some infinite supports, and then the returned value is meaningless.
     """
     constraints = [d for t in f.terms for d in t.denoms]
     lam = _draw_lambda(f.nvars, constraints, seed) if constraints else None
     total = Fraction(0)
+    poles = {}  # j -> coefficient of eps^-j
     for term in f.terms:
         if term.coeff == 0:
             continue
@@ -176,5 +181,12 @@ def evaluate_at_one(f, seed=0):
             nu = sum(l * v for l, v in zip(lam, b))
             lead *= Fraction(-1, nu)
             series = series * EpsSeries.expm1_over_x(nu, k).inverse()
-        total += term.coeff * lead * series[k]
+        scale = term.coeff * lead
+        total += scale * series[k]
+        for j in range(1, k + 1):
+            poles[j] = poles.get(j, 0) + scale * series[k - j]
+    if any(poles.values()):
+        raise InfiniteSupportError(
+            "evaluation at one has a pole: the GF does not have finite support"
+        )
     return total

@@ -148,13 +148,13 @@ def cone_index(generators, n):
 # simplicial decomposition
 
 
-def _parallelepiped_point(gen_cols):
+def _parallelepiped_point(gen_cols, cap):
     """Nonzero lattice point of the half-open parallelepiped, as (point, lam).
 
     Chooses the point minimizing max lam_i (ties broken lexicographically);
-    lam entries lie in [0,1).
+    lam entries lie in [0,1).  Enumerates at most cap lattice classes.
     """
-    pts = la.enumerate_parallelepiped(gen_cols, max_points=_PPD_CAP)
+    pts = la.enumerate_parallelepiped(gen_cols, max_points=cap)
     best = None
     for pt, lam in pts:
         if not any(pt):
@@ -163,7 +163,7 @@ def _parallelepiped_point(gen_cols):
         if best is None or key < best[0]:
             best = (key, pt, lam)
     if best is None:
-        return None
+        raise ValueError("unimodular cone reached decomposition loop")
     return best[1], best[2]
 
 
@@ -171,22 +171,19 @@ def _short_vector_lll(gen_cols):
     """Short nonzero vector w = W lam with all |lam_i| < 1, via basis reduction."""
     d = len(gen_cols)
     w_rows = tuple(tuple(gen_cols[j][i] for j in range(d)) for i in range(d))
-    det = la.det_int(w_rows)
-    inv = la.matrix_inverse_fraction(w_rows)
+    det, inv = la.scaled_inverse_int(w_rows)
     # columns of det * W^{-1} form a basis of the lam-lattice, scaled by det
-    basis = [
-        tuple(int(inv[i][j] * abs(det)) for i in range(d)) for j in range(d)
-    ]
+    basis = [tuple(inv[i][j] for i in range(d)) for j in range(d)]
     reduced = la.lll_reduce(basis)
     best = None
     for beta in reduced:
         if not any(beta):
             continue
         m = max(abs(x) for x in beta)
-        if m >= abs(det):
+        if m >= det:
             continue
         if best is None or m < best[0]:
-            lam = tuple(Fraction(x, abs(det)) for x in beta)
+            lam = tuple(Fraction(x, det) for x in beta)
             w = tuple(
                 sum(gen_cols[j][i] * lam[j] for j in range(d)) for i in range(d)
             )
@@ -222,14 +219,13 @@ def decompose_unimodular_fulldim(gen_cols, sign):
         if det == 1:
             out.append((s, cols))
             continue
-        found = None
         if det <= _LLL_THRESHOLD:
-            found = _parallelepiped_point(cols)
-        if found is None:
+            found = _parallelepiped_point(cols, _PPD_CAP)
+        else:
             found = _short_vector_lll(cols)
         if found is None:
             # enumerate regardless of cap as a last resort
-            found = _parallelepiped_point_nocap(cols)
+            found = _parallelepiped_point(cols, 10_000_000)
         w, lam = found
         for i in range(d):
             if lam[i] == 0:
@@ -238,20 +234,6 @@ def decompose_unimodular_fulldim(gen_cols, sign):
             child_sign = s if lam[i] > 0 else -s
             stack.append((child_sign, child))
     return out
-
-
-def _parallelepiped_point_nocap(gen_cols):
-    pts = la.enumerate_parallelepiped(gen_cols, max_points=10_000_000)
-    best = None
-    for pt, lam in pts:
-        if not any(pt):
-            continue
-        key = (max(lam), pt)
-        if best is None or key < best[0]:
-            best = (key, pt, lam)
-    if best is None:
-        raise ValueError("unimodular cone reached decomposition loop")
-    return best[1], best[2]
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +354,10 @@ def _dual_cone_gf_terms(tight_normals, d):
         cols = [tuple(g) for g in simplex]
         for sign, ucols in decompose_unimodular_fulldim(cols, 1):
             w_rows = [[ucols[j][i] for j in range(d)] for i in range(d)]
-            inv = la.matrix_inverse_fraction(w_rows)
+            _, inv = la.scaled_inverse_int(w_rows)  # det 1: inv is W^{-1}
             # polar generators g_i solve W^T G = -I: columns of -(W^{-1})^T,
             # i.e. the negated rows of W^{-1}
-            polar_cols = [
-                tuple(int(-inv[i][j]) for j in range(d)) for i in range(d)
-            ]
+            polar_cols = [tuple(-x for x in row) for row in inv]
             results.append((sign, polar_cols))
     if len(_DUAL_CACHE) > 20_000:
         _DUAL_CACHE.clear()

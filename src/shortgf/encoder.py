@@ -290,14 +290,21 @@ def cnf_to_pa(cnf):
 
 @dataclass
 class SegmentEncoding:
-    """Box, GF of the clause-violation region, and its per-cell projections."""
+    """Box, GF of the clause-violation region, and its per-cell projections.
+
+    `cells` holds the disjoint Polyhedron cells of the violation region in
+    the full box (empty for an encoding read back from text or packed).
+    The region GF `fr` is built from them with `polytope_gf` on its first
+    read and cached, so `segment_gf` and `proj_points`, which never read it,
+    pay nothing for it; `compress_encoding` and `parse_encoding` hand over
+    the `fr` they already have as `_fr`.
+    """
 
     r: int
     p: int
     q: int
     box: LatticeBox  # the (x, y) box
     full_box: LatticeBox  # the (x, y, z...) box
-    fr: ShortGF
     pieces: tuple  # per-cell (x, y)-projection GFs
     piece_points: tuple  # per-cell projected point sets
     circuit: BooleanCircuit
@@ -306,6 +313,21 @@ class SegmentEncoding:
     tau: TauMap = None
     cell_count: int = 0
     cell_points: tuple = ()  # per-cell full lattice point lists
+    cells: tuple = ()
+    _fr: ShortGF = field(default=None, repr=False, compare=False)
+
+    @property
+    def fr(self):
+        """Canonical sum of the cells' polytope GFs, built on first read."""
+        if self._fr is None:
+            terms = [
+                t
+                for cell in self.cells
+                for t in polytope_gf(cell, check_bounded=False).terms
+            ]
+            nvars = len(self.full_box.sides)
+            self._fr = canonicalize(ShortGF(nvars, tuple(terms)))
+        return self._fr
 
     def proj_points(self):
         out = set()
@@ -318,8 +340,9 @@ def encode_segment(circuit):
     """Encode one circuit's accepted set as a boxed GF plus projections.
 
     The violation region of the Tseitin formula is disjointified inside the
-    (x, y, z)-box; its cells are turned into short GFs (their sum is the
-    region GF) and projected onto (x, y) by exact enumeration.
+    (x, y, z)-box; its cells are kept for the region GF (their GFs sum to
+    it, built on first read of `fr`) and projected onto (x, y) by exact
+    enumeration.
     """
     cnf = circuit_to_3cnf(circuit)
     formula, violation, q = cnf_to_pa(cnf)
@@ -331,22 +354,19 @@ def encode_segment(circuit):
         cells = []
     else:
         cells = disjointify(violation, full_box, var_order)
-    fr_terms = []
     pieces = []
     piece_points = []
     cell_points = []
     for cell in cells:
-        fr_terms.extend(polytope_gf(cell, check_bounded=False).terms)
         pts = enumerate_polytope_points(cell)
         cell_points.append(tuple(pts))
         proj = sorted({(pt[0], pt[1]) for pt in pts})
         pieces.append(from_point_set(proj, 2))
         piece_points.append(set(proj))
-    fr = canonicalize(ShortGF(5, tuple(fr_terms)))
     return SegmentEncoding(
-        r, p, q, box, full_box, fr, tuple(pieces), tuple(piece_points),
+        r, p, q, box, full_box, tuple(pieces), tuple(piece_points),
         circuit, cnf, zdims=3, cell_count=len(cells),
-        cell_points=tuple(cell_points),
+        cell_points=tuple(cell_points), cells=tuple(cells),
     )
 
 
@@ -402,10 +422,10 @@ def compress_encoding(encoding):
         (encoding.box.sides[0], encoding.box.sides[1], n3)
     )
     return SegmentEncoding(
-        encoding.r, encoding.p, encoding.q, encoding.box, full_box, fr2,
+        encoding.r, encoding.p, encoding.q, encoding.box, full_box,
         encoding.pieces, encoding.piece_points, encoding.circuit,
         encoding.cnf, zdims=1, tau=tau, cell_count=encoding.cell_count,
-        cell_points=encoding.cell_points,
+        cell_points=encoding.cell_points, _fr=fr2,
     )
 
 
@@ -678,8 +698,8 @@ def parse_encoding(text):
         tau = TauMap(n_field, (1, 1, 3)) if n_field else None
         full_box = LatticeBox((1 << r, 1 << p, n_field**3))
     return SegmentEncoding(
-        r, p, q, box, full_box, fr, tuple(pieces), tuple(piece_points),
-        circuit, cnf, zdims=zdims, tau=tau, cell_count=len(pieces),
+        r, p, q, box, full_box, tuple(pieces), tuple(piece_points),
+        circuit, cnf, zdims=zdims, tau=tau, cell_count=len(pieces), _fr=fr,
     )
 
 

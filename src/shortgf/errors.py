@@ -21,6 +21,10 @@ class UnboundedPolyhedronError(ShortGFError):
     """Unbounded polyhedra are unsupported in this version."""
 
 
+class InfiniteSupportError(ShortGFError):
+    """A GF evaluated at one does not have finite support."""
+
+
 class ZeroImageError(ShortGFError):
     """A monomial substitution maps a denominator exponent vector to zero."""
 

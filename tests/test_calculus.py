@@ -7,6 +7,7 @@ import pytest
 
 from shortgf import (
     GFTerm,
+    InfiniteSupportError,
     LatticeBox,
     Polyhedron,
     ShortGF,
@@ -91,6 +92,18 @@ class TestEvaluateAtOne:
             assert evaluate_at_one(polytope_gf(p)) == len(
                 enumerate_polytope_points(p)
             )
+
+    def test_infinite_support_raises(self):
+        # 1/(1-t) has a pole at t = 1; its eps^-1 coefficient does not vanish
+        with pytest.raises(InfiniteSupportError):
+            evaluate_at_one(ShortGF(1, (GFTerm(1, (0,), ((1,),)),)))
+
+    def test_cancelling_poles_pass(self):
+        # 1/(1-t) - t^3/(1-t) = 1 + t + t^2: the poles of the terms cancel
+        f = ShortGF(
+            1, (GFTerm(1, (0,), ((1,),)), GFTerm(-1, (3,), ((1,),)))
+        )
+        assert evaluate_at_one(f) == 3
 
 
 class TestSubstituteMonomials:

@@ -102,6 +102,14 @@ class TestErrors:
         code, _, _ = run_cli(["count", "/nonexistent/f.gf"], capsys)
         assert code == 2
 
+    def test_count_infinite_support_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "geom.gf"
+        path.write_text("gf nvars=1 index=1\nterm c=1/1 a=0 b=1\n")
+        code, out, err = run_cli(["count", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "finite support" in err
+
 
 class TestEncodePipeline:
     def test_encode_then_segment(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Circuit encodings: Tseitin CNF, bit systems, segment and gadget pipelines."""
 
+import hashlib
 import random
 from itertools import product
 
@@ -35,6 +36,7 @@ from shortgf import (
     violation_projection_by_bits,
     xor_detector,
 )
+import shortgf.encoder
 from shortgf.encoder import _literal_value, segment_gf as _segment_gf
 
 
@@ -217,6 +219,53 @@ class TestCompressEncoding:
         enc = encode_segment(xor_detector(3))
         packed = compress_encoding(enc)
         assert packed.proj_points() == enc.proj_points()
+
+
+class TestLazyRegionGF:
+    # sha256 of format_encoding, unpacked and packed, as produced by the
+    # eager region-GF construction; a lazy fr must not change a byte
+    FORMAT_SHA256 = {
+        ("even_detector(3)", False): "8a4e282a9203b9ee0c2261927062e773b3cacee5f92012da06240e3d4352a588",
+        ("even_detector(3)", True): "908a1a3ee534fcacc213c30a046e64265e865bfab9d68ef4f286a40c329c599f",
+        ("xor_detector(2)", False): "d0d546231e6f941b4eb90539626722edb096a2af175feea6a34725086fee92e7",
+        ("xor_detector(2)", True): "affb1d51f8e639d997ce378767078ea72d707449d0d0a12dc4ce82deb9e1e987",
+    }
+
+    def test_segment_gf_never_builds_fr(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("polytope_gf called")
+
+        monkeypatch.setattr(shortgf.encoder, "polytope_gf", refuse)
+        enc = encode_segment(even_detector(3))
+        seg = segment_gf(enc)
+        assert {p[0] for p in support_points(seg, (8,))} == {0, 2, 4, 6}
+        with pytest.raises(AssertionError, match="polytope_gf called"):
+            enc.fr
+
+    def test_fr_built_once(self, monkeypatch):
+        calls = []
+        real = shortgf.encoder.polytope_gf
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(shortgf.encoder, "polytope_gf", counting)
+        enc = encode_segment(even_detector(3))
+        assert calls == []
+        first = enc.fr
+        assert len(calls) == enc.cell_count == len(enc.cells)
+        assert enc.fr is first
+        assert len(calls) == enc.cell_count
+
+    CIRCUITS = {"even_detector(3)": even_detector(3), "xor_detector(2)": xor_detector(2)}
+
+    @pytest.mark.parametrize("name", sorted(CIRCUITS))
+    def test_format_bytes_unchanged(self, name):
+        enc = encode_segment(self.CIRCUITS[name])
+        for packed, e in ((False, enc), (True, compress_encoding(enc))):
+            digest = hashlib.sha256(format_encoding(e).encode()).hexdigest()
+            assert digest == self.FORMAT_SHA256[(name, packed)]
 
 
 class TestAlternating:
