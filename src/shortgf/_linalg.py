@@ -383,13 +383,21 @@ def reduce_rows_boxsafe(rows, n):
 def lattice_points(rows, bounds, limit=None, first_only=False):
     """Integer points of {x : rows hold, bounds[j][0] <= x_j <= bounds[j][1]}.
 
-    Depth-first with bound narrowing; rows are checked at the depth of their
-    last supported variable.  All bounds must be finite.
+    Depth-first with bound narrowing, so the points come in lexicographic
+    order; rows are checked at the depth of their last supported variable.
+    All bounds must be finite.  They are first tightened by interval
+    propagation over the rows, because the search alone would prove an
+    empty region of a large box empty point by point.  Propagation drops no
+    integer point, so the points, the `first_only` witness and the `limit`
+    error are those of the search on the given box.
     """
     n = len(bounds)
     for lo, hi in bounds:
         if lo is None or hi is None:
             raise ValueError("lattice_points requires finite bounds")
+    bounds = propagate_bounds(rows, bounds, rounds=8)
+    if bounds is None:
+        return []
     by_depth = [[] for _ in range(n)]
     for coeffs, rhs in rows:
         support = [j for j, c in enumerate(coeffs) if c != 0]
@@ -628,8 +636,15 @@ def enumerate_parallelepiped(gen_cols, max_points=200_000):
     return sorted(uniq.items())
 
 
+_LLL_MAX_ROUNDS = 10_000
+
+
 def lll_reduce(basis, delta=Fraction(3, 4)):
-    """Textbook LLL over the rationals; basis is a list of integer row vectors."""
+    """Textbook LLL over the rationals; basis is a list of integer row vectors.
+
+    Raises ResourceLimitError rather than return an unreduced basis when the
+    swap-and-size-reduce loop runs past `_LLL_MAX_ROUNDS` rounds.
+    """
     b = [list(r) for r in basis]
     n = len(b)
 
@@ -650,8 +665,10 @@ def lll_reduce(basis, delta=Fraction(3, 4)):
     guard = 0
     while k < n:
         guard += 1
-        if guard > 10_000:
-            break
+        if guard > _LLL_MAX_ROUNDS:
+            raise ResourceLimitError(
+                f"LLL reduction did not finish in {_LLL_MAX_ROUNDS} rounds"
+            )
         for j in range(k - 1, -1, -1):
             q = mu[k][j] + Fraction(1, 2)
             r = q.numerator // q.denominator  # nearest integer to mu[k][j]

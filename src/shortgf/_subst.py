@@ -21,7 +21,6 @@ import random
 from ._series import EpsSeries, eulerian_polynomials
 from .errors import DegenerateDirectionError, InfiniteSupportError, ZeroImageError
 from .gfcore import (
-    GFTerm,
     ShortGF,
     canonicalize,
     direction_for,

@@ -8,15 +8,8 @@ acceptance module both drive these functions.
 import random
 import time
 from fractions import Fraction
-from math import isqrt
 
-from . import _linalg as la
-from .barvinok import (
-    Polyhedron,
-    enumerate_polytope_points,
-    polytope_gf,
-    semigroup_gf,
-)
+from .barvinok import Polyhedron, enumerate_polytope_points, polytope_gf
 from .calculus import (
     boolean_combine,
     box_range_gf,
@@ -26,7 +19,6 @@ from .calculus import (
     compress,
     decompress,
     evaluate_at_one,
-    hadamard,
     norm,
     oracle_project,
     support_points,
@@ -47,7 +39,6 @@ from .gfcore import (
     ShortGF,
     canonicalize,
     from_point_set,
-    oracle_expand,
 )
 from .numlab import (
     ap_threshold,
@@ -63,9 +54,7 @@ from .numlab import (
     sigma_from_r4,
 )
 from .presburger import (
-    And,
     LinearAtom,
-    Or,
     PAFormula,
     QuantBlock,
     conj,
@@ -73,7 +62,6 @@ from .presburger import (
     disjointify,
     eval_formula,
     negate,
-    parse_pa,
 )
 
 

@@ -30,8 +30,6 @@ from .gfcore import (
     GFTerm,
     ShortGF,
     canonicalize,
-    direction_for,
-    monomial,
     zero_gf,
 )
 

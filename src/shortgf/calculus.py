@@ -26,9 +26,7 @@ from .gfcore import (
     ShortGF,
     canonicalize,
     concat,
-    direction_for,
     from_point_set,
-    gf_index,
     is_canonical,
     monomial,
     normalized,

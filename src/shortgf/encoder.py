@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _linalg as la
-from .barvinok import enumerate_polytope_points, polytope_gf
+from .barvinok import polytope_gf
 from .calculus import (
     TauMap,
     choose_tau,
@@ -24,26 +24,15 @@ from .calculus import (
     support_points,
 )
 from .errors import FormatError, SpecializationError
-from .gfcore import (
-    GFTerm,
-    LatticeBox,
-    ShortGF,
-    canonicalize,
-    concat,
-    from_point_set,
-    zero_gf,
-)
+from .gfcore import GFTerm, LatticeBox, ShortGF, canonicalize, from_point_set
 from .presburger import (
     And,
     LinearAtom,
-    Not,
     Or,
     PAFormula,
     QuantBlock,
     disjointify,
     eval_formula,
-    formula_length,
-    parse_pa,
 )
 
 # ---------------------------------------------------------------------------
@@ -342,7 +331,9 @@ def encode_segment(circuit):
     The violation region of the Tseitin formula is disjointified inside the
     (x, y, z)-box; its cells are kept for the region GF (their GFs sum to
     it, built on first read of `fr`) and projected onto (x, y) by exact
-    enumeration.
+    enumeration.  Every cell lies in the full box, so its points are
+    enumerated by `lattice_points` over the box's bounds, which interval
+    propagation narrows to the cell; no vertex enumeration is needed.
     """
     cnf = circuit_to_3cnf(circuit)
     formula, violation, q = cnf_to_pa(cnf)
@@ -358,7 +349,7 @@ def encode_segment(circuit):
     piece_points = []
     cell_points = []
     for cell in cells:
-        pts = enumerate_polytope_points(cell)
+        pts = _cell_points(cell, full_box)
         cell_points.append(tuple(pts))
         proj = sorted({(pt[0], pt[1]) for pt in pts})
         pieces.append(from_point_set(proj, 2))
@@ -368,6 +359,12 @@ def encode_segment(circuit):
         circuit, cnf, zdims=3, cell_count=len(cells),
         cell_points=tuple(cell_points), cells=tuple(cells),
     )
+
+
+def _cell_points(cell, box):
+    """Sorted integer points of a polyhedron that lies inside `box`."""
+    rows = cell.lattice_rows()
+    return [] if rows is None else la.lattice_points(rows, box.bounds())
 
 
 def violation_projection_by_bits(cnf, box):
@@ -435,13 +432,12 @@ def compress_encoding(encoding):
 
 @dataclass
 class AlternatingPipeline:
-    """Region GF plus the data needed to run projection/anti-projection chains."""
+    """Truth region of a formula's body plus its projection/anti-projection chain."""
 
     formula: PAFormula
     var_order: tuple
     box_sides: tuple
     region_points: set
-    region_gf: ShortGF
     accepted: tuple
     stages: tuple
 
@@ -449,8 +445,8 @@ class AlternatingPipeline:
 def alternating_pipeline(formula, box_sides, limit=2_000_000):
     """Evaluate a prenex formula by eliminating quantifier blocks inner-first.
 
-    The quantifier-free body's truth region in the full box is built as a GF
-    (through disjoint cells); existential blocks project the region's point
+    The quantifier-free body's truth region in the full box is the union of
+    its disjoint cells' points; existential blocks project the region's point
     set, universal blocks keep the prefixes covered by every block value.
     Stage snapshots are recorded for verification.
     """
@@ -466,11 +462,8 @@ def alternating_pipeline(formula, box_sides, limit=2_000_000):
         raise ResourceLimitError("alternating pipeline box exceeds the point limit")
     cells = disjointify(formula.body, box, var_order)
     region = set()
-    terms = []
     for cell in cells:
-        region |= set(enumerate_polytope_points(cell))
-        terms.extend(polytope_gf(cell, check_bounded=False).terms)
-    region_gf = canonicalize(ShortGF(len(var_order), tuple(terms)))
+        region.update(_cell_points(cell, box))
 
     current = region
     width = len(var_order)
@@ -493,8 +486,7 @@ def alternating_pipeline(formula, box_sides, limit=2_000_000):
         stages.append((block.kind, frozenset(current)))
     accepted = tuple(sorted(current))
     return AlternatingPipeline(
-        formula, var_order, tuple(box_sides), region, region_gf, accepted,
-        tuple(stages),
+        formula, var_order, tuple(box_sides), region, accepted, tuple(stages),
     )
 
 

@@ -16,9 +16,8 @@ in the ell direction.  `oracle_expand` enumerates these sums over a box and is
 the reference semantics every other operation in the package is tested against.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
 import random
 
 from .errors import DegenerateDirectionError, FormatError, NonCanonicalError
@@ -334,11 +333,6 @@ def oracle_expand(f, box, limit=None):
         rec(apex, 0, sum(e * a for e, a in zip(ell, apex)))
     table = {k: v for k, v in table.items() if v != 0}
     return CoefficientTable(table, box)
-
-
-def support_in_box(f, box, limit=None):
-    g = f if is_canonical(f) else canonicalize(f)
-    return oracle_expand(g, box, limit=limit).support()
 
 
 def normalized(f):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import _linalg as la
 from .barvinok import Polyhedron, polytope_gf
 from .errors import FormatError
-from .gfcore import LatticeBox, ShortGF, canonicalize, concat, zero_gf
+from .gfcore import LatticeBox, ShortGF, canonicalize
 
 # ---------------------------------------------------------------------------
 # AST

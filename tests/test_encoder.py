@@ -19,6 +19,7 @@ from shortgf import (
     count_certificates,
     encode_alternating,
     encode_segment,
+    enumerate_polytope_points,
     eval_formula,
     evaluate_at_one,
     even_detector,
@@ -259,6 +260,13 @@ class TestLazyRegionGF:
         assert len(calls) == enc.cell_count
 
     CIRCUITS = {"even_detector(3)": even_detector(3), "xor_detector(2)": xor_detector(2)}
+
+    @pytest.mark.parametrize("name", sorted(CIRCUITS))
+    def test_cell_points_match_polytope_enumeration(self, name):
+        enc = encode_segment(self.CIRCUITS[name])
+        assert len(enc.cell_points) == len(enc.cells) > 0
+        for cell, pts in zip(enc.cells, enc.cell_points):
+            assert pts == tuple(enumerate_polytope_points(cell))
 
     @pytest.mark.parametrize("name", sorted(CIRCUITS))
     def test_format_bytes_unchanged(self, name):
