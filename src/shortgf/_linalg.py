@@ -1,13 +1,17 @@
 """Exact integer/rational linear algebra helpers.
 
-Everything here is fraction-free or `fractions.Fraction` based; no floating
-point.  Rows of inequality systems are (coeffs, rhs) pairs of ints meaning
-coeffs . x <= rhs.
+No floating point.  Every exact solve, determinant, rank, inverse and kernel
+basis goes through one fraction-free (Bareiss) Gauss-Jordan routine,
+`echelon`: `det_int`, `rank_int`, `solve`, `kernel_basis` and
+`scaled_inverse_int` wrap it.  `solve_square` and `matrix_inverse_fraction`
+are Gauss-Jordan over `fractions.Fraction`, kept as the references the
+tests compare against; no program code calls them.  Rows of inequality
+systems are (coeffs, rhs) pairs of ints meaning coeffs . x <= rhs.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ResourceLimitError
 
@@ -35,33 +39,113 @@ def vadd(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def det_int(rows):
-    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
+def echelon(rows, ncols=None):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer matrix.
+
+    Pivots are sought in the first `ncols` columns (all by default), so an
+    augmented matrix [A | B] is reduced on A.  Returns (pivots, w, pivot,
+    sign): the pivot columns; the reduced rows, where row i < len(pivots)
+    holds `pivot` in column pivots[i] and 0 in every other pivot column, and
+    the later rows vanish on the first `ncols` columns; the common pivot
+    value (a minor of size len(pivots), 1 when there is no pivot); and
+    (-1)^(row swaps).  After each step every entry is, up to sign, a minor
+    of the input, so each division by the previous pivot is exact.  A
+    square nonsingular W has det W = sign * pivot.
+    """
     w = [list(r) for r in rows]
-    sign = 1
+    m = len(w)
+    if ncols is None:
+        ncols = len(w[0]) if w else 0
+    pivots = []
     prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if w[i][k] != 0), None)
+    sign = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if w[i][c]), None)
         if piv is None:
-            return 0
-        if piv != k:
-            w[k], w[piv] = w[piv], w[k]
+            continue
+        if piv != r:
+            w[r], w[piv] = w[piv], w[r]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                w[i][j] = (w[i][j] * w[k][k] - w[i][k] * w[k][j]) // prev
-            w[i][k] = 0
-        prev = w[k][k]
-    return sign * w[n - 1][n - 1]
+        rk = w[r]
+        pk = rk[c]
+        for i in range(m):
+            if i != r:
+                f = w[i][c]
+                w[i] = [(pk * x - f * y) // prev for x, y in zip(w[i], rk)]
+        prev = pk
+        pivots.append(c)
+    return pivots, w, prev, sign
+
+
+def _integer_rows(rows):
+    """Scale each row of ints or Fractions by its denominators' lcm."""
+    out = []
+    for r in rows:
+        den = lcm(*(x.denominator for x in r))
+        out.append([int(x * den) for x in r])
+    return out
+
+
+def det_int(rows):
+    """Determinant of a square integer matrix."""
+    pivots, _, pivot, sign = echelon(rows)
+    return sign * pivot if len(pivots) == len(rows) else 0
+
+
+def rank_int(rows):
+    """Rank of a matrix with integer or Fraction entries."""
+    return len(echelon(_integer_rows(rows))[0])
+
+
+def solve(rows, rhs):
+    """Solve a nonsingular square integer system rows . x = rhs.
+
+    Returns (nums, den) with x_j = nums[j] / den, den > 0 and the gcd of den
+    and all nums 1, or None when the matrix is singular.
+    """
+    n = len(rows)
+    pivots, w, den, _ = echelon([list(r) + [b] for r, b in zip(rows, rhs)], n)
+    if len(pivots) < n:
+        return None
+    nums = [row[n] for row in w]
+    if den < 0:
+        den = -den
+        nums = [-x for x in nums]
+    g = gcd(den, *nums)
+    if g > 1:
+        den //= g
+        nums = [x // g for x in nums]
+    return nums, den
+
+
+def kernel_basis(rows, n):
+    """Primitive integer basis of {h in Q^n : rows . h = 0}, rows of ints or Fractions.
+
+    One vector per free column of the echelon form, in column order, with a
+    positive entry in its free column.
+    """
+    pivots, w, pivot, _ = echelon(_integer_rows(rows), n)
+    s = 1 if pivot > 0 else -1
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        v = [0] * n
+        v[fc] = s * pivot
+        for row, pc in zip(w, pivots):
+            v[pc] = -s * row[fc]
+        basis.append(primitive(v))
+    return basis
 
 
 def solve_square(rows, rhs):
     """Solve an n x n integer (or Fraction) system exactly.
 
-    Returns a tuple of Fractions, or None when the matrix is singular.
+    Returns a tuple of Fractions, or None when the matrix is singular.  The
+    Fraction reference for `solve`.
     """
     n = len(rows)
     w = [[Fraction(x) for x in r] + [Fraction(rhs[i])] for i, r in enumerate(rows)]
@@ -78,82 +162,6 @@ def solve_square(rows, rhs):
                 f = w[i][k]
                 w[i] = [x - f * y for x, y in zip(w[i], w[k])]
     return tuple(w[i][n] for i in range(n))
-
-
-def rank_int(rows):
-    """Rank of a matrix with integer or Fraction entries."""
-    if not rows:
-        return 0
-    w = [[Fraction(x) for x in r] for r in rows]
-    m, n = len(w), len(w[0])
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if w[i][c] != 0), None)
-        if piv is None:
-            continue
-        w[r], w[piv] = w[piv], w[r]
-        inv = 1 / w[r][c]
-        w[r] = [x * inv for x in w[r]]
-        for i in range(m):
-            if i != r and w[i][c]:
-                f = w[i][c]
-                w[i] = [x - f * y for x, y in zip(w[i], w[r])]
-        r += 1
-        if r == m:
-            break
-    return r
-
-
-def kernel_basis_fraction(rows, n):
-    """Integer basis of {h in Q^n : rows . h = 0} via reduced row echelon form."""
-    w = [[Fraction(x) for x in r] for r in rows]
-    m = len(w)
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if w[i][c] != 0), None)
-        if piv is None:
-            continue
-        w[r], w[piv] = w[piv], w[r]
-        inv = 1 / w[r][c]
-        w[r] = [x * inv for x in w[r]]
-        for i in range(m):
-            if i != r and w[i][c]:
-                f = w[i][c]
-                w[i] = [x - f * y for x, y in zip(w[i], w[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = -w[ri][fc]
-        denom = 1
-        for x in v:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        basis.append(primitive(tuple(int(x * denom) for x in v)))
-    return basis
-
-
-def kernel_vector(rows, n):
-    """Integer kernel vector of an (n-1) x n integer matrix of rank n-1.
-
-    Computed from signed maximal minors; returns the primitive vector, or None
-    when the rows are dependent.
-    """
-    v = []
-    idx = list(range(n))
-    for j in range(n):
-        cols = idx[:j] + idx[j + 1 :]
-        minor = det_int([[r[c] for c in cols] for r in rows])
-        v.append(minor if j % 2 == 0 else -minor)
-    if all(x == 0 for x in v):
-        return None
-    return primitive(v)
 
 
 def hnf_columns(rows, m):
@@ -448,27 +456,6 @@ def lattice_points(rows, bounds, limit=None, first_only=False):
     return out
 
 
-def _solve_cramer_int(mat, rhs, n):
-    """Solve an integer n x n system; returns (nums, den) with den > 0, or None."""
-    d = det_int(mat)
-    if d == 0:
-        return None
-    nums = []
-    for j in range(n):
-        mj = [row[:j] + [rhs[i]] + row[j + 1 :] for i, row in enumerate(mat)]
-        nums.append(det_int(mj))
-    if d < 0:
-        d = -d
-        nums = [-x for x in nums]
-    g = d
-    for x in nums:
-        g = gcd(g, abs(x))
-    if g > 1:
-        d //= g
-        nums = [x // g for x in nums]
-    return nums, d
-
-
 def vertices_of(rows, n, max_subsets=2_000_000):
     """Vertices of {x : rows hold} by exhaustive basic feasible solutions.
 
@@ -486,13 +473,9 @@ def vertices_of(rows, n, max_subsets=2_000_000):
         raise ResourceLimitError(
             f"vertex enumeration over {total} constraint subsets exceeds cap"
         )
-    coeff_rows = [list(r[0]) for r in rows]
-    rhs_vals = [r[1] for r in rows]
     seen = {}
     for subset in combinations(range(m), n):
-        mat = [coeff_rows[i] for i in subset]
-        rhs = [rhs_vals[i] for i in subset]
-        sol = _solve_cramer_int(mat, rhs, n)
+        sol = solve([rows[i][0] for i in subset], [rows[i][1] for i in subset])
         if sol is None:
             continue
         nums, den = sol
@@ -524,12 +507,10 @@ def recession_is_nontrivial(rows, n):
     if rank_int(mat) < n:
         return True
     for subset in combinations(range(len(rows)), n - 1):
-        sub = [mat[i] for i in subset]
-        if rank_int(sub) < n - 1:
+        basis = kernel_basis([mat[i] for i in subset], n)
+        if len(basis) != 1:
             continue
-        d = kernel_vector(sub, n)
-        if d is None:
-            continue
+        d = basis[0]
         if all(dot(r, d) <= 0 for r in mat):
             return True
         nd = tuple(-x for x in d)
@@ -558,27 +539,16 @@ def scaled_inverse_int(rows):
     """Integer inverse of a nonsingular square integer matrix W, scaled by |det W|.
 
     Returns (d, R) with d = |det W| > 0 and R = d * W^-1 (the adjugate up to
-    sign) as rows of ints, or None when W is singular.  Fraction-free
-    (Bareiss) Gauss-Jordan on [W | I]: after step k every entry is a
-    (k+1) x (k+1) minor, so each division by the previous pivot is exact.
+    sign) as rows of ints, or None when W is singular: `echelon` of [W | I].
     """
     n = len(rows)
-    w = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if w[i][k]), None)
-        if piv is None:
-            return None
-        w[k], w[piv] = w[piv], w[k]
-        rk = w[k]
-        pk = rk[k]
-        for i in range(n):
-            if i != k:
-                f = w[i][k]
-                w[i] = [(pk * x - f * y) // prev for x, y in zip(w[i], rk)]
-        prev = pk
-    sign = 1 if prev > 0 else -1
-    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in w)
+    pivots, w, pivot, _ = echelon(
+        [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)], n
+    )
+    if len(pivots) < n:
+        return None
+    s = 1 if pivot > 0 else -1
+    return s * pivot, tuple(tuple(s * x for x in row[n:]) for row in w)
 
 
 def enumerate_parallelepiped(gen_cols, max_points=200_000):

@@ -17,7 +17,7 @@ auxiliary polytopes of the Hadamard machinery.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import ceil, gcd
 
 from . import _linalg as la
 from ._subst import substitute
@@ -191,7 +191,13 @@ def _short_vector_lll(gen_cols):
                 best = (m, tuple(int(x) for x in w), lam)
     if best is None:
         return None
-    return best[1], best[2]
+    _, w, lam = best
+    if all(x <= 0 for x in lam):
+        # w in -K: K and the child cones then cover the whole space, so the
+        # signed children would leave a whole-space term, which polarizes to
+        # a spurious point cone at the vertex.  -w has all lam >= 0.
+        return tuple(-x for x in w), tuple(-x for x in lam)
+    return w, lam
 
 
 def decompose_unimodular_fulldim(gen_cols, sign):
@@ -239,34 +245,19 @@ def decompose_unimodular_fulldim(gen_cols, sign):
 
 
 def _coordinates_in_span(gens):
-    """Express vectors of a rank-r family in r coordinates (integer-scaled)."""
-    rows = [list(g) for g in gens]
-    r = la.rank_int(rows)
-    # choose r independent generators as a basis
-    basis = []
-    for g in gens:
-        if la.rank_int([list(x) for x in basis + [g]]) > len(basis):
-            basis.append(g)
-        if len(basis) == r:
-            break
-    # choose r pivot columns of the basis
-    cols = []
-    for j in range(len(gens[0])):
-        trial = cols + [j]
-        sub = [[bg[c] for c in trial] for bg in basis]
-        if la.rank_int(sub) == len(trial):
-            cols.append(j)
-        if len(cols) == r:
-            break
-    bmat = [[bg[c] for c in cols] for bg in basis]  # r x r
-    coords = []
-    for g in gens:
-        sol = la.solve_square(bmat, [g[c] for c in cols])
-        # scale to integers
-        denom = 1
-        for x in sol:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        coords.append(tuple(int(x * denom) for x in sol))
+    """Express vectors of a rank-r family in r coordinates (integer-scaled).
+
+    The basis is the first r independent generators: the pivot columns of
+    the echelon form of the matrix whose columns are the generators.  Each
+    generator's coordinates are scaled to a primitive integer vector.
+    """
+    n = len(gens[0])
+    pivots, w, pivot, _ = la.echelon([[g[i] for g in gens] for i in range(n)])
+    r = len(pivots)
+    s = 1 if pivot > 0 else -1
+    coords = [
+        la.primitive([s * w[i][j] for i in range(r)]) for j in range(len(gens))
+    ]
     return coords, r
 
 
@@ -300,12 +291,10 @@ def _triangulate_rec(coords, active, r):
     simplices = []
     seen_facets = set()
     for combo in combinations(active, rr - 1):
-        mat = [local[i] for i in combo]
-        if la.rank_int([list(m) for m in mat]) != rr - 1:
+        basis = la.kernel_basis([local[i] for i in combo], rr)
+        if len(basis) != 1:
             continue
-        h = la.kernel_vector(mat, rr)
-        if h is None:
-            continue
+        h = basis[0]
         vals = {i: la.dot(h, local[i]) for i in active}
         if all(v >= 0 for v in vals.values()):
             pass
@@ -337,11 +326,12 @@ _DUAL_CACHE = {}
 
 
 def _dual_cone_gf_terms(tight_normals, d):
-    """Positive-form (sign, gen_cols) pairs for one vertex's tangent cone.
+    """Positive-form (sign, gen_cols, dual_cols) triples for one vertex's tangent cone.
 
     The dual of the tangent cone is spanned by the tight constraint normals;
-    triangulate and decompose there, then polarize unimodular pieces back.
-    Cached on the normal set: the same cone shape recurs across vertices.
+    triangulate and decompose there, then polarize each unimodular piece W
+    (columns dual_cols) back to gen_cols.  Cached on the normal set: the
+    same cone shape recurs across vertices.
     """
     key = tuple(sorted({la.primitive(nrm) for nrm in tight_normals}))
     hit = _DUAL_CACHE.get(key)
@@ -356,23 +346,25 @@ def _dual_cone_gf_terms(tight_normals, d):
             # polar generators g_i solve W^T G = -I: columns of -(W^{-1})^T,
             # i.e. the negated rows of W^{-1}
             polar_cols = [tuple(-x for x in row) for row in inv]
-            results.append((sign, polar_cols))
+            results.append((sign, polar_cols, ucols))
     if len(_DUAL_CACHE) > 20_000:
         _DUAL_CACHE.clear()
     _DUAL_CACHE[key] = results
     return results
 
 
-def _unimodular_cone_term(vertex, gen_cols, sign, d):
+def _unimodular_cone_term(vertex, gen_cols, dual_cols, sign):
     """GF of the shifted unimodular cone: sign * t^a / prod(1 - t^g).
 
-    a is the unique lattice point of apex + sum [0,1) g_i.
+    a is the unique lattice point of vertex + sum [0,1) g_i.  The cone is
+    the polar of the cone on dual_cols: with W the matrix of dual_cols, the
+    generator matrix is G = -(W^-1)^T, so G^-1 = -W^T and the vertex has
+    coordinates gamma_j = -<dual_cols[j], vertex> in the basis g.
     """
-    mat = [[gen_cols[j][i] for j in range(d)] for i in range(d)]
-    gamma = la.solve_square(mat, vertex)
+    d = len(gen_cols)
     apex = [0] * d
     for j in range(d):
-        c = -((-gamma[j].numerator) // gamma[j].denominator)  # ceil
+        c = ceil(-la.dot(dual_cols[j], vertex))
         for i in range(d):
             apex[i] += c * gen_cols[j][i]
     return Fraction(sign), tuple(apex), tuple(gen_cols)
@@ -384,8 +376,8 @@ def _brion_fulldim(rows, d):
     triples = []
     for vertex, tight in verts:
         normals = [rows[i][0] for i in tight]
-        for sign, polar_cols in _dual_cone_gf_terms(normals, d):
-            triples.append(_unimodular_cone_term(vertex, polar_cols, sign, d))
+        for sign, polar_cols, ucols in _dual_cone_gf_terms(normals, d):
+            triples.append(_unimodular_cone_term(vertex, polar_cols, ucols, sign))
     return triples, verts
 
 
@@ -472,10 +464,11 @@ def _reduce_to_fulldim(ineq_rows, eq_rows, eq_rhs, m):
             ]
             continue
         diffs = [tuple(v[i] - v0[i] for i in range(d)) for v, _ in verts[1:]]
-        if la.rank_int([list(x) for x in diffs]) == d:
+        normals = la.kernel_basis(diffs, d)
+        if not normals:
             return rows, y0, k_cols
         eqs = []
-        for h in la.kernel_basis_fraction([list(x) for x in diffs], d):
+        for h in normals:
             rhs = sum(Fraction(h[i]) * v0[i] for i in range(d))
             h = tuple(x * rhs.denominator for x in h)
             eqs.append((h, int(rhs * rhs.denominator)))
@@ -582,12 +575,10 @@ def vertex_cones(polyhedron):
                     rays.append(ray)
         else:
             for combo in combinations(range(len(normals)), n - 1):
-                sub = [normals[i] for i in combo]
-                if la.rank_int([list(s) for s in sub]) != n - 1:
+                basis = la.kernel_basis([normals[i] for i in combo], n)
+                if len(basis) != 1:
                     continue
-                dvec = la.kernel_vector(sub, n)
-                if dvec is None:
-                    continue
+                dvec = basis[0]
                 for cand in (dvec, tuple(-x for x in dvec)):
                     if all(la.dot(nrm, cand) <= 0 for nrm in normals):
                         if cand not in seen:
@@ -651,36 +642,29 @@ def _subcone_parallelepiped_point(gens, n):
                 hi[i] += g[i]
             else:
                 lo[i] += g[i]
-    # solve lam from k independent coordinate rows
-    rows_idx = []
-    for i in range(n):
-        trial = rows_idx + [i]
-        sub = [[g[r] for g in gens] for r in trial]
-        if la.rank_int(sub) == len(trial):
-            rows_idx.append(i)
-        if len(rows_idx) == k:
-            break
-    mat = [[g[r] for g in gens] for r in rows_idx]
-    best = None
+    # lam from k independent coordinate rows: the pivot columns of the
+    # echelon form of the matrix whose rows are the generators
+    rows_idx = la.echelon(gens)[0]
     total = 1
     for i in range(n):
         total *= hi[i] - lo[i] + 1
         if total > 500_000:
             raise ResourceLimitError("parallelepiped search box too large")
+    det, inv = la.scaled_inverse_int([[g[r] for g in gens] for r in rows_idx])
+    best = None
 
     def rec(i, point):
         nonlocal best
         if i == n:
             if not any(point):
                 return
-            lam = la.solve_square(mat, [point[r] for r in rows_idx])
-            if lam is None:
-                return
-            if any(x < 0 or x >= 1 for x in lam):
+            sub = [point[r] for r in rows_idx]
+            lam = [la.dot(row, sub) for row in inv]  # det * lam
+            if any(x < 0 or x >= det for x in lam):
                 return
             # verify point lies in the span
             for c in range(n):
-                if sum(lam[j] * gens[j][c] for j in range(k)) != point[c]:
+                if sum(lam[j] * gens[j][c] for j in range(k)) != det * point[c]:
                     return
             key = (max(lam), tuple(point))
             if best is None or key < best[0]:
@@ -692,7 +676,7 @@ def _subcone_parallelepiped_point(gens, n):
     rec(0, [])
     if best is None:
         return None
-    return best[1], best[2]
+    return best[1], tuple(Fraction(x, det) for x in best[2])
 
 
 def cone_gf(cone):
@@ -702,8 +686,12 @@ def cone_gf(cone):
         raise ValueError("cone_gf requires a full-dimensional simplicial cone")
     if cone_index(cone.generators, n) != 1:
         raise ValueError("cone_gf requires a unimodular cone")
+    g_rows = [[g[i] for g in cone.generators] for i in range(n)]
+    _, inv = la.scaled_inverse_int(g_rows)  # unimodular: inv is G^{-1}
+    # the cone is the polar of the one on the negated rows of G^{-1}
+    dual_cols = [tuple(-x for x in row) for row in inv]
     sign, apex, cols = _unimodular_cone_term(
-        cone.apex, [tuple(g) for g in cone.generators], cone.sign, n
+        cone.apex, cone.generators, dual_cols, cone.sign
     )
     from .gfcore import term_from_positive
 

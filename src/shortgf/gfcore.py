@@ -373,29 +373,6 @@ def scale(f, c):
     )
 
 
-def box_gf(box):
-    """GF of a full box as the product expansion of prod_j (1-t_j^U_j)/(1-t_j).
-
-    2^n terms, each with at most n unit denominator vectors.
-    """
-    if not isinstance(box, LatticeBox):
-        box = LatticeBox(tuple(box))
-    n = box.nvars
-    terms = []
-    for mask in range(1 << n):
-        numer = [0] * n
-        sign = 1
-        for j in range(n):
-            if mask >> j & 1:
-                numer[j] = box.sides[j]
-                sign = -sign
-        denoms = tuple(
-            tuple(1 if i == j else 0 for i in range(n)) for j in range(n)
-        )
-        terms.append(GFTerm(Fraction(sign), tuple(numer), denoms))
-    return ShortGF(n, tuple(terms))
-
-
 # ---------------------------------------------------------------------------
 # text format
 

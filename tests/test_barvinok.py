@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shortgf import (
     LatticeBox,
@@ -23,6 +25,28 @@ from shortgf import (
     support_points,
     vertex_cones,
 )
+
+
+@st.composite
+def cut_boxes(draw):
+    """A 3-D box around a lattice point p, cut by three planes through p.
+
+    For independent cut normals p is an integral vertex whose tangent cone
+    has normals with entries up to 20, so its dual cones usually exceed
+    _LLL_THRESHOLD and take the basis-reduction path of the unimodular
+    decomposition.
+    """
+    p = draw(st.tuples(*[st.integers(-3, 3)] * 3))
+    rows, rhs = [], []
+    for j in range(3):
+        e = tuple(int(i == j) for i in range(3))
+        rows += [e, tuple(-x for x in e)]
+        rhs += [p[j] + draw(st.integers(1, 4)), -p[j] + draw(st.integers(1, 4))]
+    cuts = st.tuples(*[st.integers(-20, 20)] * 3)
+    for a in draw(st.lists(cuts, min_size=3, max_size=3)):
+        rows.append(a)
+        rhs.append(sum(x * c for x, c in zip(a, p)))
+    return Polyhedron(tuple(rows), tuple(rhs), 3)
 
 
 def interval(lo_num, lo_den, hi_num, hi_den):
@@ -241,6 +265,25 @@ class TestPolytopeGF:
             assert evaluate_at_one(polytope_gf(p)) == len(
                 enumerate_polytope_points(p)
             )
+
+    def test_integral_vertex_counted_once(self):
+        # the short vector of a dual cone can come out in minus the cone;
+        # keeping it lost the integral vertex (-37, -733, 106), where five
+        # rows are tight
+        rows = (
+            ((1, 0, 0), -30), ((-1, 0, 0), 37), ((0, 1, 0), -593),
+            ((0, -1, 0), 733), ((0, 0, 1), 106), ((0, 0, -1), -84),
+            ((20, -1, 0), 0), ((5, -3, -19), 0), ((1, 4, 28), 0),
+            ((-20, 1, 0), 7),
+        )
+        p = Polyhedron(tuple(r for r, _ in rows), tuple(b for _, b in rows), 3)
+        assert len(enumerate_polytope_points(p)) == 2
+        assert evaluate_at_one(polytope_gf(p)) == 2
+
+    @settings(max_examples=20, deadline=None)
+    @given(cut_boxes())
+    def test_counts_match_enumeration(self, p):
+        assert evaluate_at_one(polytope_gf(p)) == len(enumerate_polytope_points(p))
 
     def test_unbounded_rejected(self):
         with pytest.raises(UnboundedPolyhedronError):

@@ -365,6 +365,20 @@ class TestCompression:
             back = decompress(compress(g, tau), tau)
             assert support_points(back, (8, 8)) == set(pts)
 
+    def test_round_trip_polytope_with_integral_vertex(self):
+        # the dual cone at the integral vertex (0, 1) needs the basis-reduced
+        # short vector; a w in minus the cone once added the point (0, 7)
+        p = Polyhedron(
+            ((1, 0), (-1, 0), (0, 1), (0, -1), (6, -7), (4, -4), (1, 0), (0, 1)),
+            (3, 0, 3, 0, -2, 5, 7, 7),
+            2,
+        )
+        g = polytope_gf(p)
+        tau = choose_tau(g, (2,), box=(8, 8))
+        back = decompress(compress(g, tau), tau)
+        want = {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)}
+        assert support_points(back, (tau.N, tau.N)) == want
+
     def test_zero_gf(self):
         tau = TauMap(8, (2,))
         assert decompress(zero_gf(1), tau).terms == ()

@@ -1,10 +1,12 @@
 """Command-line behavior: verbs, exit codes, determinism."""
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+import shortgf
 from shortgf.cli import main
 
 
@@ -170,7 +172,11 @@ class TestDeterminism:
             sys.executable, "-m", "shortgf.cli",
             "op", "hadamard", interval_file, evens_file, "--box", "8",
         ]
-        first = subprocess.run(cmd, capture_output=True)
-        second = subprocess.run(cmd, capture_output=True)
+        # the child imports the same package as this process
+        src = os.path.dirname(os.path.dirname(shortgf.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        first = subprocess.run(cmd, capture_output=True, env=env)
+        second = subprocess.run(cmd, capture_output=True, env=env)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout

@@ -1,7 +1,8 @@
 """Integer linear-algebra kernels against Fraction references."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,11 +11,16 @@ from hypothesis import strategies as st
 import shortgf._linalg
 from shortgf._linalg import (
     det_int,
+    echelon,
     enumerate_parallelepiped,
+    kernel_basis,
     lattice_points,
     lll_reduce,
     matrix_inverse_fraction,
+    rank_int,
     scaled_inverse_int,
+    solve,
+    solve_square,
 )
 from shortgf.errors import ResourceLimitError
 
@@ -27,6 +33,87 @@ def square_matrices(max_n, bound):
             max_size=n,
         )
     )
+
+
+@st.composite
+def rect_matrices(draw, entries=st.integers(-3, 3)):
+    """(rows, n): 0-5 rows of n in 1..6 entries; small entries give rank drops."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=5))
+    return rows, n
+
+
+def det_reference(w):
+    """Leibniz formula: sum over permutations of signed products."""
+    n = len(w)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= w[i][j]
+        total += term
+    return total
+
+
+class TestEchelon:
+    @settings(max_examples=200, deadline=None)
+    @given(square_matrices(5, 9), st.data())
+    def test_solve_matches_fraction_solve(self, w, data):
+        n = len(w)
+        rhs = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+        ref = solve_square(w, rhs)
+        got = solve(w, rhs)
+        if ref is None:
+            assert got is None
+            return
+        nums, den = got
+        assert den > 0 and gcd(den, *nums) == 1
+        assert tuple(Fraction(x, den) for x in nums) == ref
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(square_matrices(5, 9), square_matrices(4, 1)))
+    def test_det_is_signed_pivot(self, w):
+        pivots, _, pivot, sign = echelon(w)
+        want = det_reference(w)
+        assert det_int(w) == want
+        if want:
+            assert len(pivots) == len(w) and sign * pivot == want
+        else:
+            assert len(pivots) < len(w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rect_matrices())
+    def test_echelon_form(self, system):
+        rows, n = system
+        pivots, w, pivot, _ = echelon(rows, n)
+        r = len(pivots)
+        assert pivot != 0 and pivots == sorted(pivots)
+        for i, row in enumerate(w):
+            for j, c in enumerate(pivots):
+                assert row[c] == (pivot if i == j else 0)
+            if i >= r:
+                assert not any(row)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rect_matrices())
+    def test_rank_plus_kernel_dimension(self, system):
+        rows, n = system
+        basis = kernel_basis(rows, n)
+        assert rank_int(rows) + len(basis) == n
+        assert rank_int(basis) == len(basis)
+        for v in basis:
+            assert gcd(*v) == 1
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rect_matrices(st.fractions(-5, 5, max_denominator=6)))
+    def test_fraction_rows_match_cleared_rows(self, system):
+        rows, n = system
+        den = lcm(*(x.denominator for row in rows for x in row))
+        cleared = [[int(x * den) for x in row] for row in rows]
+        assert rank_int(rows) == rank_int(cleared)
+        assert kernel_basis(rows, n) == kernel_basis(cleared, n)
 
 
 def parallelepiped_reference(gen_cols):
