@@ -551,24 +551,23 @@ def scaled_inverse_int(rows):
     return s * pivot, tuple(tuple(s * x for x in row[n:]) for row in w)
 
 
-def enumerate_parallelepiped(gen_cols, max_points=200_000):
+def enumerate_parallelepiped(gen_cols, inverse, max_points=200_000):
     """Integer points of {sum_i lam_i g_i : lam in [0,1)^d} for a full-rank basis.
 
-    gen_cols: list of d integer d-vectors (the generators, as columns).
+    gen_cols: list of d integer d-vectors (the generators, as columns), and
+    inverse = (det, R), `scaled_inverse_int` of the matrix W they form.
     Returns a sorted list of (point, lam) pairs, lam as Fractions; includes
     the origin.  Each coset representative rep of Z^d / W Z^d is mapped into
     the parallelepiped with integer arithmetic: R rep = det * lam_raw, so
     divmod by det gives floor(lam_raw) and the fractional part.
     """
     d = len(gen_cols)
-    w_rows = tuple(tuple(gen_cols[j][i] for j in range(d)) for i in range(d))
-    inv = scaled_inverse_int(w_rows)
-    if inv is None:
-        raise ValueError("generators not full rank")
-    det, r_rows = inv
+    det, r_rows = inverse
     if det > max_points:
         raise ResourceLimitError(f"parallelepiped has {det} lattice classes")
-    h, _, pivots = hnf_columns([list(r) for r in w_rows], d)
+    h, _, pivots = hnf_columns(
+        [[gen_cols[j][i] for j in range(d)] for i in range(d)], d
+    )
     diag = [1] * d
     for ri, ci in pivots:
         diag[ri] = h[ri][ci]

@@ -8,6 +8,12 @@ unimodular pieces back, and sum the vertex-cone rational functions (Brion).
 Lower-dimensional pieces are discarded in the dual, where they correspond to
 cones with lines and contribute zero.
 
+Both signed decompositions, this one and the exact `sign_decompose`, take
+the same parallelepiped step: one `scaled_inverse_int` of the cone's
+generator matrix gives its index and drives the search for the replacing
+vector.  `sign_decompose` first writes a lower-dimensional cone in a basis
+of its saturated lattice Z^n ∩ span, where it is full-dimensional.
+
 Lower-dimensional and equality-constrained inputs are reduced to the
 full-dimensional case by an integer parameterization of their affine lattice
 hull (column Hermite form), so the same core serves the equality-constrained
@@ -33,7 +39,7 @@ from .gfcore import (
     zero_gf,
 )
 
-_PPD_CAP = 4096
+_PPD_CAP = 10_000_000  # most lattice classes one parallelepiped step lists
 _LLL_THRESHOLD = 32  # above this index, prefer basis-reduced short vectors
 
 
@@ -125,34 +131,51 @@ class SignedCone:
             raise ValueError("generators must be linearly independent")
 
 
+def _saturated_coordinates(gens, n):
+    """A basis of the lattice Z^n ∩ span(gens) and the generators in it.
+
+    Returns (basis, coords): k integer n-vectors spanning that lattice, and
+    for each generator its k integer coordinates in the basis; None when
+    the k generators are dependent.  The basis is the integer kernel of the
+    span's normals, and one echelon of [basis | generators] gives the
+    coordinates.
+    """
+    k = len(gens)
+    normals = la.kernel_basis(gens, n)
+    _, basis = la.solve_affine_lattice(normals, [0] * len(normals), n)
+    if len(basis) != k:
+        return None
+    _, w, pivot, _ = la.echelon(
+        [[b[i] for b in basis] + [g[i] for g in gens] for i in range(n)], k
+    )
+    coords = [tuple(w[i][k + j] // pivot for i in range(k)) for j in range(k)]
+    return basis, coords
+
+
 def cone_index(generators, n):
     """Lattice index of the cone's generator lattice inside its saturation.
 
-    Equals |det| for full-dimensional simplicial cones; in general the gcd of
-    all maximal minors of the generator matrix.
+    |det| of the generators' coordinates in a basis of Z^n ∩ span, which is
+    the gcd of the maximal minors of the generator matrix; 0 for dependent
+    generators.
     """
-    k = len(generators)
-    cols = list(generators)
-    g = 0
-    for rows in combinations(range(n), k):
-        mat = [[cols[j][i] for j in range(k)] for i in rows]
-        g = gcd(g, abs(la.det_int(mat)))
-        if g == 1:
-            return 1
-    return g
+    sat = _saturated_coordinates(generators, n)
+    return 0 if sat is None else abs(la.det_int(sat[1]))
 
 
 # ---------------------------------------------------------------------------
 # simplicial decomposition
 
 
-def _parallelepiped_point(gen_cols, cap):
+def _parallelepiped_point(gen_cols, inverse):
     """Nonzero lattice point of the half-open parallelepiped, as (point, lam).
 
-    Chooses the point minimizing max lam_i (ties broken lexicographically);
-    lam entries lie in [0,1).  Enumerates at most cap lattice classes.
+    `inverse` is `scaled_inverse_int` of the matrix whose columns are
+    gen_cols.  Chooses the point minimizing max lam_i (ties broken
+    lexicographically); lam entries lie in [0,1).  Enumerates at most
+    _PPD_CAP lattice classes.
     """
-    pts = la.enumerate_parallelepiped(gen_cols, max_points=cap)
+    pts = la.enumerate_parallelepiped(gen_cols, inverse, max_points=_PPD_CAP)
     best = None
     for pt, lam in pts:
         if not any(pt):
@@ -165,11 +188,14 @@ def _parallelepiped_point(gen_cols, cap):
     return best[1], best[2]
 
 
-def _short_vector_lll(gen_cols):
-    """Short nonzero vector w = W lam with all |lam_i| < 1, via basis reduction."""
+def _short_vector_lll(gen_cols, inverse):
+    """Short nonzero vector w = W lam with all |lam_i| < 1, via basis reduction.
+
+    `inverse` is `scaled_inverse_int` of W, the matrix whose columns are
+    gen_cols.
+    """
     d = len(gen_cols)
-    w_rows = tuple(tuple(gen_cols[j][i] for j in range(d)) for i in range(d))
-    det, inv = la.scaled_inverse_int(w_rows)
+    det, inv = inverse
     # columns of det * W^{-1} form a basis of the lam-lattice, scaled by det
     basis = [tuple(inv[i][j] for i in range(d)) for j in range(d)]
     reduced = la.lll_reduce(basis)
@@ -216,20 +242,18 @@ def decompose_unimodular_fulldim(gen_cols, sign):
         if guard > 200_000:
             raise ResourceLimitError("cone decomposition did not converge")
         s, cols = stack.pop()
-        w_rows = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-        det = abs(la.det_int(w_rows))
-        if det == 0:
+        inverse = la.scaled_inverse_int(
+            [[cols[j][i] for j in range(d)] for i in range(d)]
+        )
+        if inverse is None:
             raise ValueError("degenerate simplicial cone")
+        det = inverse[0]
         if det == 1:
             out.append((s, cols))
             continue
-        if det <= _LLL_THRESHOLD:
-            found = _parallelepiped_point(cols, _PPD_CAP)
-        else:
-            found = _short_vector_lll(cols)
+        found = _short_vector_lll(cols, inverse) if det > _LLL_THRESHOLD else None
         if found is None:
-            # enumerate regardless of cap as a last resort
-            found = _parallelepiped_point(cols, 10_000_000)
+            found = _parallelepiped_point(cols, inverse)
         w, lam = found
         for i in range(d):
             if lam[i] == 0:
@@ -595,6 +619,9 @@ def sign_decompose(cone):
     The signed indicator sum of the output equals the input's indicator
     exactly (lower-dimensional intersection cones are kept with alternating
     signs, unlike the mod-lower-dimensional variant used inside polytope GFs).
+    Each k-generator piece is written in a basis of its saturated lattice
+    Z^n ∩ span, where it is full-dimensional and takes the same
+    parallelepiped step as `decompose_unimodular_fulldim`.
     """
     n = len(cone.apex)
     out = []
@@ -606,19 +633,15 @@ def sign_decompose(cone):
             raise ResourceLimitError("sign decomposition did not converge")
         s, gens = stack.pop()
         k = len(gens)
-        if k == 0:
-            out.append(SignedCone(cone.apex, (), s))
-            continue
-        idx = cone_index(gens, n)
-        if idx == 0:
-            raise ValueError("generators not independent")
-        if idx == 1:
+        basis, coords = _saturated_coordinates(gens, n)
+        inverse = la.scaled_inverse_int(
+            [[coords[j][i] for j in range(k)] for i in range(k)]
+        )
+        if inverse[0] == 1:
             out.append(SignedCone(cone.apex, gens, s))
             continue
-        found = _subcone_parallelepiped_point(gens, n)
-        if found is None:
-            raise ResourceLimitError("no parallelepiped point found")
-        w, lam = found
+        wc, lam = _parallelepiped_point(coords, inverse)
+        w = tuple(sum(c * b[i] for c, b in zip(wc, basis)) for i in range(n))
         support = [i for i in range(k) if lam[i] > 0]
         # exact stellar inclusion-exclusion over the covering subcones
         for size in range(1, len(support) + 1):
@@ -631,64 +654,16 @@ def sign_decompose(cone):
     return out
 
 
-def _subcone_parallelepiped_point(gens, n):
-    """Nonzero lattice point of {sum lam_i g_i : lam in [0,1)^k} for independent g_i."""
-    k = len(gens)
-    lo = [0] * n
-    hi = [0] * n
-    for i in range(n):
-        for g in gens:
-            if g[i] > 0:
-                hi[i] += g[i]
-            else:
-                lo[i] += g[i]
-    # lam from k independent coordinate rows: the pivot columns of the
-    # echelon form of the matrix whose rows are the generators
-    rows_idx = la.echelon(gens)[0]
-    total = 1
-    for i in range(n):
-        total *= hi[i] - lo[i] + 1
-        if total > 500_000:
-            raise ResourceLimitError("parallelepiped search box too large")
-    det, inv = la.scaled_inverse_int([[g[r] for g in gens] for r in rows_idx])
-    best = None
-
-    def rec(i, point):
-        nonlocal best
-        if i == n:
-            if not any(point):
-                return
-            sub = [point[r] for r in rows_idx]
-            lam = [la.dot(row, sub) for row in inv]  # det * lam
-            if any(x < 0 or x >= det for x in lam):
-                return
-            # verify point lies in the span
-            for c in range(n):
-                if sum(lam[j] * gens[j][c] for j in range(k)) != det * point[c]:
-                    return
-            key = (max(lam), tuple(point))
-            if best is None or key < best[0]:
-                best = (key, tuple(point), lam)
-            return
-        for v in range(lo[i], hi[i] + 1):
-            rec(i + 1, point + [v])
-
-    rec(0, [])
-    if best is None:
-        return None
-    return best[1], tuple(Fraction(x, det) for x in best[2])
-
-
 def cone_gf(cone):
     """Short GF of a shifted unimodular full-dimensional cone."""
     n = len(cone.apex)
     if len(cone.generators) != n:
         raise ValueError("cone_gf requires a full-dimensional simplicial cone")
-    if cone_index(cone.generators, n) != 1:
-        raise ValueError("cone_gf requires a unimodular cone")
     g_rows = [[g[i] for g in cone.generators] for i in range(n)]
-    _, inv = la.scaled_inverse_int(g_rows)  # unimodular: inv is G^{-1}
-    # the cone is the polar of the one on the negated rows of G^{-1}
+    det, inv = la.scaled_inverse_int(g_rows)
+    if det != 1:
+        raise ValueError("cone_gf requires a unimodular cone")
+    # inv is G^{-1}, and the cone is the polar of the one on its negated rows
     dual_cols = [tuple(-x for x in row) for row in inv]
     sign, apex, cols = _unimodular_cone_term(
         cone.apex, cone.generators, dual_cols, cone.sign
@@ -756,13 +731,13 @@ def parse_polyhedron(text):
     rows = []
     rhs = []
     for ln in lines[1:]:
-        if "<=" not in ln:
+        if ln.count("<=") != 1:
             raise FormatError(f"bad row: {ln!r}")
         left, right = ln.split("<=")
         try:
             coeffs = [Fraction(tok) for tok in left.split()]
             bound = Fraction(right.strip())
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad row: {ln!r}") from exc
         if len(coeffs) != n:
             raise FormatError(f"row arity != {n}: {ln!r}")

@@ -117,12 +117,11 @@ def build_parser():
         "kind",
         choices=[
             "hadamard", "union", "intersect", "minus", "minkowski",
-            "compress", "decompress", "project", "antiproject", "specialize",
+            "compress", "decompress",
         ],
     )
     s.add_argument("inputs", nargs="+")
     s.add_argument("--box")
-    s.add_argument("--keep", help="comma-separated coordinates to keep")
     s.add_argument("--groups", help="comma-separated group sizes for packing")
     s.add_argument("--base", type=int, help="packing base (power of two)")
     s.add_argument("-o", "--output")
@@ -196,39 +195,27 @@ def _cmd_op(args):
             out = boolean_combine(f, g, box, mode, seed=args.seed)
         _emit_gf(out, args.output)
         return 0
-    if kind in ("compress", "decompress"):
-        if len(args.inputs) != 1:
-            raise FormatError(f"{kind} takes one GF file")
-        f = _read_gf(args.inputs[0])
-        groups = (
-            tuple(int(x) for x in args.groups.split(","))
-            if args.groups
-            else (f.nvars,)
-        )
-        box = _box_from_flag(args.box, f.nvars)
-        if kind == "compress":
-            tau = choose_tau(f, groups, box=box)
-            out = compress(f, tau)
-            print(f"# packing base N={tau.N} groups={groups}", file=sys.stderr)
-        else:
-            if not args.base:
-                raise FormatError("decompress requires --base")
-            from .calculus import TauMap
-
-            tau = TauMap(args.base, groups)
-            out = decompress(f, tau, seed=args.seed)
-        _emit_gf(out, args.output)
-        return 0
-    # projection family
+    # compress or decompress
     if len(args.inputs) != 1:
         raise FormatError(f"{kind} takes one GF file")
     f = _read_gf(args.inputs[0])
+    groups = (
+        tuple(int(x) for x in args.groups.split(","))
+        if args.groups
+        else (f.nvars,)
+    )
     box = _box_from_flag(args.box, f.nvars)
-    if box is None or args.keep is None:
-        raise FormatError(f"{kind} requires --box and --keep")
-    keep = [int(x) for x in args.keep.split(",")]
-    mode = {"project": "project", "antiproject": "anti", "specialize": "specialize"}[kind]
-    out = oracle_project(f, keep, box, mode=mode, limit=args.limit_points)
+    if kind == "compress":
+        tau = choose_tau(f, groups, box=box)
+        out = compress(f, tau)
+        print(f"# packing base N={tau.N} groups={groups}", file=sys.stderr)
+    else:
+        if not args.base:
+            raise FormatError("decompress requires --base")
+        from .calculus import TauMap
+
+        tau = TauMap(args.base, groups)
+        out = decompress(f, tau, seed=args.seed)
     _emit_gf(out, args.output)
     return 0
 

@@ -91,17 +91,15 @@ def parse_circuit(text):
         raise FormatError(f"bad circuit header: {lines[0]!r}") from exc
 
     def ref(tok, ngates):
-        if tok.startswith("x"):
-            i = int(tok[1:])
-            if not 1 <= i <= r:
-                raise FormatError(f"input {tok} out of range")
-            return ("x", i)
-        if tok.startswith("g"):
-            i = int(tok[1:])
-            if not 1 <= i <= ngates:
-                raise FormatError(f"gate {tok} referenced before definition")
-            return ("g", i)
-        raise FormatError(f"bad reference {tok!r}")
+        kind, digits = tok[:1], tok[1:]
+        if kind not in ("x", "g") or not digits.isdecimal():
+            raise FormatError(f"bad reference {tok!r}")
+        i = int(digits)
+        if kind == "x" and not 1 <= i <= r:
+            raise FormatError(f"input {tok} out of range")
+        if kind == "g" and not 1 <= i <= ngates:
+            raise FormatError(f"gate {tok} referenced before definition")
+        return (kind, i)
 
     gates = []
     output = None
@@ -294,13 +292,11 @@ class SegmentEncoding:
     q: int
     box: LatticeBox  # the (x, y) box
     full_box: LatticeBox  # the (x, y, z...) box
-    pieces: tuple  # per-cell (x, y)-projection GFs
-    piece_points: tuple  # per-cell projected point sets
+    pieces: tuple  # per-cell (x, y)-projection GFs, one monomial per point
     circuit: BooleanCircuit
     cnf: CNF3
     zdims: int = 3
     tau: TauMap = None
-    cell_count: int = 0
     cell_points: tuple = ()  # per-cell full lattice point lists
     cells: tuple = ()
     _fr: ShortGF = field(default=None, repr=False, compare=False)
@@ -319,10 +315,7 @@ class SegmentEncoding:
         return self._fr
 
     def proj_points(self):
-        out = set()
-        for pts in self.piece_points:
-            out |= pts
-        return out
+        return {t.numer for piece in self.pieces for t in piece.terms}
 
 
 def encode_segment(circuit):
@@ -346,17 +339,13 @@ def encode_segment(circuit):
     else:
         cells = disjointify(violation, full_box, var_order)
     pieces = []
-    piece_points = []
     cell_points = []
     for cell in cells:
         pts = _cell_points(cell, full_box)
         cell_points.append(tuple(pts))
-        proj = sorted({(pt[0], pt[1]) for pt in pts})
-        pieces.append(from_point_set(proj, 2))
-        piece_points.append(set(proj))
+        pieces.append(from_point_set([(pt[0], pt[1]) for pt in pts], 2))
     return SegmentEncoding(
-        r, p, q, box, full_box, tuple(pieces), tuple(piece_points),
-        circuit, cnf, zdims=3, cell_count=len(cells),
+        r, p, q, box, full_box, tuple(pieces), circuit, cnf, zdims=3,
         cell_points=tuple(cell_points), cells=tuple(cells),
     )
 
@@ -420,8 +409,7 @@ def compress_encoding(encoding):
     )
     return SegmentEncoding(
         encoding.r, encoding.p, encoding.q, encoding.box, full_box,
-        encoding.pieces, encoding.piece_points, encoding.circuit,
-        encoding.cnf, zdims=1, tau=tau, cell_count=encoding.cell_count,
+        encoding.pieces, encoding.circuit, encoding.cnf, zdims=1, tau=tau,
         cell_points=encoding.cell_points, _fr=fr2,
     )
 
@@ -674,24 +662,31 @@ def parse_encoding(text):
         raise FormatError("encoding is missing circuit or fr sections")
     circuit = parse_circuit("\n".join(sections["circuit"]))
     fr = parse_gf("\n".join(sections["fr"]))
-    pieces = []
-    piece_points = []
-    for name in order:
-        if name.startswith("piece"):
-            piece = parse_gf("\n".join(sections[name]))
-            pieces.append(piece)
-            piece_points.append({(t.numer[0], t.numer[1]) for t in piece.terms})
+    pieces = [
+        parse_gf("\n".join(sections[name]))
+        for name in order
+        if name.startswith("piece")
+    ]
+    if (r, p, q) != (circuit.r, circuit.p, max(circuit.r, circuit.p, 1)):
+        raise FormatError(f"enc header does not match its circuit: {lines[0]!r}")
+    if zdims not in (1, 3):
+        raise FormatError(f"zdims must be 1 or 3, not {zdims}")
+    if fr.nvars != 2 + zdims or any(piece.nvars != 2 for piece in pieces):
+        raise FormatError("encoding GFs have the wrong number of variables")
     cnf = circuit_to_3cnf(circuit)
     box = LatticeBox((1 << r, 1 << p))
     if zdims == 3:
         full_box = LatticeBox((1 << r, 1 << p, 1 << q, 1 << q, 1 << q))
         tau = None
     else:
-        tau = TauMap(n_field, (1, 1, 3)) if n_field else None
+        try:
+            tau = TauMap(n_field, (1, 1, 3))
+        except ValueError as exc:
+            raise FormatError(f"bad packing base N={n_field}") from exc
         full_box = LatticeBox((1 << r, 1 << p, n_field**3))
     return SegmentEncoding(
-        r, p, q, box, full_box, tuple(pieces), tuple(piece_points),
-        circuit, cnf, zdims=zdims, tau=tau, cell_count=len(pieces), _fr=fr,
+        r, p, q, box, full_box, tuple(pieces), circuit, cnf, zdims=zdims,
+        tau=tau, _fr=fr,
     )
 
 

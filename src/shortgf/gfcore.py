@@ -417,11 +417,12 @@ def parse_gf(text):
                 for grp in braw.split(";")
                 if grp
             )
-        except (KeyError, ValueError) as exc:
+            term = GFTerm(coeff, numer, denoms)
+        except (KeyError, ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad term line: {ln!r}") from exc
         if len(numer) != nvars:
             raise FormatError(f"term arity {len(numer)} != nvars {nvars}")
-        terms.append(GFTerm(coeff, numer, denoms))
+        terms.append(term)
     try:
         return ShortGF(nvars, tuple(terms), index_bound)
     except ValueError as exc:

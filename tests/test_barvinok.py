@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shortgf import (
@@ -13,6 +15,7 @@ from shortgf import (
     SignedCone,
     UnboundedPolyhedronError,
     cone_gf,
+    cone_index,
     enumerate_polytope_points,
     evaluate_at_one,
     format_polyhedron,
@@ -25,6 +28,8 @@ from shortgf import (
     support_points,
     vertex_cones,
 )
+from shortgf import _linalg as la
+from shortgf.barvinok import decompose_unimodular_fulldim
 
 
 @st.composite
@@ -47,6 +52,35 @@ def cut_boxes(draw):
         rows.append(a)
         rhs.append(sum(x * c for x, c in zip(a, p)))
     return Polyhedron(tuple(rows), tuple(rhs), 3)
+
+
+@st.composite
+def generator_sets(draw, max_n=4):
+    """n in 1..max_n and k <= n integer n-vectors, possibly dependent."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, n))
+    vec = st.tuples(*[st.integers(-6, 6)] * n)
+    return draw(st.lists(vec, min_size=k, max_size=k)), n
+
+
+@st.composite
+def lower_dim_cones(draw):
+    """A cone with k < n <= 3 independent generators and an apex near (3, ..)."""
+    n = draw(st.integers(2, 3))
+    k = draw(st.integers(1, n - 1))
+    vec = st.tuples(*[st.integers(-3, 3)] * n)
+    gens = draw(st.lists(vec, min_size=k, max_size=k))
+    assume(la.rank_int(gens) == k)
+    apex = draw(st.tuples(*[st.integers(2, 4)] * n))
+    return SignedCone(apex, tuple(gens), draw(st.sampled_from([1, -1])))
+
+
+def minors_gcd(gens, n):
+    """Reference index: the gcd of all maximal minors of the generator matrix."""
+    g = 0
+    for rows in combinations(range(n), len(gens)):
+        g = gcd(g, abs(la.det_int([[v[i] for v in gens] for i in rows])))
+    return g
 
 
 def interval(lo_num, lo_den, hi_num, hi_den):
@@ -188,6 +222,56 @@ class TestSignDecompose:
         assert len(out) <= 16
         box = (6, 6)
         assert signed_count(out, box) == signed_count([c], box)
+
+    @settings(max_examples=25, deadline=None)
+    @given(lower_dim_cones())
+    def test_lower_dimensional_cone_conserves_counts(self, c):
+        out = sign_decompose(c)
+        n = len(c.apex)
+        assert all(cone_index(p.generators, n) == 1 for p in out)
+        box = (7,) * n
+        assert signed_count(out, box) == signed_count([c], box)
+
+    def test_long_generator_index_two(self):
+        # a 500k-point bounding box, but only two lattice classes
+        c = SignedCone((0, 0, 0), ((1, 0, 10**6), (1, 2, 0)), 1)
+        assert cone_index(c.generators, 3) == 2
+        w = (1, 1, 500_000)
+        out = {(p.sign, p.generators) for p in sign_decompose(c)}
+        assert out == {
+            (1, ((1, 2, 0), w)),
+            (1, ((1, 0, 10**6), w)),
+            (-1, (w,)),
+        }
+
+
+class TestConeIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(generator_sets())
+    def test_matches_gcd_of_maximal_minors(self, case):
+        gens, n = case
+        assert cone_index(gens, n) == minors_gcd(gens, n)
+
+
+class TestDecomposeUnimodular:
+    def test_one_inverse_per_popped_cone(self, monkeypatch):
+        inverted = []
+        real = la.scaled_inverse_int
+
+        def recording(rows):
+            inverted.append(tuple(map(tuple, rows)))
+            return real(rows)
+
+        def forbidden(rows):
+            raise AssertionError("det_int called")
+
+        monkeypatch.setattr(la, "scaled_inverse_int", recording)
+        monkeypatch.setattr(la, "det_int", forbidden)
+        # det 40 takes the basis-reduction step, its children the
+        # parallelepiped enumeration
+        out = decompose_unimodular_fulldim([(1, 0, 0), (0, 1, 0), (3, 7, 40)], 1)
+        assert len(inverted) == len(set(inverted)) > len(out) > 1
+        assert all(abs(real([list(c) for c in cols])[0]) == 1 for _, cols in out)
 
 
 class TestConeGF:

@@ -38,6 +38,18 @@ def evens_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def two_witness_file(tmp_path):
+    """The points (0, 0) and (0, 5): x = 0 has two witnesses y, x = 1 none."""
+    path = tmp_path / "w.gf"
+    path.write_text(
+        "gf nvars=2 index=0\n"
+        "term c=1/1 a=0,0 b=\n"
+        "term c=1/1 a=0,5 b=\n"
+    )
+    return str(path)
+
+
 class TestBasicVerbs:
     def test_count(self, interval_file, capsys):
         code, out, err = run_cli(["count", interval_file], capsys)
@@ -86,8 +98,27 @@ class TestBasicVerbs:
         assert code == 0
         assert "a=0" in out and "a=1" in out
 
+    def test_project_anti(self, two_witness_file, capsys):
+        code, out, _ = run_cli(
+            ["project", two_witness_file, "--keep", "0", "--box", "2,8",
+             "--mode", "anti"],
+            capsys,
+        )
+        assert code == 0
+        assert "a=1 " in out and "a=0 " not in out
+
 
 class TestErrors:
+    def test_specialize_with_two_witnesses_exits_two(self, two_witness_file, capsys):
+        code, out, err = run_cli(
+            ["project", two_witness_file, "--keep", "0", "--box", "2,8",
+             "--mode", "specialize"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "two witnesses" in err
+
     def test_unknown_verb_exits_one(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])

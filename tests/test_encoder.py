@@ -255,9 +255,9 @@ class TestLazyRegionGF:
         enc = encode_segment(even_detector(3))
         assert calls == []
         first = enc.fr
-        assert len(calls) == enc.cell_count == len(enc.cells)
+        assert len(calls) == len(enc.pieces) == len(enc.cells)
         assert enc.fr is first
-        assert len(calls) == enc.cell_count
+        assert len(calls) == len(enc.pieces)
 
     CIRCUITS = {"even_detector(3)": even_detector(3), "xor_detector(2)": xor_detector(2)}
 

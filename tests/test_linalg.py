@@ -171,7 +171,8 @@ class TestEnumerateParallelepiped:
     def test_matches_fraction_reference(self, cols):
         cols = [tuple(c) for c in cols]
         assume(det_int(cols) != 0)
-        got = enumerate_parallelepiped(cols)
+        w_rows = [[c[i] for c in cols] for i in range(len(cols))]
+        got = enumerate_parallelepiped(cols, scaled_inverse_int(w_rows))
         assert got == parallelepiped_reference(cols)
         assert len(got) == abs(det_int(cols))
 
