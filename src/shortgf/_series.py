@@ -1,92 +1,56 @@
-"""Truncated power series in a formal parameter, with exact rational coefficients.
+"""Exact series for the exponential-substitution limits.
 
-Used for the exponential-substitution limits: evaluating a short GF at the
-all-ones point and specializing variables whose denominator exponents collapse
-to zero both reduce to extracting one coefficient of a series in a parameter
-eps after substituting t_j <- exp(eps * lam_j).
+Evaluating a short GF at the all-ones point, and specializing variables whose
+denominator exponents collapse to zero, both substitute t_j <- exp(eps*lam_j)
+and read one coefficient of a Laurent series in eps.  A term t^a / prod_j
+(1 - t^(b_j)) becomes exp(alpha*eps) * prod_j 1/(1 - e^(nu_j*eps)), with
+alpha = <lam, a>, nu_j = <lam, b_j>, and
+
+    1/(1 - e^(nu*eps)) = -1/(nu*eps) * Td(nu*eps),
+    Td(x) = x/(e^x - 1) = sum_i B_i x^i / i!,
+
+the Todd series, whose coefficients B_i/i! are tabled once for all terms.
 """
 
 from fractions import Fraction
+from math import factorial
+
+_TODD = [Fraction(1)]  # _TODD[i] = B_i / i!
 
 
-class EpsSeries:
-    """Polynomial truncation of a power series: coefficients for eps^0..eps^order."""
+def todd_coefficients(order):
+    """B_0/0!, .., B_order/order!, the coefficients of x/(e^x - 1).
 
-    __slots__ = ("coeffs", "order")
+    The table grows on demand from sum_{j<=i} B_j/j! / (i-j+1)! = 0 for i >= 1,
+    the coefficients of Td(x) * (e^x - 1)/x = 1.
+    """
+    while len(_TODD) <= order:
+        i = len(_TODD)
+        _TODD.append(-sum(_TODD[j] / factorial(i - j + 1) for j in range(i)))
+    return _TODD[: order + 1]
 
-    def __init__(self, coeffs, order):
-        c = list(coeffs[: order + 1])
-        c += [Fraction(0)] * (order + 1 - len(c))
-        self.coeffs = c
-        self.order = order
 
-    @classmethod
-    def constant(cls, value, order):
-        return cls([Fraction(value)], order)
+def limit_series(alpha, nus, order):
+    """(lead, coeffs) with exp(alpha*eps) * prod_j 1/(1 - e^(nu_j*eps)) =
+    lead * eps^-len(nus) * sum_i coeffs[i] eps^i, truncated after eps^order.
 
-    @classmethod
-    def exp_linear(cls, rate, order):
-        """Series of exp(rate * eps)."""
-        rate = Fraction(rate)
-        coeffs = [Fraction(1)]
-        fact = 1
-        power = Fraction(1)
-        for i in range(1, order + 1):
-            power *= rate
-            fact *= i
-            coeffs.append(power / fact)
-        return cls(coeffs, order)
-
-    @classmethod
-    def expm1_over_x(cls, rate, order):
-        """Series of E(rate*eps) where E(x) = (e^x - 1)/x = sum x^i/(i+1)!."""
-        rate = Fraction(rate)
-        coeffs = []
-        fact = 1
-        power = Fraction(1)
-        for i in range(order + 1):
-            fact *= i + 1
-            coeffs.append(power / fact)
-            power *= rate
-        return cls(coeffs, order)
-
-    def __mul__(self, other):
-        if isinstance(other, EpsSeries):
-            order = min(self.order, other.order)
-            out = [Fraction(0)] * (order + 1)
-            for i, a in enumerate(self.coeffs[: order + 1]):
-                if a == 0:
-                    continue
-                for j in range(order + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-            return EpsSeries(out, order)
-        return EpsSeries([c * other for c in self.coeffs], self.order)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        order = min(self.order, other.order)
-        return EpsSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], order
-        )
-
-    def inverse(self):
-        """Multiplicative inverse; requires a nonzero constant term."""
-        if self.coeffs[0] == 0:
-            raise ZeroDivisionError("series has zero constant term")
-        inv0 = 1 / self.coeffs[0]
-        out = [inv0]
-        for i in range(1, self.order + 1):
-            acc = Fraction(0)
-            for j in range(1, i + 1):
-                acc += self.coeffs[j] * out[i - j]
-            out.append(-inv0 * acc)
-        return EpsSeries(out, self.order)
-
-    def __getitem__(self, i):
-        return self.coeffs[i]
+    lead = prod_j (-1/nu_j), each nu_j nonzero; coeffs are the eps^0..eps^order
+    coefficients of exp(alpha*eps) * prod_j Td(nu_j*eps).
+    """
+    todd = todd_coefficients(order)
+    coeffs = [Fraction(alpha**i, factorial(i)) for i in range(order + 1)]
+    lead = Fraction(1)
+    for nu in nus:
+        lead *= Fraction(-1, nu)
+        out = [Fraction(0)] * (order + 1)
+        for j, t in enumerate(todd):
+            if t:
+                w = t * nu**j
+                for i in range(order + 1 - j):
+                    if coeffs[i]:
+                        out[i + j] += coeffs[i] * w
+        coeffs = out
+    return lead, coeffs
 
 
 def eulerian_polynomials(max_order):

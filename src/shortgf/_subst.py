@@ -5,8 +5,9 @@ c u^(Va) / prod(1 - u^(Vb)).  When some V b = 0 the substituted factor is
 singular; for finite-support inputs the total is still a Laurent polynomial,
 and the correct value is the eps^0 coefficient after perturbing the
 substitution by t_j <- u^(V e_j) * exp(eps * lam_j) with a generic integer
-lam.  Collapsed factors contribute rational Laurent series in eps; surviving
-factors contribute series whose coefficients are m-th moment sums
+lam.  Each collapsed factor 1/(1 - e^(nu*eps)) is -1/(nu*eps) times the Todd
+series x/(e^x - 1) = sum_i B_i x^i / i! at x = nu*eps (`limit_series`);
+surviving factors contribute series whose coefficients are m-th moment sums
 
     sum_{m>=0} m^i w^m = A_i(w) / (1-w)^(i+1),    w = u^(Vb),
 
@@ -18,7 +19,7 @@ most the original term's denominator count.
 from fractions import Fraction
 import random
 
-from ._series import EpsSeries, eulerian_polynomials
+from ._series import eulerian_polynomials, limit_series
 from .errors import DegenerateDirectionError, InfiniteSupportError, ZeroImageError
 from .gfcore import (
     ShortGF,
@@ -36,9 +37,13 @@ def _draw_lambda(nvars, constraints, seed):
     rng = random.Random(seed)
     for _ in range(200):
         lam = tuple(rng.randint(1, 997) * (1 if rng.random() < 0.5 else -1) for _ in range(nvars))
-        if all(sum(l * v for l, v in zip(lam, vec)) != 0 for vec in constraints):
+        if all(_dot(lam, vec) != 0 for vec in constraints):
             return lam
     raise DegenerateDirectionError("no generic perturbation vector found")
+
+
+def _dot(lam, vec):
+    return sum(l * v for l, v in zip(lam, vec))
 
 
 def _map_vec(vrows, vec):
@@ -95,14 +100,9 @@ def substitute(
             continue
         d = len(dead)
         alive = [j for j in range(len(vecs)) if j not in dead]
-        # rational series: exp factor times one -1/(eps*nu) * 1/E per dead factor
-        series = EpsSeries.exp_linear(sum(l * a for l, a in zip(lam, apex)), d)
-        lead = Fraction(1)
-        for j in dead:
-            nu = sum(l * v for l, v in zip(lam, vecs[j]))
-            lead *= Fraction(-1, nu)
-            series = series * EpsSeries.expm1_over_x(nu, d).inverse()
-        nu_alive = [sum(l * v for l, v in zip(lam, vecs[j])) for j in alive]
+        nu_dead = [_dot(lam, vecs[j]) for j in dead]
+        lead, series = limit_series(_dot(lam, apex), nu_dead, d)
+        nu_alive = [_dot(lam, vecs[j]) for j in alive]
 
         def emit(pos, remaining, factor, extra_apex, extra_vecs):
             if pos == len(alive):
@@ -153,6 +153,9 @@ def substitute(
 def evaluate_at_one(f, seed=0):
     """Limit of f(t) as t -> (1,..,1), exact, via t_j <- exp(eps * lam_j).
 
+    Each term contributes exp(<lam,a> eps) times, per denominator b, -1/(nu eps)
+    and the Todd series x/(e^x - 1) = sum_i B_i x^i / i! at x = nu eps = <lam,b> eps.
+
     For a GF of finite support this is the cardinality of the support; for a
     short power series of finite support it is the sum of all coefficients.
     A finite support makes f a Laurent polynomial, so the poles eps^-j
@@ -172,14 +175,9 @@ def evaluate_at_one(f, seed=0):
         if k == 0:
             total += term.coeff
             continue
-        series = EpsSeries.exp_linear(
-            sum(l * a for l, a in zip(lam, term.numer)), k
+        lead, series = limit_series(
+            _dot(lam, term.numer), [_dot(lam, b) for b in term.denoms], k
         )
-        lead = Fraction(1)
-        for b in term.denoms:
-            nu = sum(l * v for l, v in zip(lam, b))
-            lead *= Fraction(-1, nu)
-            series = series * EpsSeries.expm1_over_x(nu, k).inverse()
         scale = term.coeff * lead
         total += scale * series[k]
         for j in range(1, k + 1):

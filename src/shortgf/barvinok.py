@@ -52,6 +52,8 @@ class Polyhedron:
     n: int
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("dimension must be nonnegative")
         object.__setattr__(
             self, "A", tuple(tuple(Fraction(x) for x in row) for row in self.A)
         )
@@ -743,4 +745,7 @@ def parse_polyhedron(text):
             raise FormatError(f"row arity != {n}: {ln!r}")
         rows.append(tuple(coeffs))
         rhs.append(bound)
-    return Polyhedron(tuple(rows), tuple(rhs), n)
+    try:
+        return Polyhedron(tuple(rows), tuple(rhs), n)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc

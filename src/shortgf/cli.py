@@ -33,7 +33,7 @@ from .encoder import (
     segment_gf,
 )
 from .errors import FormatError, ResourceLimitError, ShortGFError
-from .gfcore import LatticeBox, format_gf, parse_gf
+from .gfcore import LatticeBox, format_gf, read_gf, write_gf
 from .numlab import (
     count_square_roots,
     factor_semiprime_from_sigma,
@@ -67,11 +67,6 @@ def _provenance(paths, seed):
     )
 
 
-def _read_gf(path):
-    with open(path) as fh:
-        return parse_gf(fh.read())
-
-
 def _box_from_flag(value, nvars):
     if value is None:
         return None
@@ -82,12 +77,10 @@ def _box_from_flag(value, nvars):
 
 
 def _emit_gf(gf, out):
-    text = format_gf(gf)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        write_gf(gf, out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(format_gf(gf))
 
 
 def build_parser():
@@ -179,8 +172,8 @@ def _cmd_op(args):
     if kind in ("hadamard", "union", "intersect", "minus", "minkowski"):
         if len(args.inputs) != 2:
             raise FormatError(f"{kind} takes two GF files")
-        f = _read_gf(args.inputs[0])
-        g = _read_gf(args.inputs[1])
+        f = read_gf(args.inputs[0])
+        g = read_gf(args.inputs[1])
         box = _box_from_flag(args.box, f.nvars)
         if kind == "hadamard":
             out = hadamard(f, g, box=box, seed=args.seed)
@@ -198,7 +191,7 @@ def _cmd_op(args):
     # compress or decompress
     if len(args.inputs) != 1:
         raise FormatError(f"{kind} takes one GF file")
-    f = _read_gf(args.inputs[0])
+    f = read_gf(args.inputs[0])
     groups = (
         tuple(int(x) for x in args.groups.split(","))
         if args.groups
@@ -271,16 +264,16 @@ def main(argv=None):
     try:
         _provenance([p for p in paths if _exists(p)], args.seed)
         if args.verb == "count":
-            f = _read_gf(args.gf)
+            f = read_gf(args.gf)
             print(evaluate_at_one(f, seed=args.seed))
             return 0
         if args.verb == "coeff":
-            f = _read_gf(args.gf)
+            f = read_gf(args.gf)
             point = tuple(int(x) for x in args.point.split(","))
             print(coefficient(f, point, seed=args.seed))
             return 0
         if args.verb == "norm":
-            f = _read_gf(args.gf)
+            f = read_gf(args.gf)
             box = _box_from_flag(args.box, f.nvars)
             result = norm(f, box, seed=args.seed)
             print("empty" if result is None else ",".join(str(x) for x in result))
@@ -288,7 +281,7 @@ def main(argv=None):
         if args.verb == "op":
             return _cmd_op(args)
         if args.verb == "project":
-            f = _read_gf(args.gf)
+            f = read_gf(args.gf)
             box = _box_from_flag(args.box, f.nvars)
             keep = [int(x) for x in args.keep.split(",")]
             out = oracle_project(f, keep, box, mode=args.mode, limit=args.limit_points)

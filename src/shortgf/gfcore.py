@@ -81,6 +81,8 @@ class ShortGF:
     orientation: ExpansionDirection = None
 
     def __post_init__(self):
+        if self.nvars < 0:
+            raise ValueError("nvars must be nonnegative")
         terms = tuple(
             t if isinstance(t, GFTerm) else GFTerm(*t) for t in self.terms
         )

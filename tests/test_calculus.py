@@ -1,9 +1,13 @@
 """Operation calculus against the expansion oracle."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shortgf import (
     GFTerm,
@@ -34,6 +38,7 @@ from shortgf import (
     polytope_gf,
     proj_member,
     semigroup_gf,
+    specialize_vars,
     substitute_monomials,
     support_points,
     tau_hadamard,
@@ -125,6 +130,60 @@ class TestSubstituteMonomials:
         g = ShortGF(2, (GFTerm(1, (0, 0), ((4, -1),)),))
         with pytest.raises(ZeroImageError):
             substitute_monomials(g, [(1, 4)], 1)
+
+
+@st.composite
+def small_polytopes(draw, min_dim=1):
+    """A min_dim..3-D box [lo, hi] in the nonnegative orthant, maybe cut by
+    sum(x) <= c, with its lattice points by brute force."""
+    n = draw(st.integers(min_dim, 3))
+    lows = [draw(st.integers(0, 2)) for _ in range(n)]
+    highs = [lo + draw(st.integers(0, 3)) for lo in lows]
+    rows, rhs = [], []
+    for j in range(n):
+        unit = tuple(1 if i == j else 0 for i in range(n))
+        rows += [unit, tuple(-u for u in unit)]
+        rhs += [highs[j], -lows[j]]
+    cut = draw(st.none() | st.integers(0, sum(highs)))
+    if cut is not None:
+        rows.append((1,) * n)
+        rhs.append(cut)
+    pts = [
+        p
+        for p in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs)))
+        if cut is None or sum(p) <= cut
+    ]
+    return Polyhedron(tuple(rows), tuple(rhs), n), highs, pts
+
+
+class TestLambdaDraw:
+    """Results that depend on the drawn lambda only through exact limits."""
+
+    SEEDS = (0, 1, 2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_polytopes(), st.randoms(use_true_random=False))
+    def test_evaluate_at_one_counts_for_every_seed(self, poly, rng):
+        p, _, pts = poly
+        subset = [q for q in pts if rng.random() < 0.5]
+        for seed in self.SEEDS:
+            assert evaluate_at_one(from_point_set(subset, p.n), seed=seed) == len(subset)
+            assert evaluate_at_one(polytope_gf(p), seed=seed) == len(pts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_polytopes(min_dim=2), st.data())
+    def test_specialize_vars_is_projection_with_multiplicity(self, poly, data):
+        p, highs, pts = poly
+        keep = data.draw(
+            st.lists(st.integers(0, p.n - 1), min_size=1, max_size=p.n - 1, unique=True)
+            .map(sorted)
+        )
+        want = Counter(tuple(q[i] for i in keep) for q in pts)
+        box = LatticeBox(tuple(highs[i] + 1 for i in keep))
+        f = polytope_gf(p)
+        for seed in self.SEEDS:
+            g = specialize_vars(f, keep, seed=seed)
+            assert oracle_expand(canonicalize(g), box).support_with_values() == want
 
 
 class TestTauHadamard:

@@ -25,6 +25,7 @@ from shortgf import (
     even_detector,
     format_circuit,
     format_encoding,
+    format_gf,
     formula_length,
     from_point_set,
     minkowski_gadget,
@@ -32,6 +33,7 @@ from shortgf import (
     parse_encoding,
     parity3,
     segment_gf,
+    specialize_vars,
     square_tester,
     support_points,
     violation_projection_by_bits,
@@ -274,6 +276,16 @@ class TestLazyRegionGF:
         for packed, e in ((False, enc), (True, compress_encoding(enc))):
             digest = hashlib.sha256(format_encoding(e).encode()).hexdigest()
             assert digest == self.FORMAT_SHA256[(name, packed)]
+
+    # the exponential-substitution limits are exact: the count of the packed
+    # region GF and the bytes of a collapsed specialization are fixed
+    SPECIALIZE_SHA256 = "74bfc7581c9a3bc1a09a70d04391592811a2580770cbeae4a651f5f8560d4c6f"
+
+    def test_limits_unchanged(self):
+        enc = encode_segment(xor_detector(2))
+        assert evaluate_at_one(compress_encoding(enc).fr) == 347
+        text = format_gf(specialize_vars(enc.fr, [0]))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SPECIALIZE_SHA256
 
 
 class TestAlternating:

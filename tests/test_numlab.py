@@ -7,6 +7,7 @@ import pytest
 
 from shortgf import (
     ap_threshold,
+    coefficient,
     count_square_roots,
     count_square_roots_direct,
     divisor_sum,
@@ -14,10 +15,12 @@ from shortgf import (
     find_ap,
     prime_pi,
     r4_by_tuples,
+    multiply,
     r4_coefficients,
     segment_set,
     sieve_primes,
     sigma_from_r4,
+    signed_theta_gf,
 )
 
 
@@ -59,6 +62,14 @@ class TestFourSquares:
         for k in range(1, 101):
             want = 8 * sum(d for d in range(1, k + 1) if k % d == 0 and d % 4)
             assert a[k] == want
+
+    def test_theta_fourth_power_through_the_calculus(self):
+        # the paper's truncated theta function as a short GF operand
+        theta = signed_theta_gf(5)
+        theta4 = multiply(multiply(theta, theta), multiply(theta, theta))
+        a = r4_coefficients(5, 31)
+        for k in range(32):
+            assert coefficient(theta4, (k,)) == a[k], k
 
 
 class TestSigma:

@@ -11,6 +11,8 @@ from shortgf import (
     even_detector,
     format_circuit,
     format_encoding,
+    format_gf,
+    format_polyhedron,
     parse_circuit,
     parse_encoding,
     parse_gf,
@@ -88,9 +90,43 @@ def test_corrupted_text_raises_only_format_error(fmt):
         (parse_circuit, "circuit r=2\ng1 = NOT x\nout g1\n"),
         (parse_polyhedron, "poly n=2\n1 0 <= 3 <= 4\n"),
         (parse_gf, "gf nvars=2 index=1\nterm c=1/1 a=1,2 b=3\n"),
+        (parse_gf, "gf nvars=-3 index=0\n"),
+        (parse_polyhedron, "poly n=-2\n"),
     ],
-    ids=["circuit", "poly", "gf"],
+    ids=["circuit", "poly", "gf", "gf negative nvars", "poly negative n"],
 )
 def test_known_bad_inputs(parse, text):
     with pytest.raises(FormatError):
         parse(text)
+
+
+FORMATS = {
+    "gf": format_gf,
+    "poly": format_polyhedron,
+    "circuit": format_circuit,
+    "enc": format_encoding,
+    "enc packed": format_encoding,
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_accepted_text_round_trips(fmt):
+    """Whatever a parser accepts formats to a text that reads back to itself."""
+    parse, text = TEXTS[fmt]
+    fmt_text = FORMATS[fmt]
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(mutations(text))
+    def check(mutated):
+        try:
+            obj = parse(mutated)
+        except FormatError:
+            return
+        once = fmt_text(obj)
+        assert fmt_text(parse(once)) == once
+
+    check()
