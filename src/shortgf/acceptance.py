@@ -473,17 +473,18 @@ def criterion_11(seed=0, trials=12):
             ("x",),
         )
         pipeline = alternating_pipeline(formula, (xs, ys, zs))
+        if not pipeline.negated:
+            return _report(11, False, f"trial {trial}: body region not negated", t0)
         want = tuple(
             (x,) for x in range(xs) if eval_formula(formula, (x,))
         )
         if pipeline.accepted != want:
             return _report(11, False, f"trial {trial}: membership mismatch", t0)
         # the explicit projection/anti-projection chain: with f holding the
-        # complement of the body's region, anti-projection over z keeps the
-        # (x, y) with the body true for every z, and projecting out y gives
-        # exactly the exists-forall members
-        full = set(LatticeBox((xs, ys, zs)).points())
-        neg_gf = from_point_set(sorted(full - pipeline.region_points), 3)
+        # complement of the body's region, which the pipeline enumerated,
+        # anti-projection over z keeps the (x, y) with the body true for
+        # every z, and projecting out y gives exactly the exists-forall members
+        neg_gf = from_point_set(sorted(pipeline.region_points), 3)
         anti = oracle_project(neg_gf, (0, 1), (xs, ys, zs), mode="anti")
         proj = oracle_project(anti, (0,), (xs, ys), mode="project")
         got = tuple(sorted(support_points(proj, (xs,))))

@@ -90,27 +90,6 @@ class Polyhedron:
             for row, rhs in zip(self.A, self.b)
         )
 
-    def is_empty(self):
-        """Exact rational emptiness via basic solutions (bounded inputs)."""
-        rows = self.scaled_int_rows()
-        if not rows:
-            return False
-        if la.rank_int([r[0] for r in rows]) < self.n:
-            # no vertex; fall back to integer search over a derived box
-            return not self.lattice_bounds_or_none()
-        return not la.vertices_of(rows, self.n)
-
-    def lattice_bounds_or_none(self):
-        rows = self.lattice_rows()
-        if rows is None:
-            return None
-        bounds = la.propagate_bounds(rows, [[None, None]] * self.n, rounds=6)
-        if bounds is None:
-            return None
-        if any(lo is None or hi is None for lo, hi in bounds):
-            return None
-        return bounds
-
 
 @dataclass(frozen=True)
 class SignedCone:

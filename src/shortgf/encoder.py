@@ -9,11 +9,11 @@ projection realized by an exact brute-force oracle (a stand-in for the
 polynomial-time polytope-projection algorithm, which is out of scope here).
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _linalg as la
-from .barvinok import polytope_gf
 from .calculus import (
     TauMap,
     choose_tau,
@@ -23,7 +23,7 @@ from .calculus import (
     minkowski_oracle,
     support_points,
 )
-from .errors import FormatError, SpecializationError
+from .errors import FormatError, ResourceLimitError, SpecializationError
 from .gfcore import GFTerm, LatticeBox, ShortGF, canonicalize, from_point_set
 from .presburger import (
     And,
@@ -31,8 +31,9 @@ from .presburger import (
     Or,
     PAFormula,
     QuantBlock,
+    cells_gf,
     disjointify,
-    eval_formula,
+    negate,
 )
 
 # ---------------------------------------------------------------------------
@@ -305,13 +306,7 @@ class SegmentEncoding:
     def fr(self):
         """Canonical sum of the cells' polytope GFs, built on first read."""
         if self._fr is None:
-            terms = [
-                t
-                for cell in self.cells
-                for t in polytope_gf(cell, check_bounded=False).terms
-            ]
-            nvars = len(self.full_box.sides)
-            self._fr = canonicalize(ShortGF(nvars, tuple(terms)))
+            self._fr = cells_gf(self.cells, self.full_box.nvars)
         return self._fr
 
     def proj_points(self):
@@ -350,10 +345,10 @@ def encode_segment(circuit):
     )
 
 
-def _cell_points(cell, box):
+def _cell_points(cell, box, limit=None):
     """Sorted integer points of a polyhedron that lies inside `box`."""
     rows = cell.lattice_rows()
-    return [] if rows is None else la.lattice_points(rows, box.bounds())
+    return [] if rows is None else la.lattice_points(rows, box.bounds(), limit)
 
 
 def violation_projection_by_bits(cnf, box):
@@ -420,23 +415,32 @@ def compress_encoding(encoding):
 
 @dataclass
 class AlternatingPipeline:
-    """Truth region of a formula's body plus its projection/anti-projection chain."""
+    """Points of the eliminated region and the accepted free-variable points.
+
+    `region_points` are the points of the body's truth region in the full
+    box, or of its complement when `negated` is set.
+    """
 
     formula: PAFormula
     var_order: tuple
     box_sides: tuple
     region_points: set
+    negated: bool
     accepted: tuple
-    stages: tuple
 
 
 def alternating_pipeline(formula, box_sides, limit=2_000_000):
     """Evaluate a prenex formula by eliminating quantifier blocks inner-first.
 
-    The quantifier-free body's truth region in the full box is the union of
-    its disjoint cells' points; existential blocks project the region's point
-    set, universal blocks keep the prefixes covered by every block value.
-    Stage snapshots are recorded for verification.
+    The region is the truth region of the body in the full box, or of its
+    negation when the innermost block is universal; either way it is the
+    union of its disjoint cells' points.  Blocks are eliminated inner-first
+    on that region: an existential block projects it, a universal block keeps
+    the prefixes covered by every block value.  On the negated region each
+    block runs with its kind flipped (for all on a set is exists on its
+    complement), and the accepted points are the complement of the result in
+    the free-variable sub-box.  `limit` bounds the points enumerated, the
+    region's and the sub-box's; past it `ResourceLimitError` is raised.
     """
     var_order = tuple(formula.free_vars) + tuple(
         n for b in formula.blocks for n in b.names
@@ -444,57 +448,53 @@ def alternating_pipeline(formula, box_sides, limit=2_000_000):
     if len(box_sides) != len(var_order):
         raise ValueError("box arity does not match free + quantified variables")
     box = LatticeBox(tuple(box_sides))
-    if box.volume() > limit:
-        from .errors import ResourceLimitError
-
-        raise ResourceLimitError("alternating pipeline box exceeds the point limit")
-    cells = disjointify(formula.body, box, var_order)
+    negated = bool(formula.blocks) and formula.blocks[-1].kind == "A"
+    body = negate(formula.body) if negated else formula.body
     region = set()
-    for cell in cells:
-        region.update(_cell_points(cell, box))
+    for cell in disjointify(body, box, var_order):
+        region.update(_cell_points(cell, box, limit=limit - len(region)))
 
     current = region
     width = len(var_order)
-    stages = []
     for block in reversed(formula.blocks):
-        group = len(block.names)
-        new_width = width - group
-        if block.kind == "E":
+        new_width = width - len(block.names)
+        if (block.kind == "E") != negated:
             current = {pt[:new_width] for pt in current}
         else:
-            volume = 1
-            for j in range(new_width, width):
-                volume *= box.sides[j]
-            counts = {}
-            for pt in current:
-                key = pt[:new_width]
-                counts[key] = counts.get(key, 0) + 1
+            volume = LatticeBox(box.sides[new_width:width]).volume()
+            counts = Counter(pt[:new_width] for pt in current)
             current = {key for key, cnt in counts.items() if cnt == volume}
         width = new_width
-        stages.append((block.kind, frozenset(current)))
-    accepted = tuple(sorted(current))
+    if negated:
+        sub_box = LatticeBox(box.sides[:width])
+        if sub_box.volume() > limit:
+            raise ResourceLimitError(
+                f"free-variable box exceeds the {limit}-point limit"
+            )
+        accepted = tuple(pt for pt in sub_box.points() if pt not in current)
+    else:
+        accepted = tuple(sorted(current))
     return AlternatingPipeline(
-        formula, var_order, tuple(box_sides), region, accepted, tuple(stages),
+        formula, var_order, tuple(box_sides), region, negated, accepted,
     )
 
 
 def encode_alternating(circuit, prefix, cert_bits=0):
-    """Pipeline for a circuit with one certificate block (or none).
+    """Accepted instances of a circuit with one certificate block (or none).
 
-    prefix 'E': accepted = {x : exists certificate c with C(x, c) = 1};
-    prefix 'A': the complement shape, evaluated as the box complement of the
-    'E' pipeline on the negated circuit; empty prefix: no certificate block.
-    Certificate and gate bits share the single bounded witness variable.
+    The low input bits are the instance x, the high `cert_bits` bits the
+    certificate c.  prefix 'E': accepted = {x : some c has C(x, c) = 1};
+    prefix 'A': {x : every c has C(x, c) = 1}, the box complement of the 'E'
+    set of the negated circuit; the empty prefix is 'E' with no certificate
+    bits.  Certificate and gate bits share the witness variable y of the
+    merged CNF, whose `cnf_to_pa` formula goes to `alternating_pipeline`
+    under its default point limit.  Returns (pipeline, accepted), accepted
+    being the sorted tuple of accepted x.
     """
     if prefix not in ("", "E", "A"):
         raise ValueError("supported prefixes: '', 'E', 'A' (one block)")
-    if prefix == "":
-        encoding = encode_segment(circuit)
-        seg = segment_gf(encoding)
-        accepted = tuple(
-            pt[0] for pt in sorted(support_points(seg, (1 << circuit.r,)))
-        )
-        return encoding, accepted
+    if prefix == "" and cert_bits:
+        raise ValueError("the empty prefix takes no certificate bits")
     work = circuit
     if prefix == "A":
         work = BooleanCircuit(
@@ -505,34 +505,18 @@ def encode_alternating(circuit, prefix, cert_bits=0):
     r = work.r - cert_bits  # low bits: instance; high bits: certificate
     if r < 1:
         raise ValueError("certificate block leaves no instance bits")
-    cnf = circuit_to_3cnf(work)
-    # renumber: inputs 1..r stay x; inputs r+1..r+cert and gates become y-bits
-    shift = {}
-    for v in range(1, work.r + 1):
-        shift[v] = v if v <= r else -(v - r)  # negative marker: y-bit index
-    for j in range(1, work.p + 1):
-        shift[work.r + j] = -(cert_bits + j)
-    clauses = []
-    for clause in cnf.clauses:
-        lits = []
-        for lit in clause:
-            m = shift[abs(lit)]
-            if m > 0:
-                lits.append(m if lit > 0 else -m)
-            else:
-                yv = r + (-m)
-                lits.append(yv if lit > 0 else -yv)
-        clauses.append(tuple(lits))
-    merged = CNF3(r, cert_bits + work.p, tuple(clauses))
-    formula, violation, q = cnf_to_pa(merged)
-    accepted = []
-    for x in range(1 << r):
-        ok = eval_formula(formula, (x,))
-        accepted.append(ok)
-    result = tuple(x for x in range(1 << r) if accepted[x])
+    # certificate inputs r+1..work.r already precede the gate variables, so
+    # the clauses stand as they are with both read as bits of y
+    merged = CNF3(r, cert_bits + work.p, circuit_to_3cnf(work).clauses)
+    formula, _, _ = cnf_to_pa(merged)
+    box_sides = (1 << r,) + tuple(
+        b.size for b in formula.blocks for _ in b.names
+    )
+    pipeline = alternating_pipeline(formula, box_sides)
+    accepted = tuple(pt[0] for pt in pipeline.accepted)
     if prefix == "A":
-        result = tuple(x for x in range(1 << r) if not accepted[x])
-    return (formula, violation, merged, q), result
+        accepted = tuple(sorted(set(range(1 << r)) - set(accepted)))
+    return pipeline, accepted
 
 
 def count_certificates(f2r, x, r, seed=0):

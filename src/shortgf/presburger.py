@@ -320,11 +320,17 @@ def qf_to_gf(body, box, var_order=None, merge=True):
         box = LatticeBox(tuple(box))
     if var_order is None:
         var_order = tuple(free_variables(body))
-    cells = disjointify(body, box, var_order)
-    terms = []
-    for cell in cells:
-        terms.extend(polytope_gf(cell, check_bounded=False, merge=merge).terms)
-    return canonicalize(ShortGF(len(var_order), tuple(terms)))
+    return cells_gf(disjointify(body, box, var_order), len(var_order), merge)
+
+
+def cells_gf(cells, nvars, merge=True):
+    """Canonical sum of the polytope GFs of disjoint bounded cells."""
+    terms = [
+        t
+        for cell in cells
+        for t in polytope_gf(cell, check_bounded=False, merge=merge).terms
+    ]
+    return canonicalize(ShortGF(nvars, tuple(terms)))
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,29 @@ class TestEncodePipeline:
         # exists certificate bit (input 3) making x1 AND cert true: odd x
         assert out.strip() == "1 3"
 
+    def test_alt_forall_prefix(self, tmp_path, capsys):
+        circ = tmp_path / "o.circ"
+        circ.write_text("circuit r=3\ng1 = OR x1 x3\nout g1\n")
+        code, out, _ = run_cli(
+            ["alt", "--prefix", "A", "--circuit", str(circ), "--cert-bits", "1"],
+            capsys,
+        )
+        assert code == 0
+        # x1 OR cert holds for both certificate bits exactly when x1 is set
+        assert out.strip() == "1 3"
+
+    def test_alt_empty_prefix(self, tmp_path, capsys):
+        circ = tmp_path / "a.circ"
+        circ.write_text("circuit r=3\ng1 = AND x1 x3\nout g1\n")
+        code, out, _ = run_cli(["alt", "--prefix", "", "--circuit", str(circ)], capsys)
+        assert code == 0
+        assert out.strip() == "5 7"
+        code, _, err = run_cli(
+            ["alt", "--prefix", "", "--circuit", str(circ), "--cert-bits", "1"],
+            capsys,
+        )
+        assert code == 2 and "certificate" in err
+
 
 class TestDemos:
     def test_demo_squares(self, capsys):

@@ -9,14 +9,20 @@ import pytest
 from shortgf import (
     FormatError,
     LatticeBox,
+    LinearAtom,
     PAFormula,
+    QuantBlock,
+    ResourceLimitError,
+    alternating_pipeline,
     and_gate,
     bit_atoms,
     circuit_to_3cnf,
     cnf_to_pa,
     compress_encoding,
+    conj,
     constant_false,
     count_certificates,
+    disj,
     encode_alternating,
     encode_segment,
     enumerate_polytope_points,
@@ -29,6 +35,7 @@ from shortgf import (
     formula_length,
     from_point_set,
     minkowski_gadget,
+    negate,
     parse_circuit,
     parse_encoding,
     parity3,
@@ -39,7 +46,7 @@ from shortgf import (
     violation_projection_by_bits,
     xor_detector,
 )
-import shortgf.encoder
+import shortgf.presburger
 from shortgf.encoder import _literal_value, segment_gf as _segment_gf
 
 
@@ -238,7 +245,7 @@ class TestLazyRegionGF:
         def refuse(*args, **kwargs):
             raise AssertionError("polytope_gf called")
 
-        monkeypatch.setattr(shortgf.encoder, "polytope_gf", refuse)
+        monkeypatch.setattr(shortgf.presburger, "polytope_gf", refuse)
         enc = encode_segment(even_detector(3))
         seg = segment_gf(enc)
         assert {p[0] for p in support_points(seg, (8,))} == {0, 2, 4, 6}
@@ -247,13 +254,13 @@ class TestLazyRegionGF:
 
     def test_fr_built_once(self, monkeypatch):
         calls = []
-        real = shortgf.encoder.polytope_gf
+        real = shortgf.presburger.polytope_gf
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(shortgf.encoder, "polytope_gf", counting)
+        monkeypatch.setattr(shortgf.presburger, "polytope_gf", counting)
         enc = encode_segment(even_detector(3))
         assert calls == []
         first = enc.fr
@@ -292,15 +299,14 @@ class TestAlternating:
     def test_exists_prefix_matches_direct(self):
         # accepted: exists a certificate bit c with (x1 AND c) true
         circ = and_gate(3, 1, 3)  # input bits: x1, x2 | certificate bit
-        (formula, violation, merged, q), accepted = encode_alternating(
-            circ, "E", cert_bits=1
-        )
+        pipeline, accepted = encode_alternating(circ, "E", cert_bits=1)
         want = tuple(
             x
             for x in range(4)
             if any(and_gate(3, 1, 3).accepts(x | (c << 2)) for c in range(2))
         )
         assert accepted == want
+        assert pipeline.accepted == tuple((x,) for x in want)
 
     def test_forall_prefix_is_complement(self):
         circ = and_gate(3, 1, 3)
@@ -317,6 +323,68 @@ class TestAlternating:
     def test_empty_prefix_degenerates_to_segment(self):
         _, accepted = encode_alternating(even_detector(3), "")
         assert accepted == (0, 2, 4, 6)
+
+    @pytest.mark.parametrize("prefix", ["E", "A"])
+    def test_xor3_one_certificate_bit_matches_brute_force(self, prefix):
+        circ = xor_detector(3)  # instance bits x1, x2 | certificate bit x3
+        quant = any if prefix == "E" else all
+        want = tuple(
+            x for x in range(4) if quant(circ.accepts(x | (c << 2)) for c in range(2))
+        )
+        pipeline, accepted = encode_alternating(circ, prefix, cert_bits=1)
+        assert accepted == want == (1, 2)
+        assert pipeline.negated  # the innermost block of cnf_to_pa is forall
+
+    @pytest.mark.parametrize("circuit", [even_detector(3), xor_detector(2)])
+    def test_empty_prefix_support_matches_segment_gf(self, circuit):
+        seg = segment_gf(encode_segment(circuit))
+        want = tuple(sorted(pt[0] for pt in support_points(seg, (1 << circuit.r,))))
+        _, accepted = encode_alternating(circuit, "")
+        assert accepted == want
+
+    def test_empty_prefix_rejects_certificate_bits(self):
+        with pytest.raises(ValueError):
+            encode_alternating(xor_detector(3), "", cert_bits=1)
+
+    @pytest.mark.parametrize(
+        "kinds", [(), ("E",), ("A",), ("E", "A"), ("A", "E"), ("E", "A", "E")]
+    )
+    def test_pipeline_matches_eval_formula(self, kinds):
+        rng = random.Random(7 + len(kinds) * 10 + kinds.count("A"))
+        names = ("y", "z", "w")[: len(kinds)]
+        for _ in range(8):
+            sides = (rng.randint(3, 6),) + tuple(rng.randint(2, 4) for _ in kinds)
+
+            def atom():
+                coeffs = {n: rng.randint(-2, 2) for n in ("x",) + names}
+                return LinearAtom.from_dict(coeffs, rng.randint(-3, 8))
+
+            lits = [atom() if rng.random() < 0.7 else negate(atom()) for _ in range(4)]
+            body = disj([conj(lits[:2]), conj(lits[2:])])
+            blocks = tuple(
+                QuantBlock(k, (n,), s) for k, n, s in zip(kinds, names, sides[1:])
+            )
+            formula = PAFormula(blocks, body, ("x",))
+            pipeline = alternating_pipeline(formula, sides)
+            want = tuple(
+                (x,) for x in range(sides[0]) if eval_formula(formula, (x,))
+            )
+            assert pipeline.accepted == want
+            assert pipeline.negated == (kinds[-1:] == ("A",))
+
+    def test_limit_bounds_enumerated_points(self):
+        # x + z <= 100 holds on the whole box, so for forall z the negated
+        # region is empty and only the free-variable box is enumerated
+        body = LinearAtom.from_dict({"x": 1, "z": 1}, 100)
+        formula = PAFormula((QuantBlock("A", ("z",), 2),), body, ("x",))
+        assert len(alternating_pipeline(formula, (30, 2), limit=30).accepted) == 30
+        with pytest.raises(ResourceLimitError):
+            alternating_pipeline(formula, (50, 2), limit=30)
+        # exists z: the region itself has 100 points
+        formula = PAFormula((QuantBlock("E", ("z",), 2),), body, ("x",))
+        assert alternating_pipeline(formula, (50, 2), limit=100).accepted
+        with pytest.raises(ResourceLimitError):
+            alternating_pipeline(formula, (50, 2), limit=99)
 
 
 class TestCountCertificates:
