@@ -23,7 +23,7 @@ auxiliary polytopes of the Hadamard machinery.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, gcd
+from math import ceil, floor, gcd
 
 from . import _linalg as la
 from ._subst import substitute
@@ -36,6 +36,9 @@ from .gfcore import (
     GFTerm,
     ShortGF,
     canonicalize,
+    direction_for,
+    normalized,
+    term_from_positive,
     zero_gf,
 )
 
@@ -375,15 +378,17 @@ def _unimodular_cone_term(vertex, gen_cols, dual_cols, sign):
     return Fraction(sign), tuple(apex), tuple(gen_cols)
 
 
-def _brion_fulldim(rows, d):
-    """Positive-form term triples of the lattice-point GF of a full-dim polytope."""
-    verts = la.vertices_of(rows, d)
+def _brion_fulldim(rows, d, verts):
+    """Positive-form term triples of the lattice-point GF of a full-dim polytope.
+
+    `verts` is `la.vertices_of(rows, d)`, as `_reduce_to_fulldim` returns it.
+    """
     triples = []
     for vertex, tight in verts:
         normals = [rows[i][0] for i in tight]
         for sign, polar_cols, ucols in _dual_cone_gf_terms(normals, d):
             triples.append(_unimodular_cone_term(vertex, polar_cols, ucols, sign))
-    return triples, verts
+    return triples
 
 
 class _EmptyPolytope(Exception):
@@ -393,11 +398,12 @@ class _EmptyPolytope(Exception):
 def _reduce_to_fulldim(ineq_rows, eq_rows, eq_rhs, m):
     """Reduce {y : A y <= b, E y = h} to a full-dimensional system.
 
-    Returns (rows, y0, k_cols) with the integer points of the input in
-    bijection with those of {z : rows hold}, via y = y0 + K z.  Raises
-    _EmptyPolytope when there are no integer points (bounded inputs only).
-    Implicit equalities are found as opposite row pairs and, failing that,
-    from the affine hull of the vertex set.
+    Returns (rows, y0, k_cols, verts) with the integer points of the input
+    in bijection with those of {z : rows hold}, via y = y0 + K z, and verts
+    the `la.vertices_of` list of the final rows (empty when K has no
+    columns).  Raises _EmptyPolytope when there are no integer points
+    (bounded inputs only).  Implicit equalities are found as opposite row
+    pairs and, failing that, from the affine hull of the vertex set.
     """
     y0 = tuple(0 for _ in range(m))
     k_cols = [tuple(1 if i == j else 0 for i in range(m)) for j in range(m)]
@@ -444,7 +450,7 @@ def _reduce_to_fulldim(ineq_rows, eq_rows, eq_rhs, m):
             eqs = []
         d = len(k_cols)
         if d == 0:
-            return [], y0, k_cols
+            return [], y0, k_cols, []
         rows = la.dedupe_rows(rows)
         reduced = la.reduce_rows_boxsafe(rows, d)
         if reduced is None:
@@ -471,7 +477,7 @@ def _reduce_to_fulldim(ineq_rows, eq_rows, eq_rhs, m):
         diffs = [tuple(v[i] - v0[i] for i in range(d)) for v, _ in verts[1:]]
         normals = la.kernel_basis(diffs, d)
         if not normals:
-            return rows, y0, k_cols
+            return rows, y0, k_cols, verts
         eqs = []
         for h in normals:
             rhs = sum(Fraction(h[i]) * v0[i] for i in range(d))
@@ -495,10 +501,17 @@ def lattice_gf_mapped(
     """Short GF over out-space of sum over {y in Z^m : A y <= b, E y = h} of t^(M y + o).
 
     The solution set must be bounded.  This is the shared engine behind
-    polytope GFs and the Hadamard auxiliary polytopes.
+    polytope GFs and the Hadamard auxiliary polytopes.  After the reduction
+    to a full-dimensional fibre z: a point is one monomial; a segment
+    lo <= z <= hi whose image vector v is nonzero is written directly as
+    t^(o + lo v)/(1 - t^v) - t^(o + (hi+1) v)/(1 - t^v), the two terms that
+    Brion's sum and `substitute` give for it; anything else takes Brion's
+    sum over the vertices of the fibre, substituted into out-space.
     """
     try:
-        rows, y0, k_cols = _reduce_to_fulldim(ineq_rows, eq_rows, eq_rhs, m)
+        rows, y0, k_cols, verts = _reduce_to_fulldim(
+            ineq_rows, eq_rows, eq_rhs, m
+        )
     except _EmptyPolytope:
         return zero_gf(out_nvars)
     offset = tuple(
@@ -508,9 +521,25 @@ def lattice_gf_mapped(
     if d == 0:
         term = GFTerm(Fraction(coeff_factor), offset)
         return canonicalize(ShortGF(out_nvars, (term,)))
-    triples, _ = _brion_fulldim(rows, d)
-    from .gfcore import term_from_positive
-
+    vrows = [
+        tuple(la.dot(erow, k_cols[j]) for j in range(d)) for erow in exp_rows
+    ]
+    if d == 1 and any(row[0] for row in vrows):
+        v = tuple(row[0] for row in vrows)
+        lo, hi = ceil(verts[0][0][0]), floor(verts[-1][0][0])
+        coeff = Fraction(coeff_factor)
+        segment = ShortGF(
+            out_nvars,
+            (
+                term_from_positive(coeff, la.vadd(offset, [lo * x for x in v]), (v,)),
+                term_from_positive(
+                    -coeff, la.vadd(offset, [(hi + 1) * x for x in v]), (v,)
+                ),
+            ),
+        )
+        out = canonicalize(segment, direction_for(out_nvars))
+        return normalized(out) if merge else out
+    triples = _brion_fulldim(rows, d, verts)
     zgf = ShortGF(
         d,
         tuple(
@@ -518,9 +547,6 @@ def lattice_gf_mapped(
             for sign, apex, cols in triples
         ),
     )
-    vrows = [
-        tuple(la.dot(erow, k_cols[j]) for j in range(d)) for erow in exp_rows
-    ]
     return substitute(
         zgf,
         vrows,
@@ -536,7 +562,7 @@ def lattice_gf_mapped(
 def lattice_points_of(ineq_rows, eq_rows, eq_rhs, m, limit=None):
     """Integer points of a bounded {y : A y <= b, E y = h}, via the reduction."""
     try:
-        rows, y0, k_cols = _reduce_to_fulldim(ineq_rows, eq_rows, eq_rhs, m)
+        rows, y0, k_cols, _ = _reduce_to_fulldim(ineq_rows, eq_rows, eq_rhs, m)
     except _EmptyPolytope:
         return []
     d = len(k_cols)
@@ -649,8 +675,6 @@ def cone_gf(cone):
     sign, apex, cols = _unimodular_cone_term(
         cone.apex, cone.generators, dual_cols, cone.sign
     )
-    from .gfcore import term_from_positive
-
     return canonicalize(
         ShortGF(n, (term_from_positive(sign, apex, cols),))
     )

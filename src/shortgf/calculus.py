@@ -33,7 +33,6 @@ from .gfcore import (
     oracle_expand,
     scale,
     term_positive_form,
-    zero_gf,
 )
 
 __all__ = [
@@ -129,35 +128,75 @@ def specialize_vars(f, keep, seed=0, merge=True):
 # Hadamard machinery
 
 
+_INF = float("inf")
+
+
 def _positive_terms(f):
     g = f if is_canonical(f) else canonicalize(f)
-    return [term_positive_form(t) for t in g.terms], g
+    return [term_positive_form(t) for t in g.terms]
 
 
-def _pair_gf(cA, aA, vecsA, cB, aB, vecsB, tau_rows, box, out_nvars, seed, pinned):
-    """GF of one term pair of a linear-functional Hadamard product.
+def _support_box(apex, vecs):
+    """Per-coordinate (lo, hi) bounds of apex + N vecs.
 
-    Solutions (zeta, xi) >= 0 of tau(aA + sum zeta_i B_i) = aB + sum xi_j D_j
-    (optionally with aA + sum zeta_i B_i confined to the box) are mapped to
-    exponents aA + sum zeta_i B_i.  `pinned` marks the identity functional, in
-    which case a monomial second operand bounds the system without a box.
+    lo is the apex coordinate unless some vector decreases it, then -inf;
+    hi likewise.
+    """
+    return [
+        (
+            a if all(v[c] >= 0 for v in vecs) else -_INF,
+            a if all(v[c] <= 0 for v in vecs) else _INF,
+        )
+        for c, a in enumerate(apex)
+    ]
+
+
+def _image_box(rows, bounds):
+    """Interval image of a box under an integer matrix."""
+    out = []
+    for row in rows:
+        lo = hi = 0
+        for c, (blo, bhi) in zip(row, bounds):
+            if c > 0:
+                lo += c * blo
+                hi += c * bhi
+            elif c < 0:
+                lo += c * bhi
+                hi += c * blo
+        out.append((lo, hi))
+    return out
+
+
+def _meets(image, aB, g_box):
+    """Does the image box reach the support box of the g-term?  A monomial
+    g-term (g_box None) has its apex aB as its box."""
+    if g_box is None:
+        return all(lo <= b <= hi for (lo, hi), b in zip(image, aB))
+    return all(
+        lo <= ghi and glo <= hi for (lo, hi), (glo, ghi) in zip(image, g_box)
+    )
+
+
+def _pair_terms(
+    coeff, aA, vecsA, tau_a, aB, vecsB, tau_rows, boxed, box, out_nvars, seed
+):
+    """Terms of one term pair of a linear-functional Hadamard product.
+
+    Solutions (zeta, xi) >= 0 of tau(aA + sum zeta_i B_i) = aB + sum xi_j D_j,
+    with aA + sum zeta_i B_i confined to the box when `boxed`, are mapped
+    to exponents aA + sum zeta_i B_i.  The caller has checked that the
+    supports can meet, which settles a pair of monomials.
     """
     p, q = len(vecsA), len(vecsB)
     dB = len(aB)
-    coeff = cA * cB
-    if coeff == 0:
-        return zero_gf(out_nvars)
-    tau_a = tuple(la.dot(r, aA) for r in tau_rows)
     if p == 0 and q == 0:
-        if tau_a == tuple(aB):
-            return canonicalize(ShortGF(out_nvars, (GFTerm(coeff, aA),)))
-        return zero_gf(out_nvars)
+        return (GFTerm(coeff, aA),)
     if p == 0 and q == 1 and dB == 1:
         diff = tau_a[0] - aB[0]
         d0 = vecsB[0][0]
         if diff % d0 == 0 and diff // d0 >= 0:
-            return canonicalize(ShortGF(out_nvars, (GFTerm(coeff, aA),)))
-        return zero_gf(out_nvars)
+            return (GFTerm(coeff, aA),)
+        return ()
 
     m = p + q
     ineqs = []
@@ -165,7 +204,7 @@ def _pair_gf(cA, aA, vecsA, cB, aB, vecsB, tau_rows, box, out_nvars, seed, pinne
         row = [0] * m
         row[i] = -1
         ineqs.append((tuple(row), 0))
-    if p > 0 and not (q == 0 and pinned):
+    if boxed:
         if box is None:
             raise UnboundedPolyhedronError(
                 "a support box is required for this Hadamard product"
@@ -188,7 +227,7 @@ def _pair_gf(cA, aA, vecsA, cB, aB, vecsB, tau_rows, box, out_nvars, seed, pinne
     return lattice_gf_mapped(
         ineqs, eq_rows, eq_rhs, m, exp_rows, tuple(aA), out_nvars,
         coeff_factor=coeff, seed=seed,
-    )
+    ).terms
 
 
 def tau_hadamard(f, g, tau_rows, box=None, seed=0, merge=True):
@@ -199,14 +238,28 @@ def tau_hadamard(f, g, tau_rows, box=None, seed=0, merge=True):
     functional.  Bilinear over term pairs; each pair goes through a bounded
     auxiliary polytope, so the result's index is at most p + q for single
     terms with p and q denominators.
+
+    A pair is skipped before its polytope is built when its supports cannot
+    meet.  Each term apex + N vecs lies in its bounding box: per
+    coordinate, the apex bounds it from below unless some vector decreases
+    that coordinate, and from above unless some vector increases it.  The
+    f-term's box, cut to the support box when the pair's system carries
+    the box rows, is mapped through tau by interval arithmetic; every tau(x)
+    for a point x the pair counts lies in that image, and every point of the
+    g-term lies in its own box.  So when the two boxes miss, no integer
+    point, indeed no real one, solves the pair's system, and its polytope
+    would give the zero GF.
     """
     if isinstance(tau_rows, TauMap):
         tau_rows = tau_rows.rows()
     tau_rows = [tuple(r) for r in tau_rows]
     if box is not None and not isinstance(box, LatticeBox):
         box = LatticeBox(tuple(box))
-    terms_f, _ = _positive_terms(f)
-    terms_g, _ = _positive_terms(g)
+    terms_f = _positive_terms(f)
+    terms_g = _positive_terms(g)
+    g_boxes = [
+        _support_box(aB, vecsB) if vecsB else None for _, aB, vecsB in terms_g
+    ]
     ident = [
         tuple(1 if i == j else 0 for j in range(f.nvars))
         for i in range(len(tau_rows))
@@ -214,11 +267,31 @@ def tau_hadamard(f, g, tau_rows, box=None, seed=0, merge=True):
     pinned = len(tau_rows) == f.nvars and tau_rows == ident
     collected = []
     for cA, aA, vecsA in terms_f:
-        for cB, aB, vecsB in terms_g:
-            part = _pair_gf(
-                cA, aA, vecsA, cB, aB, vecsB, tau_rows, box, f.nvars, seed, pinned
+        if cA == 0:
+            continue
+        tau_a = aA if pinned else tuple(la.dot(r, aA) for r in tau_rows)
+        f_box = _support_box(aA, vecsA)
+        free = clipped = _image_box(tau_rows, f_box)
+        if vecsA and box is not None:
+            cut = [
+                (max(lo, 0), min(hi, u - 1)) for (lo, hi), u in zip(f_box, box.sides)
+            ]
+            empty = any(lo > hi for lo, hi in cut)
+            clipped = None if empty else _image_box(tau_rows, cut)
+        for (cB, aB, vecsB), g_box in zip(terms_g, g_boxes):
+            # the system carries the box rows unless the pair is bounded
+            # without them: a monomial f-term, or a monomial g-term under the
+            # identity functional
+            boxed = bool(vecsA) and (bool(vecsB) or not pinned)
+            image = clipped if boxed else free
+            if cB == 0 or image is None or not _meets(image, aB, g_box):
+                continue
+            collected.extend(
+                _pair_terms(
+                    cA * cB, aA, vecsA, tau_a, aB, vecsB, tau_rows, boxed, box,
+                    f.nvars, seed,
+                )
             )
-            collected.extend(part.terms)
     out = canonicalize(ShortGF(f.nvars, tuple(collected)))
     return normalized(out) if merge else out
 

@@ -12,6 +12,8 @@ polynomial-time polytope-projection algorithm, which is out of scope here).
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 from . import _linalg as la
 from .calculus import (
@@ -439,20 +441,34 @@ def alternating_pipeline(formula, box_sides, limit=2_000_000):
     the prefixes covered by every block value.  On the negated region each
     block runs with its kind flipped (for all on a set is exists on its
     complement), and the accepted points are the complement of the result in
-    the free-variable sub-box.  `limit` bounds the points enumerated, the
-    region's and the sub-box's; past it `ResourceLimitError` is raised.
+    the free-variable sub-box.  A side of size zero is an empty range, as in
+    `eval_formula`: the box has no points, a universal block over it holds
+    for every prefix and an existential one for none.  `limit` bounds the
+    points enumerated, the region's and the sub-boxes'; past it
+    `ResourceLimitError` is raised.
     """
     var_order = tuple(formula.free_vars) + tuple(
         n for b in formula.blocks for n in b.names
     )
-    if len(box_sides) != len(var_order):
+    sides = tuple(int(u) for u in box_sides)
+    if len(sides) != len(var_order):
         raise ValueError("box arity does not match free + quantified variables")
-    box = LatticeBox(tuple(box_sides))
+    if any(u < 0 for u in sides):
+        raise ValueError("box sides must be nonnegative")
     negated = bool(formula.blocks) and formula.blocks[-1].kind == "A"
     body = negate(formula.body) if negated else formula.body
     region = set()
-    for cell in disjointify(body, box, var_order):
-        region.update(_cell_points(cell, box, limit=limit - len(region)))
+    if all(sides):
+        box = LatticeBox(sides)
+        for cell in disjointify(body, box, var_order):
+            region.update(_cell_points(cell, box, limit=limit - len(region)))
+
+    def sub_box_points(width):
+        if prod(sides[:width]) > limit:
+            raise ResourceLimitError(
+                f"box of the first {width} variables exceeds the {limit}-point limit"
+            )
+        return product(*(range(u) for u in sides[:width]))
 
     current = region
     width = len(var_order)
@@ -460,22 +476,19 @@ def alternating_pipeline(formula, box_sides, limit=2_000_000):
         new_width = width - len(block.names)
         if (block.kind == "E") != negated:
             current = {pt[:new_width] for pt in current}
-        else:
-            volume = LatticeBox(box.sides[new_width:width]).volume()
+        elif all(sides[new_width:width]):
+            volume = prod(sides[new_width:width])
             counts = Counter(pt[:new_width] for pt in current)
             current = {key for key, cnt in counts.items() if cnt == volume}
+        else:
+            current = set(sub_box_points(new_width))
         width = new_width
     if negated:
-        sub_box = LatticeBox(box.sides[:width])
-        if sub_box.volume() > limit:
-            raise ResourceLimitError(
-                f"free-variable box exceeds the {limit}-point limit"
-            )
-        accepted = tuple(pt for pt in sub_box.points() if pt not in current)
+        accepted = tuple(pt for pt in sub_box_points(width) if pt not in current)
     else:
         accepted = tuple(sorted(current))
     return AlternatingPipeline(
-        formula, var_order, tuple(box_sides), region, negated, accepted,
+        formula, var_order, sides, region, negated, accepted,
     )
 
 

@@ -1,5 +1,6 @@
 """Operation calculus against the expansion oracle."""
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shortgf
 from shortgf import (
     GFTerm,
     InfiniteSupportError,
@@ -45,6 +47,7 @@ from shortgf import (
     zero_gf,
 )
 from shortgf.errors import SpecializationError
+from shortgf.gfcore import format_gf
 
 
 def interval_gf(lo, hi):
@@ -198,6 +201,13 @@ class TestTauHadamard:
         f = interval_gf(0, 9)
         h = hadamard(f, monomial(1, (4,)), box=(16,))
         assert support_points(h, (16,)) == {(4,)}
+
+    def test_monomial_pairs_carry_no_box_rows(self):
+        # under the identity a monomial g-term bounds its pair's system, so
+        # the box does not cut the f-term there
+        f = interval_gf(0, 30)
+        h = hadamard(f, from_point_set([(3,), (20,)], 1), box=(16,))
+        assert support_points(h, (32,)) == {(3,), (20,)}
 
     def test_functional_product_random(self):
         rng = random.Random(9)
@@ -455,3 +465,218 @@ class TestMultiply:
         g = multiply(f, f)
         tab = oracle_expand(g, LatticeBox((4,)))
         assert tab.support_with_values() == {(0,): 1, (1,): 2, (2,): 1}
+
+
+# ---------------------------------------------------------------------------
+# Hadamard-based operations on the four operand kinds of the calculus
+# benchmark, against the expansion oracle and set algebra
+
+
+KINDS = ("points", "slab", "progression", "polytope")
+SIDES = {1: 24, 2: 8}
+
+
+def _table(f, box):
+    return oracle_expand(canonicalize(f), LatticeBox(tuple(box))).support_with_values()
+
+
+def _indicator(pts):
+    return {p: 1 for p in pts}
+
+
+def _operand(kind, n, side, draw):
+    """A 0/1 GF of the given kind inside [0, side)^n and its point set."""
+    cells = list(product(range(side), repeat=n))
+    if kind == "points":
+        pts = draw(st.sets(st.sampled_from(cells), max_size=5))
+        return from_point_set(sorted(pts), n), pts
+    if kind == "slab":
+        lows = [draw(st.integers(0, side - 1)) for _ in range(n)]
+        highs = [draw(st.integers(lo, side - 1)) for lo in lows]
+        pts = set(product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))))
+        return box_range_gf(lows, highs), pts
+    if kind == "progression":
+        start = [draw(st.integers(0, side // 2)) for _ in range(n)]
+        step = [draw(st.integers(1, 3)) for _ in range(n)]
+        count = [
+            draw(st.integers(1, (side - 1 - s) // d + 1)) for s, d in zip(start, step)
+        ]
+        denoms = tuple(
+            tuple(step[j] if i == j else 0 for i in range(n)) for j in range(n)
+        )
+        terms = []
+        for mask in range(1 << n):
+            ends = [j for j in range(n) if mask >> j & 1]
+            numer = tuple(
+                start[j] + step[j] * count[j] if j in ends else start[j]
+                for j in range(n)
+            )
+            terms.append(GFTerm((-1) ** len(ends), numer, denoms))
+        pts = set(
+            product(
+                *(range(s, s + d * c, d) for s, d, c in zip(start, step, count))
+            )
+        )
+        return canonicalize(ShortGF(n, tuple(terms))), pts
+    # a polytope in the nonnegative orthant, clipped to the box
+    rows, rhs = [], []
+    for j in range(n):
+        unit = tuple(1 if i == j else 0 for i in range(n))
+        rows += [unit, tuple(-x for x in unit)]
+        rhs += [side - 1, 0]
+    for _ in range(draw(st.integers(1, 2))):
+        rows.append(tuple(draw(st.integers(-4, 4)) for _ in range(n)))
+        rhs.append(draw(st.integers(-4, 3 * side)))
+    pts = {
+        x
+        for x in cells
+        if all(sum(a * v for a, v in zip(row, x)) <= b for row, b in zip(rows, rhs))
+    }
+    return polytope_gf(Polyhedron(tuple(rows), tuple(rhs), n)), pts
+
+
+@st.composite
+def operand_pairs(draw, count=2):
+    """(n, side, [(gf, points), ...]): operands of any kinds in one 1-2-D box."""
+    n = draw(st.integers(1, 2))
+    side = SIDES[n]
+    ops = [
+        _operand(draw(st.sampled_from(KINDS)), n, side, draw) for _ in range(count)
+    ]
+    return n, side, ops
+
+
+class TestHadamardOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(operand_pairs())
+    def test_hadamard_is_coefficientwise(self, case):
+        n, side, ((f, pf), (g, pg)) = case
+        box = (side,) * n
+        assert _table(hadamard(f, g, box=box), box) == _indicator(pf & pg)
+
+    @settings(max_examples=30, deadline=None)
+    @given(operand_pairs())
+    def test_boolean_combine_is_set_algebra(self, case):
+        n, side, ((f, pf), (g, pg)) = case
+        box = LatticeBox((side,) * n)
+        for mode, want in (
+            ("intersect", pf & pg),
+            ("union", pf | pg),
+            ("minus", pf - pg),
+        ):
+            got = boolean_combine(f, g, box, mode, check=False)
+            assert _table(got, box.sides) == _indicator(want), mode
+
+    @settings(max_examples=60, deadline=None)
+    @given(operand_pairs(count=1), st.data())
+    def test_coefficient_inside_and_outside_the_box(self, case, data):
+        # points off the support and outside the box: these monomial pairs
+        # carry no box rows
+        n, side, ((f, pf),) = case
+        coord = st.integers(-3, side + 2)
+        for _ in range(3):
+            point = tuple(data.draw(coord) for _ in range(n))
+            assert coefficient(f, point) == (1 if point in pf else 0), point
+        if pf:
+            point = data.draw(st.sampled_from(sorted(pf)))
+            assert coefficient(f, point) == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(operand_pairs(count=1))
+    def test_decompress_restores_the_support(self, case):
+        n, side, ((g, pg),) = case
+        box = (side,) * n
+        tau = choose_tau(g, (n,), box=box)
+        packed = compress(g, tau)
+        assert _table(packed, (tau.N**n,)) == _indicator(tau.apply(p) for p in pg)
+        back = decompress(packed, tau)
+        assert _table(back, (tau.N,) * n) == _indicator(pg)
+
+
+class TestHadamardWork:
+    """Work the Hadamard machinery skips, counted through monkeypatched layers."""
+
+    @staticmethod
+    def _count(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_disjoint_supports_build_no_polytope(self, monkeypatch):
+        calls = self._count(monkeypatch, shortgf.calculus, "lattice_gf_mapped")
+        f = box_range_gf([4, 4], [7, 7])
+        g = from_point_set([(0, 1), (2, 3), (3, 0)], 2)
+        h = hadamard(f, g, box=(8, 8))
+        assert h.terms == ()
+        assert coefficient(f, (1, 5)) == 0
+        assert calls == []
+
+    def test_full_dimensional_fibre_enumerates_vertices_once(self, monkeypatch):
+        calls = self._count(monkeypatch, shortgf._linalg, "vertices_of")
+        triangle = Polyhedron(((-1, 0), (0, -1), (1, 1)), (0, 0, 4), 2)
+        assert evaluate_at_one(polytope_gf(triangle)) == 15
+        assert len(calls) == 1
+
+    def test_segment_fibre_is_written_directly(self, monkeypatch):
+        calls = self._count(monkeypatch, shortgf.barvinok, "substitute")
+        f = polytope_gf(Polyhedron(((1,), (-1,)), (9, -3), 1))
+        assert _table(f, (16,)) == _indicator((x,) for x in range(3, 10))
+        assert calls == []
+
+
+class TestHadamardBytes:
+    """The bytes of seeded Hadamard-product results are fixed."""
+
+    # sha256 of format_gf, one per (seed, result) below
+    SHA256 = {
+        (0, "intersect"): "df5ab34898c5262ce71a28bf34f444ab2184243cd8d67116f8afcc7a07665b1c",
+        (0, "union"): "3b690ae1e515943987dd8a239f6ea2674e9bb237cbc0aa71c4b0f295c9b74c1b",
+        (0, "minus"): "5dca310b539fab41b0e801d7b423e1e127dceada460843e67817c0a777b1c72a",
+        (0, "decompress_points"): "c34d92574a8227cbaf48b6afe620ca33c1a47f66ff9362c1728579318a2244a2",
+        (0, "decompress_polytope"): "02b71303b8e65e8da52e8cf08096a9700c5379e82cc4db3f1829dd75b8c666b5",
+        (1, "intersect"): "66fe53413ec5f1bcfa8237d84946bbc4dd677f9a03a4080f62aa0e804e5e4c72",
+        (1, "union"): "a49322c124b9caba0dfb73c15d32330adc85754879b0b4fa3983a8d910383023",
+        (1, "minus"): "84d03b68e615321bbcc7e3c6c94312987cef0b6706838ba350650354c54f2bac",
+        (1, "decompress_points"): "5a218d4b91b5c6fd59651b1c7193aa204185d97f5971f762ccc154b956ec50f4",
+        (1, "decompress_polytope"): "69ce897fdfd921f6a52149ecd2eac97c4a632739658f32055cdc0a063aba3be9",
+    }
+
+    @staticmethod
+    def _results(seed):
+        rng = random.Random(seed)
+        side = 8
+
+        def disc():
+            rows = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+            rhs = [side - 1, 0, side - 1, 0]
+            rows.append((rng.randint(1, 4), rng.randint(1, 4)))
+            rhs.append(rng.randint(side, 3 * side))
+            return polytope_gf(Polyhedron(tuple(rows), tuple(rhs), 2))
+
+        f = disc()
+        lows = [rng.randrange(side // 2) for _ in range(2)]
+        g = box_range_gf(lows, [rng.randint(lo, side - 1) for lo in lows])
+        box = LatticeBox((side, side))
+        pts = sorted({(rng.randrange(side), rng.randrange(side)) for _ in range(5)})
+        packed_pts = from_point_set(pts, 2)
+        tau = choose_tau(packed_pts, (2,), box=box)
+        out = {
+            mode: boolean_combine(f, g, box, mode, check=False)
+            for mode in ("intersect", "union", "minus")
+        }
+        out["decompress_points"] = decompress(compress(packed_pts, tau), tau)
+        tau = choose_tau(f, (2,), box=box)
+        out["decompress_polytope"] = decompress(compress(f, tau), tau)
+        return out
+
+    @pytest.mark.parametrize("seed", (0, 1))
+    def test_seeded_results_unchanged(self, seed):
+        for name, gf in self._results(seed).items():
+            digest = hashlib.sha256(format_gf(gf).encode()).hexdigest()
+            assert digest == self.SHA256[(seed, name)], name

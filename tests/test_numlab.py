@@ -1,11 +1,14 @@
 """Number-theory pipelines against direct enumeration."""
 
+import hashlib
 import random
 from math import isqrt
 
 import pytest
 
 from shortgf import (
+    GFTerm,
+    ShortGF,
     ap_threshold,
     coefficient,
     count_square_roots,
@@ -13,6 +16,8 @@ from shortgf import (
     divisor_sum,
     factor_semiprime_from_sigma,
     find_ap,
+    format_gf,
+    hadamard,
     prime_pi,
     r4_by_tuples,
     multiply,
@@ -141,6 +146,15 @@ class TestPrimePi:
         r = 10
         seg = segment_set("PRIMES", r)
         assert prime_pi((1 << r) - 1, r=r) == len(seg.points)
+
+    def test_product_bytes_unchanged(self):
+        # the Hadamard product prime_pi(1000, r=10) counts, as format_gf text
+        seg = segment_set("PRIMES", 10)
+        interval = ShortGF(1, (GFTerm(1, (0,), ((1,),)), GFTerm(-1, (1001,), ((1,),))))
+        text = format_gf(hadamard(seg.gf, interval))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "0ca25a2467db8775f474772f0a92055f377bc2df2c632c3b99d402e99b9e4a50"
+        )
 
 
 class TestAPs:

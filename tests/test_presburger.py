@@ -10,6 +10,7 @@ from shortgf import (
     LinearAtom,
     PAFormula,
     QuantBlock,
+    alternating_pipeline,
     complement_in_box,
     conj,
     disj,
@@ -69,6 +70,26 @@ class TestEvalFormula:
             (),
         )
         assert eval_formula(f, ()) is True
+
+    @pytest.mark.parametrize(
+        "text",
+        (
+            "A y [0,0) : x + y <= 2",
+            "E y [0,0) : x + y <= 2",
+            "E y [0,2) : A z [0,0) : x + y <= 1",
+            "A y [0,0) : E z [0,3) : x + z <= 1",
+            "E y [0,0) : A z [0,2) : x + z <= 1",
+            "A z [0,2) : E y [0,0) : x + y <= 1",
+            "A y [0,2) : A z [0,0) : E w [0,2) : x + y + w <= 2",
+        ),
+    )
+    def test_empty_ranges_agree_with_the_pipeline(self, text):
+        # a block over an empty range: forall holds and exists fails, in
+        # the alternating pipeline as in the reference semantics
+        f = parse_pa(text)
+        sides = (3,) + tuple(b.size for b in f.blocks for _ in b.names)
+        want = tuple((x,) for x in range(3) if eval_formula(f, (x,)))
+        assert alternating_pipeline(f, sides).accepted == want
 
     def test_empty_exists_is_false(self):
         f = PAFormula(
