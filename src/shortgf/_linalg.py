@@ -456,12 +456,16 @@ def lattice_points(rows, bounds, limit=None, first_only=False):
     return out
 
 
-def vertices_of(rows, n, max_subsets=2_000_000):
+_VERTEX_MAX_SUBSETS = 2_000_000
+
+
+def vertices_of(rows, n):
     """Vertices of {x : rows hold} by exhaustive basic feasible solutions.
 
     Rows are integer (coeffs, rhs) pairs; returns (vertex as Fractions,
     tight row indices), sorted for determinism.  All arithmetic is integer
-    until the final conversion.
+    until the final conversion.  Raises ResourceLimitError when there are
+    more than `_VERTEX_MAX_SUBSETS` candidate bases.
     """
     m = len(rows)
     if m < n:
@@ -469,7 +473,7 @@ def vertices_of(rows, n, max_subsets=2_000_000):
     total = 1
     for i in range(n):
         total = total * (m - i) // (i + 1)
-    if total > max_subsets:
+    if total > _VERTEX_MAX_SUBSETS:
         raise ResourceLimitError(
             f"vertex enumeration over {total} constraint subsets exceeds cap"
         )
@@ -551,7 +555,10 @@ def scaled_inverse_int(rows):
     return s * pivot, tuple(tuple(s * x for x in row[n:]) for row in w)
 
 
-def enumerate_parallelepiped(gen_cols, inverse, max_points=200_000):
+_PPD_CAP = 10_000_000  # most lattice classes one parallelepiped step lists
+
+
+def enumerate_parallelepiped(gen_cols, inverse):
     """Integer points of {sum_i lam_i g_i : lam in [0,1)^d} for a full-rank basis.
 
     gen_cols: list of d integer d-vectors (the generators, as columns), and
@@ -559,11 +566,12 @@ def enumerate_parallelepiped(gen_cols, inverse, max_points=200_000):
     Returns a sorted list of (point, lam) pairs, lam as Fractions; includes
     the origin.  Each coset representative rep of Z^d / W Z^d is mapped into
     the parallelepiped with integer arithmetic: R rep = det * lam_raw, so
-    divmod by det gives floor(lam_raw) and the fractional part.
+    divmod by det gives floor(lam_raw) and the fractional part.  Raises
+    ResourceLimitError when det exceeds `_PPD_CAP`.
     """
     d = len(gen_cols)
     det, r_rows = inverse
-    if det > max_points:
+    if det > _PPD_CAP:
         raise ResourceLimitError(f"parallelepiped has {det} lattice classes")
     h, _, pivots = hnf_columns(
         [[gen_cols[j][i] for j in range(d)] for i in range(d)], d
@@ -608,8 +616,9 @@ def enumerate_parallelepiped(gen_cols, inverse, max_points=200_000):
 _LLL_MAX_ROUNDS = 10_000
 
 
-def lll_reduce(basis, delta=Fraction(3, 4)):
-    """Textbook LLL over the rationals; basis is a list of integer row vectors.
+def lll_reduce(basis):
+    """Textbook LLL (delta = 3/4) over the rationals; basis is a list of
+    integer row vectors.
 
     Raises ResourceLimitError rather than return an unreduced basis when the
     swap-and-size-reduce loop runs past `_LLL_MAX_ROUNDS` rounds.
@@ -645,7 +654,7 @@ def lll_reduce(basis, delta=Fraction(3, 4)):
                 b[k] = [x - r * y for x, y in zip(b[k], b[j])]
                 bstar, mu = gram(b)
         lhs = dot(bstar[k], bstar[k])
-        rhs = (delta - mu[k][k - 1] ** 2) * dot(bstar[k - 1], bstar[k - 1])
+        rhs = (Fraction(3, 4) - mu[k][k - 1] ** 2) * dot(bstar[k - 1], bstar[k - 1])
         if lhs >= rhs:
             k += 1
         else:

@@ -24,8 +24,6 @@ from .errors import DegenerateDirectionError, InfiniteSupportError, ZeroImageErr
 from .gfcore import (
     ShortGF,
     canonicalize,
-    direction_for,
-    is_canonical,
     normalized,
     term_from_positive,
     term_positive_form,
@@ -58,18 +56,18 @@ def substitute(
     coeff_factor=1,
     allow_collapse=False,
     seed=0,
-    merge=False,
 ):
     """Apply the exponent map x -> V x + shift to a short GF.
 
     vrows: out_nvars rows of length f.nvars.  With allow_collapse=False a
     denominator image of zero raises ZeroImageError; with True the input must
-    have finite support and the exact limit is taken.
+    have finite support and the exact limit is taken.  The result is
+    canonical and has its identical terms merged.
     """
     if shift is None:
         shift = tuple(0 for _ in range(out_nvars))
     coeff_factor = Fraction(coeff_factor)
-    g = f if is_canonical(f) else canonicalize(f)
+    g = canonicalize(f)
 
     collapsed_vecs = []
     per_term = []
@@ -143,11 +141,7 @@ def substitute(
 
         emit(0, d, Fraction(1), tuple(0 for _ in range(out_nvars)), [])
 
-    out = ShortGF(out_nvars, tuple(out_terms))
-    out = canonicalize(out, direction_for(out_nvars))
-    if merge:
-        out = normalized(out)
-    return out
+    return normalized(canonicalize(ShortGF(out_nvars, tuple(out_terms))))
 
 
 def evaluate_at_one(f, seed=0):

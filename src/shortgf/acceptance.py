@@ -250,7 +250,7 @@ def criterion_4(seed=0, include_heavy=True):
     return _report(4, True, f"{len(circuits)} circuits, segments exact", t0)
 
 
-def criterion_5(seed=0, include_heavy=True):
+def criterion_5(seed=0):
     """Three-variable compression leaves projections and segments unchanged."""
     from .encoder import segment_gf
 

@@ -36,13 +36,11 @@ from .gfcore import (
     GFTerm,
     ShortGF,
     canonicalize,
-    direction_for,
     normalized,
     term_from_positive,
     zero_gf,
 )
 
-_PPD_CAP = 10_000_000  # most lattice classes one parallelepiped step lists
 _LLL_THRESHOLD = 32  # above this index, prefer basis-reduced short vectors
 
 
@@ -156,10 +154,9 @@ def _parallelepiped_point(gen_cols, inverse):
 
     `inverse` is `scaled_inverse_int` of the matrix whose columns are
     gen_cols.  Chooses the point minimizing max lam_i (ties broken
-    lexicographically); lam entries lie in [0,1).  Enumerates at most
-    _PPD_CAP lattice classes.
+    lexicographically); lam entries lie in [0,1).
     """
-    pts = la.enumerate_parallelepiped(gen_cols, inverse, max_points=_PPD_CAP)
+    pts = la.enumerate_parallelepiped(gen_cols, inverse)
     best = None
     for pt, lam in pts:
         if not any(pt):
@@ -496,7 +493,6 @@ def lattice_gf_mapped(
     out_nvars,
     coeff_factor=1,
     seed=0,
-    merge=True,
 ):
     """Short GF over out-space of sum over {y in Z^m : A y <= b, E y = h} of t^(M y + o).
 
@@ -537,8 +533,7 @@ def lattice_gf_mapped(
                 ),
             ),
         )
-        out = canonicalize(segment, direction_for(out_nvars))
-        return normalized(out) if merge else out
+        return normalized(canonicalize(segment))
     triples = _brion_fulldim(rows, d, verts)
     zgf = ShortGF(
         d,
@@ -555,7 +550,6 @@ def lattice_gf_mapped(
         coeff_factor=coeff_factor,
         allow_collapse=True,
         seed=seed,
-        merge=merge,
     )
 
 
@@ -680,7 +674,7 @@ def cone_gf(cone):
     )
 
 
-def polytope_gf(polyhedron, check_bounded=True, merge=True, seed=0):
+def polytope_gf(polyhedron, check_bounded=True):
     """Short GF of the polytope's lattice points via signed cone decomposition."""
     n = polyhedron.n
     rows = polyhedron.scaled_int_rows()
@@ -692,7 +686,7 @@ def polytope_gf(polyhedron, check_bounded=True, merge=True, seed=0):
         return zero_gf(n)
     ident = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
     return lattice_gf_mapped(
-        lrows, [], [], n, ident, tuple(0 for _ in range(n)), n, seed=seed, merge=merge
+        lrows, [], [], n, ident, tuple(0 for _ in range(n)), n
     )
 
 

@@ -27,7 +27,6 @@ from .gfcore import (
     canonicalize,
     concat,
     from_point_set,
-    is_canonical,
     monomial,
     normalized,
     oracle_expand,
@@ -100,16 +99,16 @@ class TauMap:
         return tuple(la.dot(r, point) for r in self.rows())
 
 
-def substitute_monomials(f, vrows, out_nvars, merge=False):
+def substitute_monomials(f, vrows, out_nvars):
     """Map exponents linearly: numerators a -> V a, denominators b -> V b.
 
     Rejects any denominator with zero image; the limit-taking variant is
     reserved for the specialization paths where finite support is guaranteed.
     """
-    return substitute(f, [tuple(r) for r in vrows], out_nvars, merge=merge)
+    return substitute(f, [tuple(r) for r in vrows], out_nvars)
 
 
-def specialize_vars(f, keep, seed=0, merge=True):
+def specialize_vars(f, keep, seed=0):
     """Set all variables outside `keep` to one; requires finite support.
 
     Collapsed denominator factors are resolved by the exact perturbation
@@ -119,9 +118,7 @@ def specialize_vars(f, keep, seed=0, merge=True):
     vrows = [
         tuple(1 if j == k else 0 for j in range(f.nvars)) for k in keep
     ]
-    return substitute(
-        f, vrows, len(keep), allow_collapse=True, seed=seed, merge=merge
-    )
+    return substitute(f, vrows, len(keep), allow_collapse=True, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +129,7 @@ _INF = float("inf")
 
 
 def _positive_terms(f):
-    g = f if is_canonical(f) else canonicalize(f)
-    return [term_positive_form(t) for t in g.terms]
+    return [term_positive_form(t) for t in canonicalize(f).terms]
 
 
 def _support_box(apex, vecs):
@@ -230,7 +226,7 @@ def _pair_terms(
     ).terms
 
 
-def tau_hadamard(f, g, tau_rows, box=None, seed=0, merge=True):
+def tau_hadamard(f, g, tau_rows, box=None, seed=0):
     """Linear-functional Hadamard product: coefficients alpha_x * beta_tau(x).
 
     f ranges over the output variables; g over the functional's target
@@ -249,6 +245,13 @@ def tau_hadamard(f, g, tau_rows, box=None, seed=0, merge=True):
     g-term lies in its own box.  So when the two boxes miss, no integer
     point, indeed no real one, solves the pair's system, and its polytope
     would give the zero GF.
+
+    `box` is a precondition on both operands' supports, not a filter: it
+    adds the box rows that keep a pair's polytope bounded.  A pair bounded
+    without them carries no box rows: one whose f-term is a monomial, and,
+    under the identity functional, one whose g-term is a monomial.  The
+    box does not cut the f-term of such a pair, so f's support outside the
+    box can reach the result.
     """
     if isinstance(tau_rows, TauMap):
         tau_rows = tau_rows.rows()
@@ -293,21 +296,25 @@ def tau_hadamard(f, g, tau_rows, box=None, seed=0, merge=True):
                 )
             )
     out = canonicalize(ShortGF(f.nvars, tuple(collected)))
-    return normalized(out) if merge else out
+    return normalized(out)
 
 
-def hadamard(f, g, box=None, seed=0, merge=True):
-    """Coefficientwise product; the identity functional applied coordinatewise."""
+def hadamard(f, g, box=None, seed=0):
+    """Coefficientwise product; the identity functional applied coordinatewise.
+
+    Both supports must lie in `box`; a pair whose g-term is a monomial
+    carries no box rows (see `tau_hadamard`).
+    """
     if f.nvars != g.nvars:
         raise ValueError("operands must share a variable space")
     ident = [
         tuple(1 if i == j else 0 for j in range(f.nvars))
         for i in range(f.nvars)
     ]
-    return tau_hadamard(f, g, ident, box=box, seed=seed, merge=merge)
+    return tau_hadamard(f, g, ident, box=box, seed=seed)
 
 
-def multiply(f, g, merge=True):
+def multiply(f, g):
     """Series product (Cauchy/Minkowski with multiplicity), term by term."""
     if f.nvars != g.nvars:
         raise ValueError("operands must share a variable space")
@@ -320,24 +327,27 @@ def multiply(f, g, merge=True):
             terms.append(
                 GFTerm(c, la.vadd(s.numer, t.numer), s.denoms + t.denoms)
             )
-    out = ShortGF(f.nvars, tuple(terms))
-    out = canonicalize(out)
-    return normalized(out) if merge else out
+    return normalized(canonicalize(ShortGF(f.nvars, tuple(terms))))
 
 
 # ---------------------------------------------------------------------------
 # boolean operations on box-supported GFs
 
 
-def _check_zero_one(f, box, limit=None):
-    table = oracle_expand(f if is_canonical(f) else canonicalize(f), box, limit=limit)
+def _check_zero_one(f, box):
+    table = oracle_expand(canonicalize(f), box)
     if not table.is_zero_one():
         raise ValueError("operand is not a 0/1 generating function on the box")
     return table
 
 
 def boolean_combine(f, g, box, mode, check=True, seed=0):
-    """Set algebra on supports: mode is one of 'intersect', 'union', 'minus'."""
+    """Set algebra on supports: mode is one of 'intersect', 'union', 'minus'.
+
+    Both supports must lie in `box`, which bounds the Hadamard product's
+    pair polytopes rather than cutting the operands; a pair whose g-term is
+    a monomial carries no box rows (see `tau_hadamard`).
+    """
     if not isinstance(box, LatticeBox):
         box = LatticeBox(tuple(box))
     if check:
@@ -466,8 +476,7 @@ def support_points(f, box, limit=None):
     """Support of a GF within a box, via the expansion oracle."""
     if not isinstance(box, LatticeBox):
         box = LatticeBox(tuple(box))
-    g = f if is_canonical(f) else canonicalize(f)
-    return oracle_expand(g, box, limit=limit).support()
+    return oracle_expand(canonicalize(f), box, limit=limit).support()
 
 
 def minkowski_oracle(f, g, box, out_box=None, limit=None):
@@ -491,7 +500,10 @@ def minkowski_oracle(f, g, box, out_box=None, limit=None):
 # compression
 
 
-def choose_tau(f, grouping, box=None, start_exp=1, max_doublings=48):
+_TAU_MAX_DOUBLINGS = 48  # most doublings of the packing base choose_tau tries
+
+
+def choose_tau(f, grouping, box=None):
     """Smallest power-of-two base covering the box whose packing map keeps
     every denominator image nonzero, doubling on degeneracy."""
     grouping = tuple(grouping)
@@ -499,9 +511,9 @@ def choose_tau(f, grouping, box=None, start_exp=1, max_doublings=48):
     if box is not None:
         sides = box.sides if isinstance(box, LatticeBox) else tuple(box)
         need = max(2, max(sides))
-    n_pow = 1 << max(start_exp, (need - 1).bit_length())
+    n_pow = 1 << (need - 1).bit_length()
     denoms = [d for t in f.terms for d in t.denoms]
-    for _ in range(max_doublings):
+    for _ in range(_TAU_MAX_DOUBLINGS):
         tau = TauMap(n_pow, grouping)
         rows = tau.rows()
         if all(
@@ -512,27 +524,27 @@ def choose_tau(f, grouping, box=None, start_exp=1, max_doublings=48):
     raise ZeroImageError(-1, denoms[0])
 
 
-def compress(f, tau, merge=True):
+def compress(f, tau):
     """Pack each variable group into one coordinate: support maps through tau.
 
     Injective on the [0,N) box, so supports (and the evaluation at one) are
     preserved; denominator images must be nonzero (see `choose_tau`).
     """
-    return substitute_monomials(f, tau.rows(), tau.ngroups, merge=merge)
+    return substitute_monomials(f, tau.rows(), tau.ngroups)
 
 
-def decompress(f, tau, seed=0, merge=True):
+def decompress(f, tau, seed=0):
     """Recover the unpacked support: functional Hadamard of the box GF with f."""
     n = tau.nvars
     box = LatticeBox(tuple(tau.N for _ in range(n)))
     full = box_range_gf([0] * n, [tau.N - 1] * n)
-    return tau_hadamard(full, f, tau.rows(), box=box, seed=seed, merge=merge)
+    return tau_hadamard(full, f, tau.rows(), box=box, seed=seed)
 
 
 def gf_equal_on_box(f, g, box, limit=None):
     """Semantic, box-relative equality: identical oracle tables."""
     if not isinstance(box, LatticeBox):
         box = LatticeBox(tuple(box))
-    ta = oracle_expand(f if is_canonical(f) else canonicalize(f), box, limit=limit)
-    tb = oracle_expand(g if is_canonical(g) else canonicalize(g), box, limit=limit)
+    ta = oracle_expand(canonicalize(f), box, limit=limit)
+    tb = oracle_expand(canonicalize(g), box, limit=limit)
     return ta.support_with_values() == tb.support_with_values()

@@ -8,10 +8,12 @@ printed to stderr (together with input digests and the package version).
 
 import argparse
 import hashlib
+import os
 import sys
 
 from . import __version__
 from .calculus import (
+    TauMap,
     boolean_combine,
     choose_tau,
     coefficient,
@@ -184,8 +186,7 @@ def _cmd_op(args):
         else:
             if box is None:
                 raise FormatError(f"{kind} requires --box")
-            mode = {"union": "union", "intersect": "intersect", "minus": "minus"}[kind]
-            out = boolean_combine(f, g, box, mode, seed=args.seed)
+            out = boolean_combine(f, g, box, kind, seed=args.seed)
         _emit_gf(out, args.output)
         return 0
     # compress or decompress
@@ -205,8 +206,6 @@ def _cmd_op(args):
     else:
         if not args.base:
             raise FormatError("decompress requires --base")
-        from .calculus import TauMap
-
         tau = TauMap(args.base, groups)
         out = decompress(f, tau, seed=args.seed)
     _emit_gf(out, args.output)
@@ -300,8 +299,6 @@ def main(argv=None):
             else:
                 sys.stdout.write(text)
             if args.emit_pieces:
-                import os
-
                 os.makedirs(args.emit_pieces, exist_ok=True)
                 for i, piece in enumerate(enc.pieces):
                     with open(
@@ -347,8 +344,6 @@ def main(argv=None):
 
 
 def _exists(path):
-    import os
-
     return isinstance(path, str) and os.path.exists(path)
 
 

@@ -367,19 +367,17 @@ def violation_projection_by_bits(cnf, box):
     return out
 
 
-def segment_gf(encoding, check_union=True):
+def segment_gf(encoding):
     """Accepted-input GF: specialize the box complement of the projection.
 
     Verifies the piece-union identity against the bit-semantics oracle and
     the one-witness property of the complement before specializing to x.
     """
     proj = encoding.proj_points()
-    if check_union:
-        expected = violation_projection_by_bits(encoding.cnf, encoding.box)
-        if proj != expected:
-            raise ValueError(
-                "piece union does not match the projection of the violation region"
-            )
+    if proj != violation_projection_by_bits(encoding.cnf, encoding.box):
+        raise ValueError(
+            "piece union does not match the projection of the violation region"
+        )
     witness = {}
     for x in range(encoding.box.sides[0]):
         for y in range(encoding.box.sides[1]):

@@ -16,7 +16,7 @@ in the ell direction.  `oracle_expand` enumerates these sums over a box and is
 the reference semantics every other operation in the package is tested against.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 import random
 
@@ -95,9 +95,6 @@ class ShortGF:
             object.__setattr__(self, "index_bound", idx)
         elif idx > self.index_bound:
             raise ValueError("term exceeds the declared index bound")
-
-    def with_orientation(self, direction):
-        return replace(self, orientation=direction)
 
 
 @dataclass(frozen=True)
@@ -220,17 +217,24 @@ def is_canonical(f, direction=None):
     )
 
 
-def canonicalize(f, direction=None, max_retries=64):
+_CANON_MAX_RETRIES = 64
+
+
+def canonicalize(f, direction=None):
     """Flip denominator vectors until all pair negatively with the direction.
 
     The flip identity 1/(1-t^b) = -t^(-b)/(1-t^(-b)) preserves the rational
     function; a direction with <ell, b> = 0 for some b is regenerated from its
-    seed.
+    seed.  The direction defaults to f's own orientation, else
+    `direction_for(f.nvars)`; f is returned itself when it is already
+    canonical under its orientation and that is the direction asked for.
     """
     if direction is None:
         direction = f.orientation or direction_for(f.nvars)
+    if direction == f.orientation and is_canonical(f):
+        return f
     seed = direction.seed
-    for attempt in range(max_retries):
+    for attempt in range(_CANON_MAX_RETRIES):
         ell = direction.ell
         degenerate = any(
             sum(e * b for e, b in zip(ell, d)) == 0
@@ -243,7 +247,7 @@ def canonicalize(f, direction=None, max_retries=64):
         direction = direction_for(f.nvars, seed)
     else:
         raise DegenerateDirectionError(
-            f"no valid direction after {max_retries} retries"
+            f"no valid direction after {_CANON_MAX_RETRIES} retries"
         )
     ell = direction.ell
     new_terms = []

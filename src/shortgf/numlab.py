@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .calculus import evaluate_at_one, hadamard
+from .calculus import box_range_gf, evaluate_at_one, hadamard
 from .gfcore import GFTerm, ShortGF, from_point_set
 
 # ---------------------------------------------------------------------------
@@ -208,15 +208,8 @@ def count_square_roots(alpha, beta, gamma, seed=0):
         raise ValueError("alpha >= 0, beta >= 1, gamma >= 1 required")
     r = 2 * max(1, (gamma - 1).bit_length() + 1)  # squares up to gamma^2 < 2^r
     seg = segment_set("SQUARES", r)
-    interval = ShortGF(
-        1,
-        (
-            GFTerm(Fraction(1), (0,), ((1,),)),
-            GFTerm(Fraction(-1), (gamma * gamma + 1,), ((1,),)),
-        ),
-    )
     cls = ShortGF(1, (GFTerm(Fraction(1), (alpha % beta,), ((beta,),)),))
-    trimmed = hadamard(seg.gf, interval, seed=seed)
+    trimmed = hadamard(seg.gf, box_range_gf([0], [gamma * gamma]), seed=seed)
     matched = hadamard(trimmed, cls, seed=seed)
     return int(evaluate_at_one(matched, seed=seed))
 
@@ -237,14 +230,8 @@ def prime_pi(n, r=None, seed=0):
     if n >= (1 << r):
         raise ValueError("n must be below 2^r")
     seg = segment_set("PRIMES", r)
-    interval = ShortGF(
-        1,
-        (
-            GFTerm(Fraction(1), (0,), ((1,),)),
-            GFTerm(Fraction(-1), (n + 1,), ((1,),)),
-        ),
-    )
-    return int(evaluate_at_one(hadamard(seg.gf, interval, seed=seed), seed=seed))
+    h = hadamard(seg.gf, box_range_gf([0], [n]), seed=seed)
+    return int(evaluate_at_one(h, seed=seed))
 
 
 # ---------------------------------------------------------------------------

@@ -314,21 +314,21 @@ def disjointify(body, box, var_order=None):
     return out
 
 
-def qf_to_gf(body, box, var_order=None, merge=True):
+def qf_to_gf(body, box, var_order=None):
     """Short GF of the truth set of a quantifier-free formula on a box."""
     if not isinstance(box, LatticeBox):
         box = LatticeBox(tuple(box))
     if var_order is None:
         var_order = tuple(free_variables(body))
-    return cells_gf(disjointify(body, box, var_order), len(var_order), merge)
+    return cells_gf(disjointify(body, box, var_order), len(var_order))
 
 
-def cells_gf(cells, nvars, merge=True):
+def cells_gf(cells, nvars):
     """Canonical sum of the polytope GFs of disjoint bounded cells."""
     terms = [
         t
         for cell in cells
-        for t in polytope_gf(cell, check_bounded=False, merge=merge).terms
+        for t in polytope_gf(cell, check_bounded=False).terms
     ]
     return canonicalize(ShortGF(nvars, tuple(terms)))
 

@@ -50,6 +50,16 @@ class TestCanonicalize:
         g = canonicalize(f)
         assert g.terms == f.terms
 
+    def test_canonical_input_is_returned_itself(self):
+        # (1, -1) pairs to -1 with the default ell = (2, 3), to 3 with (5, 2)
+        f = canonicalize(ShortGF(2, (GFTerm(1, (0, 0), ((1, -1),)),)))
+        assert canonicalize(f) is f
+        assert canonicalize(f, f.orientation) is f
+        other = ExpansionDirection((5, 2))
+        g = canonicalize(f, other)
+        assert g.orientation == other
+        assert g.terms == (GFTerm(-1, (-1, 1), ((-1, 1),)),)
+
     def test_canonicalize_preserves_oracle_random(self):
         rng = random.Random(3)
         for _ in range(20):

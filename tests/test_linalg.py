@@ -21,6 +21,7 @@ from shortgf._linalg import (
     scaled_inverse_int,
     solve,
     solve_square,
+    vertices_of,
 )
 from shortgf.errors import ResourceLimitError
 
@@ -176,6 +177,14 @@ class TestEnumerateParallelepiped:
         assert got == parallelepiped_reference(cols)
         assert len(got) == abs(det_int(cols))
 
+    def test_class_cap_raises(self, monkeypatch):
+        cols = [(1, 0), (1, 2)]  # det 2
+        inverse = scaled_inverse_int([[1, 1], [0, 2]])
+        assert len(enumerate_parallelepiped(cols, inverse)) == 2
+        monkeypatch.setattr(shortgf._linalg, "_PPD_CAP", 1)
+        with pytest.raises(ResourceLimitError):
+            enumerate_parallelepiped(cols, inverse)
+
 
 @st.composite
 def boxed_systems(draw):
@@ -220,6 +229,19 @@ class TestLatticePoints:
         bounds = [[0, (1 << 20) - 1]] * 5
         rows = [((1, 0, 0, 0, 1), -1)]
         assert lattice_points(rows, bounds, first_only=True) == []
+
+
+class TestVerticesOf:
+    SQUARE = [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]
+
+    def test_unit_square(self):
+        got = [v for v, _ in vertices_of(self.SQUARE, 2)]
+        assert got == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def test_subset_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(shortgf._linalg, "_VERTEX_MAX_SUBSETS", 1)
+        with pytest.raises(ResourceLimitError):
+            vertices_of(self.SQUARE, 2)
 
 
 class TestLLL:
