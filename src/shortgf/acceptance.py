@@ -33,13 +33,7 @@ from .encoder import (
     square_tester,
     xor_detector,
 )
-from .gfcore import (
-    GFTerm,
-    LatticeBox,
-    ShortGF,
-    canonicalize,
-    from_point_set,
-)
+from .gfcore import LatticeBox, from_point_set, progression_gf
 from .numlab import (
     ap_threshold,
     count_square_roots,
@@ -112,27 +106,14 @@ def _random_gf(rng, n, side):
         highs = [rng.randint(lo, side - 1) for lo in lows]
         return box_range_gf(lows, highs)
     if kind == 2:  # arithmetic progression per coordinate (index <= n)
-        terms = []
         start = [rng.randrange(side // 2) for _ in range(n)]
         step = [rng.randint(1, 3) for _ in range(n)]
         count = [
             rng.randint(1, (side - 1 - start[j]) // step[j] + 1)
             for j in range(n)
         ]
-        # product of 1-d progressions, expanded like a box GF
-        for mask in range(1 << n):
-            numer = list(start)
-            sign = 1
-            for j in range(n):
-                if mask >> j & 1:
-                    numer[j] = start[j] + step[j] * count[j]
-                    sign = -sign
-            denoms = tuple(
-                tuple(step[j] if i == j else 0 for i in range(n))
-                for j in range(n)
-            )
-            terms.append(GFTerm(Fraction(sign), tuple(numer), denoms))
-        return canonicalize(ShortGF(n, tuple(terms)))
+        vecs = [tuple(step[j] * (i == j) for i in range(n)) for j in range(n)]
+        return progression_gf(start, vecs, count)
     # clipped random polytope (support stays inside the box)
     p = _sample_polytope(rng, n, entry_bound=8, nonneg=True)
     rows = list(p.A)

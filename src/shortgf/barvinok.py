@@ -37,6 +37,7 @@ from .gfcore import (
     ShortGF,
     canonicalize,
     normalized,
+    progression_gf,
     term_from_positive,
     zero_gf,
 )
@@ -463,14 +464,6 @@ def _reduce_to_fulldim(ineq_rows, eq_rows, eq_rhs, m):
         if not verts:
             raise _EmptyPolytope
         v0 = verts[0][0]
-        if len(verts) == 1:
-            if any(x.denominator != 1 for x in v0):
-                raise _EmptyPolytope
-            eqs = [
-                (tuple(1 if i == j else 0 for i in range(d)), int(v0[j]))
-                for j in range(d)
-            ]
-            continue
         diffs = [tuple(v[i] - v0[i] for i in range(d)) for v, _ in verts[1:]]
         normals = la.kernel_basis(diffs, d)
         if not normals:
@@ -499,10 +492,10 @@ def lattice_gf_mapped(
     The solution set must be bounded.  This is the shared engine behind
     polytope GFs and the Hadamard auxiliary polytopes.  After the reduction
     to a full-dimensional fibre z: a point is one monomial; a segment
-    lo <= z <= hi whose image vector v is nonzero is written directly as
-    t^(o + lo v)/(1 - t^v) - t^(o + (hi+1) v)/(1 - t^v), the two terms that
-    Brion's sum and `substitute` give for it; anything else takes Brion's
-    sum over the vertices of the fibre, substituted into out-space.
+    lo <= z <= hi whose image vector v is nonzero is written directly as the
+    progression t^(o + lo v) (1 - t^((hi-lo+1) v))/(1 - t^v), the two terms
+    that Brion's sum and `substitute` give for it; anything else takes
+    Brion's sum over the vertices of the fibre, substituted into out-space.
     """
     try:
         rows, y0, k_cols, verts = _reduce_to_fulldim(
@@ -515,25 +508,15 @@ def lattice_gf_mapped(
     )
     d = len(k_cols)
     if d == 0:
-        term = GFTerm(Fraction(coeff_factor), offset)
-        return canonicalize(ShortGF(out_nvars, (term,)))
+        return progression_gf(offset, (), (), coeff_factor)
     vrows = [
         tuple(la.dot(erow, k_cols[j]) for j in range(d)) for erow in exp_rows
     ]
     if d == 1 and any(row[0] for row in vrows):
         v = tuple(row[0] for row in vrows)
         lo, hi = ceil(verts[0][0][0]), floor(verts[-1][0][0])
-        coeff = Fraction(coeff_factor)
-        segment = ShortGF(
-            out_nvars,
-            (
-                term_from_positive(coeff, la.vadd(offset, [lo * x for x in v]), (v,)),
-                term_from_positive(
-                    -coeff, la.vadd(offset, [(hi + 1) * x for x in v]), (v,)
-                ),
-            ),
-        )
-        return normalized(canonicalize(segment))
+        apex = la.vadd(offset, [lo * x for x in v])
+        return normalized(progression_gf(apex, (v,), (hi - lo + 1,), coeff_factor))
     triples = _brion_fulldim(rows, d, verts)
     zgf = ShortGF(
         d,
@@ -551,28 +534,6 @@ def lattice_gf_mapped(
         allow_collapse=True,
         seed=seed,
     )
-
-
-def lattice_points_of(ineq_rows, eq_rows, eq_rhs, m, limit=None):
-    """Integer points of a bounded {y : A y <= b, E y = h}, via the reduction."""
-    try:
-        rows, y0, k_cols, _ = _reduce_to_fulldim(ineq_rows, eq_rows, eq_rhs, m)
-    except _EmptyPolytope:
-        return []
-    d = len(k_cols)
-    if d == 0:
-        return [tuple(y0)]
-    bounds = la.propagate_bounds(rows, [[None, None]] * d, rounds=8)
-    if bounds is None:
-        return []
-    if any(lo is None or hi is None for lo, hi in bounds):
-        raise UnboundedPolyhedronError("could not derive finite bounds")
-    pts = la.lattice_points(rows, bounds, limit=limit)
-    out = [
-        tuple(y0[i] + sum(k_cols[j][i] * z[j] for j in range(d)) for i in range(m))
-        for z in pts
-    ]
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -691,11 +652,23 @@ def polytope_gf(polyhedron, check_bounded=True):
 
 
 def enumerate_polytope_points(polyhedron, limit=None):
-    """Brute-force lattice points; the independent oracle for counting tests."""
-    lrows = polyhedron.lattice_rows()
-    if lrows is None:
+    """Brute-force lattice points; the independent oracle for counting tests.
+
+    A depth-first search of the `lattice_rows` over the box that interval
+    propagation derives from them, in lexicographic order.  It shares
+    nothing with `polytope_gf` beyond the rows: no reduction to full
+    dimension, no vertices.  Raises UnboundedPolyhedronError when
+    propagation leaves a side of the box open.
+    """
+    rows = polyhedron.lattice_rows()
+    if rows is None:
         return []
-    return lattice_points_of(lrows, [], [], polyhedron.n, limit=limit)
+    bounds = la.propagate_bounds(rows, [[None, None]] * polyhedron.n, rounds=8)
+    if bounds is None:
+        return []
+    if any(lo is None or hi is None for lo, hi in bounds):
+        raise UnboundedPolyhedronError("could not derive finite bounds")
+    return la.lattice_points(rows, bounds, limit=limit)
 
 
 def semigroup_gf(b):

@@ -9,7 +9,6 @@ finite supports.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import _linalg as la
 from ._subst import evaluate_at_one, substitute
@@ -30,6 +29,7 @@ from .gfcore import (
     monomial,
     normalized,
     oracle_expand,
+    progression_gf,
     scale,
     term_positive_form,
 )
@@ -364,21 +364,11 @@ def boolean_combine(f, g, box, mode, check=True, seed=0):
 
 
 def box_range_gf(lows, highs):
-    """GF of the integer box prod [lo_j, hi_j], as a 2^n-term product expansion."""
+    """GF of the integer box prod [lo_j, hi_j]: zero when some hi_j = lo_j - 1,
+    ValueError when some hi_j is smaller."""
     n = len(lows)
-    terms = []
-    for mask in range(1 << n):
-        numer = list(lows)
-        sign = 1
-        for j in range(n):
-            if mask >> j & 1:
-                numer[j] = highs[j] + 1
-                sign = -sign
-        denoms = tuple(
-            tuple(1 if i == j else 0 for i in range(n)) for j in range(n)
-        )
-        terms.append(GFTerm(Fraction(sign), tuple(numer), denoms))
-    return canonicalize(ShortGF(n, tuple(terms)))
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return progression_gf(lows, units, [hi - lo + 1 for lo, hi in zip(lows, highs)])
 
 
 def complement_in_box(f, box, check=True, seed=0):

@@ -26,7 +26,14 @@ from .calculus import (
     support_points,
 )
 from .errors import FormatError, ResourceLimitError, SpecializationError
-from .gfcore import GFTerm, LatticeBox, ShortGF, canonicalize, from_point_set
+from .gfcore import (
+    GFTerm,
+    LatticeBox,
+    ShortGF,
+    canonicalize,
+    from_point_set,
+    progression_gf,
+)
 from .presburger import (
     And,
     LinearAtom,
@@ -538,13 +545,7 @@ def count_certificates(f2r, x, r, seed=0):
     product with it, evaluated at one.
     """
     step = 1 << r
-    comb = ShortGF(
-        1,
-        (
-            GFTerm(Fraction(1), (x,), ((step,),)),
-            GFTerm(Fraction(-1), (x + step * step,), ((step,),)),
-        ),
-    )
+    comb = progression_gf((x,), ((step,),), (step,))
     return evaluate_at_one(hadamard(f2r, comb, seed=seed), seed=seed)
 
 
@@ -576,15 +577,7 @@ def minkowski_gadget(pieces, t_bound):
                 GFTerm(t.coeff, (t.numer[0], i), tuple((d[0], 0) for d in t.denoms))
             )
     a = canonicalize(ShortGF(2, tuple(terms)))
-    b = canonicalize(
-        ShortGF(
-            2,
-            (
-                GFTerm(Fraction(1), (0, 0), ((0, 1),)),
-                GFTerm(Fraction(-1), (0, k), ((0, 1),)),
-            ),
-        )
-    )
+    b = progression_gf((0, 0), ((0, 1),), (k,))
     in_box = LatticeBox((t_bound, k + 1))
     out_box = LatticeBox((t_bound, 2 * k + 1))
     sum_gf = minkowski_oracle(a, b, in_box, out_box=out_box)

@@ -182,6 +182,30 @@ def from_point_set(points, nvars):
     return ShortGF(nvars, terms, orientation=direction_for(nvars))
 
 
+def progression_gf(apex, vecs, counts, coeff=1):
+    """coeff * t^apex * prod_j (1 - t^(counts[j] v_j)) / (1 - t^(v_j)), canonicalized.
+
+    The GF of the points apex + sum_j m_j v_j, 0 <= m_j < counts[j]: an
+    interval, a progression or a grid.  The product is expanded into its 2^k
+    terms in mask order.  Dependent vectors count a point once per way of
+    reaching it.  A count of 0 gives the zero series; a negative count, or
+    a count list as long as `vecs` is not, raises ValueError.
+    """
+    if len(counts) != len(vecs) or any(c < 0 for c in counts):
+        raise ValueError("need one nonnegative count per vector")
+    coeff = Fraction(coeff)
+    terms = []
+    for mask in range(1 << len(vecs)):
+        numer = tuple(apex)
+        signed = coeff
+        for j, (v, c) in enumerate(zip(vecs, counts)):
+            if mask >> j & 1:
+                numer = tuple(a + c * x for a, x in zip(numer, v))
+                signed = -signed
+        terms.append(GFTerm(signed, numer, tuple(vecs)))
+    return canonicalize(ShortGF(len(apex), tuple(terms)))
+
+
 def gf_index(f):
     """Maximum denominator count over terms; 0 for pure polynomials."""
     return max((len(t.denoms) for t in f.terms), default=0)

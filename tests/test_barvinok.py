@@ -373,6 +373,24 @@ class TestPolytopeGF:
         with pytest.raises(UnboundedPolyhedronError):
             polytope_gf(Polyhedron(((1,),), (3,), 1))
 
+    def test_single_vertex_fibres(self):
+        # three rows through one vertex and nothing else: the fibre is that
+        # vertex, with no integer point when it is fractional
+        rows = ((-1, -1), (1, -1), (1, 3))
+        assert polytope_gf(Polyhedron(rows, (-1, 0, 2), 2)).terms == ()
+        f = polytope_gf(Polyhedron(rows, (-2, 0, 4), 2))
+        assert [(t.coeff, t.numer, t.denoms) for t in f.terms] == [(1, (1, 1), ())]
+
+    def test_enumeration_searches_the_propagated_box(self):
+        # x + y = 3 in [0, 4]^2, found in lexicographic order without
+        # reducing the equality first
+        rows = ((1, 1), (-1, -1), (-1, 0), (0, -1), (1, 0), (0, 1))
+        p = Polyhedron(rows, (3, -3, 0, 0, 4, 4), 2)
+        assert enumerate_polytope_points(p) == [(0, 3), (1, 2), (2, 1), (3, 0)]
+        assert enumerate_polytope_points(Polyhedron(((1,), (-1,)), (0, -1), 1)) == []
+        with pytest.raises(UnboundedPolyhedronError):
+            enumerate_polytope_points(Polyhedron(((1,),), (3,), 1))
+
 
 class TestSemigroupGF:
     def test_single_generator(self):

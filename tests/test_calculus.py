@@ -298,6 +298,17 @@ class TestComplement:
         assert evaluate_at_one(c) == 56
 
 
+class TestBoxRange:
+    def test_empty_side_is_zero_series(self):
+        f = box_range_gf([3], [2])
+        assert oracle_expand(f, LatticeBox((8,))).support_with_values() == {}
+        assert evaluate_at_one(f) == 0
+
+    def test_inverted_side_raises(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            box_range_gf([3], [1])
+
+
 class TestCoefficient:
     def test_interval(self):
         f = interval_gf(0, 3)

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -36,6 +37,7 @@ from shortgf import (
     from_point_set,
     minkowski_gadget,
     negate,
+    oracle_expand,
     parse_circuit,
     parse_encoding,
     parity3,
@@ -293,6 +295,18 @@ class TestLazyRegionGF:
         assert evaluate_at_one(compress_encoding(enc).fr) == 347
         text = format_gf(specialize_vars(enc.fr, [0]))
         assert hashlib.sha256(text.encode()).hexdigest() == self.SPECIALIZE_SHA256
+
+    def test_collapsed_series_same_for_every_seed(self):
+        # the bytes of a collapsed specialization depend on the lambda draw;
+        # its series must not, and must count the cells' points by x
+        enc = encode_segment(xor_detector(2))
+        want = Counter(pt[0] for pts in enc.cell_points for pt in pts)
+        assert sum(want.values()) == 347
+        for seed in (0, 1):
+            f = specialize_vars(enc.fr, [0], seed=seed)
+            table = oracle_expand(f, LatticeBox((8,))).support_with_values()
+            assert table == {(x,): c for x, c in want.items()}
+            assert evaluate_at_one(f, seed=seed) == 347
 
 
 class TestAlternating:

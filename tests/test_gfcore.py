@@ -1,9 +1,13 @@
 """Core data model: canonical flips, the expansion oracle, lengths, formats."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shortgf import (
     ExpansionDirection,
@@ -23,6 +27,7 @@ from shortgf import (
     normalized,
     oracle_expand,
     parse_gf,
+    progression_gf,
 )
 
 
@@ -135,6 +140,52 @@ class TestFromPointSet:
         pts = {(1, 2), (0, 0), (3, 1)}
         f = from_point_set(sorted(pts), 2)
         assert expand(f, (4, 4)).support() == pts
+
+
+@st.composite
+def progressions(draw):
+    """(apex, independent vecs, counts 0..4, coeff) in 1-2 dimensions; every
+    point apex + sum m_j v_j lies in [0, 45)^n."""
+    n = draw(st.integers(1, 2))
+    k = draw(st.integers(0, n))
+    vecs = [tuple(draw(st.integers(-3, 3)) for _ in range(n)) for _ in range(k)]
+    if k == 1:
+        assume(any(vecs[0]))
+    if k == 2:
+        assume(vecs[0][0] * vecs[1][1] != vecs[0][1] * vecs[1][0])
+    counts = [draw(st.integers(0, 4)) for _ in range(k)]
+    apex = tuple(draw(st.integers(18, 24)) for _ in range(n))
+    coeff = Fraction(
+        draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 3))
+    )
+    return apex, vecs, counts, coeff
+
+
+class TestProgressionGF:
+    @settings(max_examples=60, deadline=None)
+    @given(progressions())
+    def test_matches_point_multiset(self, prog):
+        apex, vecs, counts, coeff = prog
+        f = progression_gf(apex, vecs, counts, coeff)
+        assert len(f.terms) == 1 << len(vecs)
+        want = Counter()
+        for ms in product(*(range(c) for c in counts)):
+            point = list(apex)
+            for m, v in zip(ms, vecs):
+                point = [a + m * x for a, x in zip(point, v)]
+            want[tuple(point)] += 1
+        table = oracle_expand(f, LatticeBox((45,) * len(apex)))
+        assert table.support_with_values() == {p: coeff * m for p, m in want.items()}
+
+    def test_dependent_vectors_count_with_multiplicity(self):
+        f = progression_gf((0,), ((1,), (1,)), (2, 2))
+        assert expand(f, (4,)).support_with_values() == {(0,): 1, (1,): 2, (2,): 1}
+
+    def test_negative_or_missing_count_raises(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            progression_gf((0,), ((2,),), (-1,))
+        with pytest.raises(ValueError, match="one nonnegative count per vector"):
+            progression_gf((0, 0), ((1, 0), (0, 1)), (3,))
 
 
 class TestLengthAndIndex:
