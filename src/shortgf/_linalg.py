@@ -7,6 +7,11 @@ basis goes through one fraction-free (Bareiss) Gauss-Jordan routine,
 are Gauss-Jordan over `fractions.Fraction`, kept as the references the
 tests compare against; no program code calls them.  Rows of inequality
 systems are (coeffs, rhs) pairs of ints meaning coeffs . x <= rhs.
+
+`vertices_of` (n-subsets of rows) and `extreme_rays` ((n-1)-subsets of
+normals) are the only enumerations of tight-row subsets.  `is_bounded`, on
+`extreme_rays`, is the one boundedness test; an LP or a reverse-search
+vertex enumeration would replace these three functions and nothing else.
 """
 
 from fractions import Fraction
@@ -80,7 +85,7 @@ def echelon(rows, ncols=None):
     return pivots, w, prev, sign
 
 
-def _integer_rows(rows):
+def integer_rows(rows):
     """Scale each row of ints or Fractions by its denominators' lcm."""
     out = []
     for r in rows:
@@ -97,7 +102,7 @@ def det_int(rows):
 
 def rank_int(rows):
     """Rank of a matrix with integer or Fraction entries."""
-    return len(echelon(_integer_rows(rows))[0])
+    return len(echelon(integer_rows(rows))[0])
 
 
 def solve(rows, rhs):
@@ -127,7 +132,7 @@ def kernel_basis(rows, n):
     One vector per free column of the echelon form, in column order, with a
     positive entry in its free column.
     """
-    pivots, w, pivot, _ = echelon(_integer_rows(rows), n)
+    pivots, w, pivot, _ = echelon(integer_rows(rows), n)
     s = 1 if pivot > 0 else -1
     basis = []
     for fc in range(n):
@@ -505,22 +510,32 @@ def vertices_of(rows, n):
     return out
 
 
-def recession_is_nontrivial(rows, n):
-    """True when {x : A x <= 0} contains a nonzero direction."""
-    mat = [r[0] for r in rows]
-    if rank_int(mat) < n:
-        return True
-    for subset in combinations(range(len(rows)), n - 1):
-        basis = kernel_basis([mat[i] for i in subset], n)
+def extreme_rays(normals, n):
+    """Primitive extreme rays of the cone {d : N d <= 0}, each once.
+
+    Every extreme ray of a pointed cone spans the kernel of n - 1 of the
+    normals, so the rays are found by trying both signs of each 1-D kernel
+    of an (n - 1)-subset; they come in the order `combinations` first
+    reaches them.  On a cone with a line the rays it yields are not all of
+    its directions; `is_bounded` rules that case out by rank.
+    """
+    seen = set()
+    for combo in combinations(normals, n - 1):
+        basis = kernel_basis(combo, n)
         if len(basis) != 1:
             continue
-        d = basis[0]
-        if all(dot(r, d) <= 0 for r in mat):
-            return True
-        nd = tuple(-x for x in d)
-        if all(dot(r, nd) <= 0 for r in mat):
-            return True
-    return False
+        for ray in (basis[0], tuple(-x for x in basis[0])):
+            if ray not in seen and all(dot(r, ray) <= 0 for r in normals):
+                seen.add(ray)
+                yield ray
+
+
+def is_bounded(rows, n):
+    """True when {x : rows hold} has the recession cone {0}, empty or not."""
+    normals = [r[0] for r in rows]
+    if not normals or rank_int(normals) < n:
+        return False
+    return next(extreme_rays(normals, n), None) is None
 
 
 def matrix_inverse_fraction(rows):

@@ -1,12 +1,16 @@
 """Short GFs of lattice points of rational polyhedra in fixed low dimension.
 
-Pipeline: enumerate vertices as basic feasible solutions, take the dual of
-each tangent cone (the cone spanned by the tight constraint normals),
-triangulate it, decompose each simplicial piece into unimodular signed cones
+Pipeline: check boundedness (`la.is_bounded`), enumerate vertices as basic
+feasible solutions (`la.vertices_of`), take the dual of each tangent cone
+(the cone spanned by the tight constraint normals), triangulate it by
+pulling over its facets (`la.extreme_rays` of the dual of the cone being
+triangulated), decompose each simplicial piece into unimodular signed cones
 by repeated replacement with a short parallelepiped vector, dualize the
 unimodular pieces back, and sum the vertex-cone rational functions (Brion).
 Lower-dimensional pieces are discarded in the dual, where they correspond to
-cones with lines and contribute zero.
+cones with lines and contribute zero.  `la.vertices_of` and
+`la.extreme_rays` are the only loops over subsets of tight rows, and
+`la.is_bounded` is the one boundedness test.
 
 Both signed decompositions, this one and the exact `sign_decompose`, take
 the same parallelepiped step: one `scaled_inverse_int` of the cone's
@@ -23,7 +27,7 @@ auxiliary polytopes of the Hadamard machinery.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor, gcd
+from math import ceil, floor
 
 from . import _linalg as la
 from ._subst import substitute
@@ -65,14 +69,8 @@ class Polyhedron:
 
     def scaled_int_rows(self):
         """Integer rows defining the same rational polyhedron."""
-        rows = []
-        for coeffs, rhs in zip(self.A, self.b):
-            denom = rhs.denominator
-            for c in coeffs:
-                denom = denom * c.denominator // gcd(denom, c.denominator)
-            ic = tuple(int(c * denom) for c in coeffs)
-            rows.append((ic, int(rhs * denom)))
-        return rows
+        rows = la.integer_rows(c + (b,) for c, b in zip(self.A, self.b))
+        return [(tuple(r[:-1]), r[-1]) for r in rows]
 
     def lattice_rows(self):
         """Integer rows tightened to the same set of integer points."""
@@ -295,32 +293,14 @@ def _triangulate_rec(coords, active, r):
     local = {i: subc[pos] for pos, i in enumerate(active)}
     v0 = active[0]
     simplices = []
-    seen_facets = set()
-    for combo in combinations(active, rr - 1):
-        basis = la.kernel_basis([local[i] for i in combo], rr)
-        if len(basis) != 1:
-            continue
-        h = basis[0]
-        vals = {i: la.dot(h, local[i]) for i in active}
-        if all(v >= 0 for v in vals.values()):
-            pass
-        elif all(v <= 0 for v in vals.values()):
-            vals = {i: -v for i, v in vals.items()}
-        else:
-            continue
-        facet = tuple(i for i in active if vals[i] == 0)
-        if facet in seen_facets or v0 in facet:
-            continue
-        seen_facets.add(facet)
-        for s in _triangulate_rec(coords, list(facet), rr - 1):
-            simplices.append((v0,) + s)
+    # the inward facet normals h are the extreme rays of {h : h . g >= 0}
+    for h in la.extreme_rays([[-x for x in local[i]] for i in active], rr):
+        facet = [i for i in active if la.dot(h, local[i]) == 0]
+        if v0 not in facet:
+            for s in _triangulate_rec(coords, facet, rr - 1):
+                simplices.append((v0,) + s)
     if not simplices:
-        # active spans rank r with exactly r independent among them
-        indep = []
-        for i in active:
-            if la.rank_int([list(coords[j]) for j in indep + [i]]) > len(indep):
-                indep.append(i)
-        return [tuple(indep)]
+        raise ValueError("triangulate_cone needs a pointed cone")
     return simplices
 
 
@@ -544,34 +524,12 @@ def vertex_cones(polyhedron):
     """Vertices with their tangent cones, by exhaustive basic solutions."""
     rows = polyhedron.scaled_int_rows()
     n = polyhedron.n
-    if not rows:
-        raise UnboundedPolyhedronError("empty constraint system is unbounded")
-    if la.rank_int([r[0] for r in rows]) < n or la.recession_is_nontrivial(rows, n):
+    if not la.is_bounded(rows, n):
         raise UnboundedPolyhedronError("unbounded polyhedra are unsupported")
     out = []
     for vertex, tight in la.vertices_of(rows, n):
-        normals = [rows[i][0] for i in tight]
-        rays = []
-        seen = set()
-        if n == 1:
-            for nrm in normals:
-                ray = (-1,) if nrm[0] > 0 else (1,)
-                if ray not in seen:
-                    seen.add(ray)
-                    rays.append(ray)
-        else:
-            for combo in combinations(range(len(normals)), n - 1):
-                basis = la.kernel_basis([normals[i] for i in combo], n)
-                if len(basis) != 1:
-                    continue
-                dvec = basis[0]
-                for cand in (dvec, tuple(-x for x in dvec)):
-                    if all(la.dot(nrm, cand) <= 0 for nrm in normals):
-                        if cand not in seen:
-                            seen.add(cand)
-                            rays.append(cand)
-        rays.sort()
-        out.append((vertex, tuple(rays)))
+        rays = la.extreme_rays([rows[i][0] for i in tight], n)
+        out.append((vertex, tuple(sorted(rays))))
     return out
 
 
@@ -639,9 +597,8 @@ def polytope_gf(polyhedron, check_bounded=True):
     """Short GF of the polytope's lattice points via signed cone decomposition."""
     n = polyhedron.n
     rows = polyhedron.scaled_int_rows()
-    if check_bounded:
-        if not rows or la.rank_int([r[0] for r in rows]) < n or la.recession_is_nontrivial(rows, n):
-            raise UnboundedPolyhedronError("unbounded polyhedra are unsupported")
+    if check_bounded and not la.is_bounded(rows, n):
+        raise UnboundedPolyhedronError("unbounded polyhedra are unsupported")
     lrows = polyhedron.lattice_rows()
     if lrows is None:
         return zero_gf(n)
@@ -657,17 +614,26 @@ def enumerate_polytope_points(polyhedron, limit=None):
     A depth-first search of the `lattice_rows` over the box that interval
     propagation derives from them, in lexicographic order.  It shares
     nothing with `polytope_gf` beyond the rows: no reduction to full
-    dimension, no vertices.  Raises UnboundedPolyhedronError when
-    propagation leaves a side of the box open.
+    dimension.  When propagation leaves a side of the box open, a bounded
+    input takes the box of its vertices instead, and an unbounded one
+    raises UnboundedPolyhedronError; the vertices set only the search box,
+    and every point is still checked against every row.
     """
     rows = polyhedron.lattice_rows()
     if rows is None:
         return []
-    bounds = la.propagate_bounds(rows, [[None, None]] * polyhedron.n, rounds=8)
+    n = polyhedron.n
+    bounds = la.propagate_bounds(rows, [[None, None]] * n, rounds=8)
     if bounds is None:
         return []
     if any(lo is None or hi is None for lo, hi in bounds):
-        raise UnboundedPolyhedronError("could not derive finite bounds")
+        if not la.is_bounded(rows, n):
+            raise UnboundedPolyhedronError("could not derive finite bounds")
+        verts = la.vertices_of(rows, n)
+        if not verts:
+            return []
+        coords = zip(*(v for v, _ in verts))
+        bounds = [[ceil(min(c)), floor(max(c))] for c in coords]
     return la.lattice_points(rows, bounds, limit=limit)
 
 

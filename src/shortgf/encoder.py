@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
-from . import _linalg as la
+from .barvinok import enumerate_polytope_points
 from .calculus import (
     TauMap,
     choose_tau,
@@ -328,9 +328,9 @@ def encode_segment(circuit):
     The violation region of the Tseitin formula is disjointified inside the
     (x, y, z)-box; its cells are kept for the region GF (their GFs sum to
     it, built on first read of `fr`) and projected onto (x, y) by exact
-    enumeration.  Every cell lies in the full box, so its points are
-    enumerated by `lattice_points` over the box's bounds, which interval
-    propagation narrows to the cell; no vertex enumeration is needed.
+    enumeration.  Every cell carries the full box's rows, so
+    `enumerate_polytope_points` bounds it by interval propagation alone; no
+    vertex enumeration is needed.
     """
     cnf = circuit_to_3cnf(circuit)
     formula, violation, q = cnf_to_pa(cnf)
@@ -345,19 +345,13 @@ def encode_segment(circuit):
     pieces = []
     cell_points = []
     for cell in cells:
-        pts = _cell_points(cell, full_box)
+        pts = enumerate_polytope_points(cell)
         cell_points.append(tuple(pts))
         pieces.append(from_point_set([(pt[0], pt[1]) for pt in pts], 2))
     return SegmentEncoding(
         r, p, q, box, full_box, tuple(pieces), circuit, cnf, zdims=3,
         cell_points=tuple(cell_points), cells=tuple(cells),
     )
-
-
-def _cell_points(cell, box, limit=None):
-    """Sorted integer points of a polyhedron that lies inside `box`."""
-    rows = cell.lattice_rows()
-    return [] if rows is None else la.lattice_points(rows, box.bounds(), limit)
 
 
 def violation_projection_by_bits(cnf, box):
@@ -466,7 +460,7 @@ def alternating_pipeline(formula, box_sides, limit=2_000_000):
     if all(sides):
         box = LatticeBox(sides)
         for cell in disjointify(body, box, var_order):
-            region.update(_cell_points(cell, box, limit=limit - len(region)))
+            region.update(enumerate_polytope_points(cell, limit=limit - len(region)))
 
     def sub_box_points(width):
         if prod(sides[:width]) > limit:

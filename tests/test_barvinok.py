@@ -26,6 +26,7 @@ from shortgf import (
     semigroup_gf,
     sign_decompose,
     support_points,
+    triangulate_cone,
     vertex_cones,
 )
 from shortgf import _linalg as la
@@ -148,6 +149,29 @@ class TestVertexCones:
     def test_empty_gives_empty(self):
         p = Polyhedron(((1,), (-1,)), (0, -2), 1)
         assert vertex_cones(p) == []
+
+    def test_point_has_the_zero_tangent_cone(self):
+        # the tangent cone of a point is {0}: no rays, in 1-D as in 2-D
+        point_1d = Polyhedron(((1,), (-1,)), (2, -2), 1)
+        assert vertex_cones(point_1d) == [((Fraction(2),), ())]
+        point_2d = Polyhedron(((1, 0), (-1, 0), (0, 1), (0, -1)), (2, -2, 1, -1), 2)
+        assert vertex_cones(point_2d) == [((Fraction(2), Fraction(1)), ())]
+
+    def test_no_constraints_rejected(self):
+        with pytest.raises(UnboundedPolyhedronError):
+            vertex_cones(Polyhedron((), (), 2))
+
+
+class TestTriangulateCone:
+    def test_square_cone_splits_in_two(self):
+        gens = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+        simplices = triangulate_cone(gens)
+        assert len(simplices) == 2
+        assert all(la.det_int([list(g) for g in s]) != 0 for s in simplices)
+
+    def test_non_pointed_cone_rejected(self):
+        with pytest.raises(ValueError, match="pointed"):
+            triangulate_cone([(1, 0), (-1, 0), (0, 1)])
 
 
 def signed_count(cones, box):
@@ -390,6 +414,29 @@ class TestPolytopeGF:
         assert enumerate_polytope_points(Polyhedron(((1,), (-1,)), (0, -1), 1)) == []
         with pytest.raises(UnboundedPolyhedronError):
             enumerate_polytope_points(Polyhedron(((1,),), (3,), 1))
+
+    def test_enumeration_bounds_the_diamond_by_its_vertices(self):
+        # |x| + |y| <= 2: no row has a single variable, so propagation
+        # leaves every side open and the vertices give the search box
+        diamond = Polyhedron(((1, 1), (1, -1), (-1, 1), (-1, -1)), (2, 2, 2, 2), 2)
+        pts = enumerate_polytope_points(diamond)
+        assert len(pts) == 13 == evaluate_at_one(polytope_gf(diamond))
+        assert pts == sorted(
+            (x, y) for x in range(-2, 3) for y in range(-2, 3) if abs(x) + abs(y) <= 2
+        )
+        # an empty bounded input with open sides has no vertices
+        hole = Polyhedron(((2, 2), (-2, -2), (1, -1), (-1, 1)), (1, -1, 5, 5), 2)
+        assert enumerate_polytope_points(hole) == []
+
+    def test_enumeration_rejects_the_strip(self):
+        # -2 <= x + y <= 2 is bounded in no direction along x - y
+        strip = Polyhedron(((1, 1), (-1, -1)), (2, 2), 2)
+        with pytest.raises(UnboundedPolyhedronError):
+            enumerate_polytope_points(strip)
+
+    def test_scaled_int_rows_clear_each_rows_denominators(self):
+        p = Polyhedron(((Fraction(1, 2), Fraction(-2, 3)), (3, 0)), (Fraction(5, 4), 7), 2)
+        assert p.scaled_int_rows() == [((6, -8), 15), ((3, 0), 7)]
 
 
 class TestSemigroupGF:

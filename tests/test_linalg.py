@@ -1,7 +1,8 @@
 """Integer linear-algebra kernels against Fraction references."""
 
+import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import gcd, lcm
 
 import pytest
@@ -13,6 +14,8 @@ from shortgf._linalg import (
     det_int,
     echelon,
     enumerate_parallelepiped,
+    extreme_rays,
+    is_bounded,
     kernel_basis,
     lattice_points,
     lll_reduce,
@@ -242,6 +245,53 @@ class TestVerticesOf:
         monkeypatch.setattr(shortgf._linalg, "_VERTEX_MAX_SUBSETS", 1)
         with pytest.raises(ResourceLimitError):
             vertices_of(self.SQUARE, 2)
+
+
+def tangent_cone_rays(normals, n):
+    """The ray loop `vertex_cones` used before `extreme_rays` (n >= 2)."""
+    rays = []
+    seen = set()
+    for combo in combinations(range(len(normals)), n - 1):
+        basis = kernel_basis([normals[i] for i in combo], n)
+        if len(basis) != 1:
+            continue
+        dvec = basis[0]
+        for cand in (dvec, tuple(-x for x in dvec)):
+            if all(sum(a * b for a, b in zip(nrm, cand)) <= 0 for nrm in normals):
+                if cand not in seen:
+                    seen.add(cand)
+                    rays.append(cand)
+    return rays
+
+
+class TestExtremeRays:
+    def test_matches_the_tangent_cone_loop(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(2, 4)
+            normals = [
+                tuple(rng.randint(-3, 3) for _ in range(n))
+                for _ in range(rng.randint(1, n + 3))
+            ]
+            got = list(extreme_rays(normals, n))
+            assert len(set(got)) == len(got)
+            assert set(got) == set(tangent_cone_rays(normals, n))
+            for ray in got:
+                assert any(ray) and gcd(*ray) == 1
+                assert all(sum(a * b for a, b in zip(r, ray)) <= 0 for r in normals)
+
+    def test_one_dimensional(self):
+        assert list(extreme_rays([(-2,)], 1)) == [(1,)]
+        assert list(extreme_rays([(1,), (-1,)], 1)) == []
+        assert list(extreme_rays([], 1)) == [(1,), (-1,)]
+
+    def test_is_bounded(self):
+        square = [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]
+        assert is_bounded(square, 2)
+        assert not is_bounded(square[:3], 2)  # a half-strip
+        assert not is_bounded([((1, 1), 2), ((-1, -1), 2)], 2)  # rank 1
+        assert not is_bounded([], 2)
+        assert is_bounded([((1,), 3), ((-1,), -5)], 1)  # empty, yet bounded
 
 
 class TestLLL:
