@@ -517,8 +517,11 @@ def extreme_rays(normals, n):
     normals, so the rays are found by trying both signs of each 1-D kernel
     of an (n - 1)-subset; they come in the order `combinations` first
     reaches them.  On a cone with a line the rays it yields are not all of
-    its directions; `is_bounded` rules that case out by rank.
+    its directions; `is_bounded` rules that case out by rank.  In 0
+    dimensions the cone is {0}, which has no rays.
     """
+    if n == 0:
+        return
     seen = set()
     for combo in combinations(normals, n - 1):
         basis = kernel_basis(combo, n)
@@ -531,9 +534,12 @@ def extreme_rays(normals, n):
 
 
 def is_bounded(rows, n):
-    """True when {x : rows hold} has the recession cone {0}, empty or not."""
+    """True when {x : rows hold} has the recession cone {0}, empty or not.
+
+    Always true in 0 dimensions, where the only point is ().
+    """
     normals = [r[0] for r in rows]
-    if not normals or rank_int(normals) < n:
+    if rank_int(normals) < n:
         return False
     return next(extreme_rays(normals, n), None) is None
 

@@ -1,7 +1,8 @@
 """Operation suite over short GFs.
 
 Exact evaluation at the all-ones point, monomial substitution, Hadamard and
-linear-functional Hadamard products (built per term pair through an auxiliary
+linear-functional Hadamard products (built per term pair: as a product of
+1-D progressions when the pair is separable, else through an auxiliary
 equality-constrained polytope), boolean set operations on box-supported GFs,
 coefficient extraction, norm by bisection, oracle-backed projection and
 Minkowski operations, and positional-base compression/decompression of
@@ -9,6 +10,7 @@ finite supports.
 """
 
 from dataclasses import dataclass
+from math import gcd
 
 from . import _linalg as la
 from ._subst import evaluate_at_one, substitute
@@ -173,27 +175,80 @@ def _meets(image, aB, g_box):
     )
 
 
-def _pair_terms(
+def _unit_steps(vecs, n):
+    """Per-coordinate step of vectors that are positive multiples of
+    distinct unit vectors, 0 where no vector moves; None for other vectors."""
+    steps = [0] * n
+    for v in vecs:
+        moved = [c for c, x in enumerate(v) if x]
+        if len(moved) != 1 or v[moved[0]] < 0 or steps[moved[0]]:
+            return None
+        steps[moved[0]] = v[moved[0]]
+    return steps
+
+
+def _separable_terms(coeff, aA, vecsA, aB, vecsB, box):
+    """Terms of a separable pair under the identity functional, or None.
+
+    A pair is separable when every vector of either term is a positive
+    multiple of a unit vector and no two vectors of one term share a
+    coordinate.  Each term's set is then a product of 1-D sets, apex_c +
+    N step_c or the apex coordinate alone, and so is their intersection:
+    per coordinate, the two residues meet by CRT above the larger apex, and
+    the box, when given, cuts the result to [0, side - 1].  The pair's GF
+    is the product of the 1-D progressions' GFs.  The box must be given
+    when both terms have vectors; otherwise one term is a monomial, which
+    bounds every coordinate.
+
+    The terms are those of the polytope path, byte for byte.  A coordinate
+    with one point gets no vector: a vector there would write the point as
+    two terms, t^a (1 - t^v) / (1 - t^v), where the polytope path's
+    reduction to a full-dimensional fibre has dropped that direction.  The
+    fibre's coordinates follow the f-term's vectors, and Brion's sum visits
+    the vertices in their lexicographic order, so the terms are sorted by
+    their numerators read in the order of the f-term's vectors.
+    """
+    n = len(aA)
+    stepsA, stepsB = _unit_steps(vecsA, n), _unit_steps(vecsB, n)
+    if stepsA is None or stepsB is None:
+        return None
+    firsts, vecs, counts = [], [], []
+    for c, (a, s, b, t) in enumerate(zip(aA, stepsA, aB, stepsB)):
+        lo = max(a, b)
+        hi = min(a if not s else _INF, b if not t else _INF)
+        if box is not None:
+            lo, hi = max(lo, 0), min(hi, box.sides[c] - 1)
+        # x = a (mod s) and x = b (mod t); a fixed side adds no congruence
+        r, m = (a, s) if s else (b, t) if t else (lo, 1)
+        if s and t:
+            g = gcd(s, t)
+            if (b - a) % g:
+                return ()
+            m = s // g * t
+            r = a + s * ((b - a) // g * pow(s // g, -1, t // g) % (t // g))
+        first = lo + (r - lo) % m
+        if first > hi:
+            return ()
+        firsts.append(first)
+        if first + m <= hi:
+            vecs.append(tuple(m if i == c else 0 for i in range(n)))
+            counts.append((hi - first) // m + 1)
+    order = [c for v in vecsA for c, x in enumerate(v) if x]
+    gf = progression_gf(firsts, vecs, counts, coeff)
+    return sorted(gf.terms, key=lambda t: [t.numer[c] for c in order])
+
+
+def _polytope_pair_terms(
     coeff, aA, vecsA, tau_a, aB, vecsB, tau_rows, boxed, box, out_nvars, seed
 ):
-    """Terms of one term pair of a linear-functional Hadamard product.
+    """Terms of one term pair through its auxiliary polytope.
 
     Solutions (zeta, xi) >= 0 of tau(aA + sum zeta_i B_i) = aB + sum xi_j D_j,
     with aA + sum zeta_i B_i confined to the box when `boxed`, are mapped
-    to exponents aA + sum zeta_i B_i.  The caller has checked that the
-    supports can meet, which settles a pair of monomials.
+    to exponents aA + sum zeta_i B_i.
     """
     p, q = len(vecsA), len(vecsB)
     dB = len(aB)
-    if p == 0 and q == 0:
-        return (GFTerm(coeff, aA),)
-    if p == 0 and q == 1 and dB == 1:
-        diff = tau_a[0] - aB[0]
-        d0 = vecsB[0][0]
-        if diff % d0 == 0 and diff // d0 >= 0:
-            return (GFTerm(coeff, aA),)
-        return ()
-
     m = p + q
     ineqs = []
     for i in range(m):
@@ -201,10 +256,6 @@ def _pair_terms(
         row[i] = -1
         ineqs.append((tuple(row), 0))
     if boxed:
-        if box is None:
-            raise UnboundedPolyhedronError(
-                "a support box is required for this Hadamard product"
-            )
         for c in range(out_nvars):
             up = [vecsA[i][c] for i in range(p)] + [0] * q
             ineqs.append((tuple(up), box.sides[c] - 1 - aA[c]))
@@ -226,14 +277,58 @@ def _pair_terms(
     ).terms
 
 
+def _pair_terms(
+    coeff, aA, vecsA, tau_a, aB, vecsB, tau_rows, pinned, boxed, box, out_nvars,
+    seed,
+):
+    """Terms of one term pair of a linear-functional Hadamard product.
+
+    The caller has checked that the supports can meet, which settles a pair
+    of monomials.  A monomial f-term against a 1-D g-term with one vector
+    is a divisibility test.  Under the identity functional (`pinned`) a
+    separable pair is a product of progressions (`_separable_terms`); every
+    other pair goes through its auxiliary polytope.
+    """
+    p, q = len(vecsA), len(vecsB)
+    if p == 0 and q == 0:
+        return (GFTerm(coeff, aA),)
+    if p == 0 and q == 1 and len(aB) == 1:
+        diff = tau_a[0] - aB[0]
+        d0 = vecsB[0][0]
+        if diff % d0 == 0 and diff // d0 >= 0:
+            return (GFTerm(coeff, aA),)
+        return ()
+    if boxed and box is None:
+        raise UnboundedPolyhedronError(
+            "a support box is required for this Hadamard product"
+        )
+    if pinned:
+        terms = _separable_terms(
+            coeff, aA, vecsA, aB, vecsB, box if boxed else None
+        )
+        if terms is not None:
+            return terms
+    return _polytope_pair_terms(
+        coeff, aA, vecsA, tau_a, aB, vecsB, tau_rows, boxed, box, out_nvars, seed
+    )
+
+
 def tau_hadamard(f, g, tau_rows, box=None, seed=0):
     """Linear-functional Hadamard product: coefficients alpha_x * beta_tau(x).
 
     f ranges over the output variables; g over the functional's target
     coordinates; tau_rows is the (g.nvars x f.nvars) integer matrix of the
-    functional.  Bilinear over term pairs; each pair goes through a bounded
-    auxiliary polytope, so the result's index is at most p + q for single
-    terms with p and q denominators.
+    functional.  Bilinear over term pairs; a pair's terms count the points
+    of a bounded auxiliary polytope, so the result's index is at most p + q
+    for single terms with p and q denominators.
+
+    Under the identity functional a pair whose vectors are all positive
+    multiples of unit vectors, no two of one term on the same coordinate,
+    is separable: its set is a product of 1-D progressions, found per
+    coordinate without building the polytope (`_separable_terms`).  Its
+    index is then at most the number of coordinates both terms move.
+    Every other pair, and every pair under any other functional, builds
+    its polytope unless a monomial shortcut of `_pair_terms` settles it.
 
     A pair is skipped before its polytope is built when its supports cannot
     meet.  Each term apex + N vecs lies in its bounding box: per
@@ -291,8 +386,8 @@ def tau_hadamard(f, g, tau_rows, box=None, seed=0):
                 continue
             collected.extend(
                 _pair_terms(
-                    cA * cB, aA, vecsA, tau_a, aB, vecsB, tau_rows, boxed, box,
-                    f.nvars, seed,
+                    cA * cB, aA, vecsA, tau_a, aB, vecsB, tau_rows, pinned,
+                    boxed, box, f.nvars, seed,
                 )
             )
     out = canonicalize(ShortGF(f.nvars, tuple(collected)))

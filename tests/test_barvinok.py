@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shortgf import (
+    GFTerm,
     LatticeBox,
     Polyhedron,
     SignedCone,
@@ -433,6 +434,18 @@ class TestPolytopeGF:
         strip = Polyhedron(((1, 1), (-1, -1)), (2, 2), 2)
         with pytest.raises(UnboundedPolyhedronError):
             enumerate_polytope_points(strip)
+
+    def test_zero_dimensional_polyhedron(self):
+        # R^0 holds the single point (): a row 0 <= b keeps it when b >= 0
+        for rows, rhs, want in (
+            (((),), (1,), [()]),
+            ((), (), [()]),
+            (((),), (-1,), []),
+        ):
+            p = Polyhedron(rows, rhs, 0)
+            gf = polytope_gf(p)
+            assert gf.terms == ((GFTerm(1, ()),) if want else ())
+            assert enumerate_polytope_points(p) == want
 
     def test_scaled_int_rows_clear_each_rows_denominators(self):
         p = Polyhedron(((Fraction(1, 2), Fraction(-2, 3)), (3, 0)), (Fraction(5, 4), 7), 2)

@@ -5,9 +5,10 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import shortgf
@@ -38,6 +39,7 @@ from shortgf import (
     oracle_expand,
     oracle_project,
     polytope_gf,
+    progression_gf,
     proj_member,
     semigroup_gf,
     specialize_vars,
@@ -47,7 +49,8 @@ from shortgf import (
     zero_gf,
 )
 from shortgf.errors import SpecializationError
-from shortgf.gfcore import format_gf
+from shortgf.calculus import _polytope_pair_terms, _separable_terms
+from shortgf.gfcore import format_gf, term_positive_form
 
 
 def interval_gf(lo, hi):
@@ -607,6 +610,140 @@ class TestHadamardOracle:
         assert _table(back, (tau.N,) * n) == _indicator(pg)
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(operand_pairs(count=1), st.data())
+    def test_tau_hadamard_with_a_functional(self, case, data):
+        # coefficients alpha_x * beta_tau(x) for a non-identity tau: these
+        # pairs never take the separable path
+        n, side, ((f, pf),) = case
+        d = data.draw(st.integers(1, 2))
+        tau = [tuple(data.draw(st.integers(-1, 2)) for _ in range(n)) for _ in range(d)]
+        assume(tau != [tuple(int(i == j) for j in range(n)) for i in range(n)])
+        g, pg = _operand(data.draw(st.sampled_from(KINDS)), d, SIDES[d], data.draw)
+        box = (side,) * n
+        with mock.patch.object(
+            shortgf.calculus, "_separable_terms", wraps=_separable_terms
+        ) as separable:
+            h = tau_hadamard(f, g, tau, box=box)
+        assert separable.call_count == 0
+        want = {
+            x for x in pf if tuple(sum(a * b for a, b in zip(r, x)) for r in tau) in pg
+        }
+        assert _table(h, box) == _indicator(want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(operand_pairs())
+    def test_multiply_is_the_cauchy_product(self, case):
+        n, side, ((f, pf), (g, pg)) = case
+        want = Counter(tuple(a + b for a, b in zip(x, y)) for x in pf for y in pg)
+        assert _table(multiply(f, g), (2 * side,) * n) == dict(want)
+
+
+def _in_unit_cone(x, apex, vecs):
+    """Is x in apex + N vecs, for vectors that are positive multiples of
+    distinct unit vectors?"""
+    for c, (xc, ac) in enumerate(zip(x, apex)):
+        steps = [v[c] for v in vecs if v[c]]
+        if steps and not (xc >= ac and (xc - ac) % steps[0] == 0):
+            return False
+        if not steps and xc != ac:
+            return False
+    return True
+
+
+@st.composite
+def separable_operands(draw):
+    """(n, sides, f, g): progressions along unit vectors, in any vector
+    order.  Each apex steps back from a point near the box's low corner by
+    0-2 steps per vector, then moves off it by -1..2: apexes fall inside and
+    outside the box, and most lowest-corner pairs meet.  A side with no
+    vector is a monomial."""
+    n = draw(st.integers(1, 3))
+    sides = tuple(draw(st.integers(3, 8)) for _ in range(n))
+    meet = [draw(st.integers(0, min(2, s - 1))) for s in sides]
+
+    def operand():
+        apex, vecs = list(meet), []
+        for c in draw(st.permutations(range(n))):
+            step = draw(st.integers(0, 4))
+            if step:
+                vecs.append(tuple(step if i == c else 0 for i in range(n)))
+                apex[c] -= step * draw(st.integers(0, 2))
+            apex[c] += draw(st.integers(-1, 2))
+        counts = [draw(st.integers(1, 6)) for _ in vecs]
+        return progression_gf(apex, vecs, counts)
+
+    return n, sides, operand(), operand()
+
+
+class TestSeparablePairs:
+    """Term pairs along unit vectors: the progression equals the polytope."""
+
+    @staticmethod
+    def _both_paths(f, g, box):
+        """Per term pair as tau_hadamard forms it under the identity: its
+        coefficient, each term's apex and vectors, whether it is boxed, and
+        its terms by the separable and by the polytope path."""
+        n = f.nvars
+        ident = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        for tf in f.terms:
+            cA, aA, vecsA = term_positive_form(tf)
+            for tg in g.terms:
+                cB, aB, vecsB = term_positive_form(tg)
+                boxed = bool(vecsA) and bool(vecsB)
+                coeff = cA * cB
+                yield (
+                    coeff, aA, vecsA, aB, vecsB, boxed,
+                    _separable_terms(coeff, aA, vecsA, aB, vecsB, box if boxed else None),
+                    _polytope_pair_terms(
+                        coeff, aA, vecsA, aA, aB, vecsB, ident, boxed, box, n, 0
+                    ),
+                )
+
+    def test_terms_follow_the_f_vectors_order(self):
+        # Brion's vertices come in lexicographic order of the fibre
+        # coordinates, which follow the f-term's vectors: here y before x
+        f = progression_gf((0, 1), ((0, 2), (1, 0)), (3, 4))
+        g = box_range_gf([0, 0], [5, 7])
+        pair = next(self._both_paths(f, g, LatticeBox((6, 8))))
+        terms, polytope = pair[-2:]
+        assert tuple(terms) == tuple(polytope)
+        numers = [t.numer for t in terms]
+        assert numers == sorted(numers, key=lambda a: (a[1], a[0])) != sorted(numers)
+
+    @settings(max_examples=100, deadline=None)
+    @given(separable_operands())
+    def test_progression_matches_the_polytope_path(self, case):
+        n, sides, f, g = case
+        box = LatticeBox(sides)
+        for coeff, aA, vecsA, aB, vecsB, boxed, terms, polytope in self._both_paths(
+            f, g, box
+        ):
+            assert terms is not None
+            assert tuple(terms) == tuple(polytope)
+            both = sum(
+                1
+                for c in range(n)
+                if any(v[c] for v in vecsA) and any(v[c] for v in vecsB)
+            )
+            assert max((len(t.denoms) for t in terms), default=0) <= both
+            # an unboxed pair has a monomial side, its one candidate point
+            window = list(box.points()) if boxed else [aB if vecsA else aA]
+            pts = [
+                x
+                for x in window
+                if _in_unit_cone(x, aA, vecsA) and _in_unit_cone(x, aB, vecsB)
+            ]
+            assert evaluate_at_one(ShortGF(n, tuple(terms))) == coeff * len(pts)
+            lo = (0,) * n if boxed else window[0]
+            shifted = tuple(
+                GFTerm(t.coeff, tuple(a - b for a, b in zip(t.numer, lo)), t.denoms)
+                for t in terms
+            )
+            got = _table(ShortGF(n, shifted), sides if boxed else (1,) * n)
+            assert got == {tuple(a - b for a, b in zip(x, lo)): coeff for x in pts}
+
+
 class TestHadamardWork:
     """Work the Hadamard machinery skips, counted through monkeypatched layers."""
 
@@ -630,6 +767,25 @@ class TestHadamardWork:
         assert h.terms == ()
         assert coefficient(f, (1, 5)) == 0
         assert calls == []
+
+    def test_separable_pairs_build_no_polytope(self, monkeypatch):
+        calls = self._count(monkeypatch, shortgf.calculus, "lattice_gf_mapped")
+        box = (8, 8)
+        f = box_range_gf([1, 0], [6, 5])
+        g = progression_gf((0, 1), ((2, 0), (0, 3)), (4, 3))
+        h = hadamard(f, g, box=box)
+        assert _table(h, box) == _indicator(product((2, 4, 6), (1, 4)))
+        assert calls == []
+        # a facet off the unit directions gives the polytope operand's
+        # terms other vectors, so its pairs take the polytope path
+        disc = polytope_gf(
+            Polyhedron(((1, 0), (-1, 0), (0, 1), (0, -1), (1, 2)), (7, 0, 7, 0, 9), 2)
+        )
+        h = hadamard(disc, g, box=box)
+        assert _table(h, box) == _indicator(
+            (x, y) for x in (0, 2, 4, 6) for y in (1, 4) if x + 2 * y <= 9
+        )
+        assert calls
 
     def test_full_dimensional_fibre_enumerates_vertices_once(self, monkeypatch):
         calls = self._count(monkeypatch, shortgf._linalg, "vertices_of")

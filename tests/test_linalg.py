@@ -285,6 +285,13 @@ class TestExtremeRays:
         assert list(extreme_rays([(1,), (-1,)], 1)) == []
         assert list(extreme_rays([], 1)) == [(1,), (-1,)]
 
+    def test_zero_dimensional(self):
+        # the cone in R^0 is {0}: no rays, and every polyhedron is bounded
+        assert list(extreme_rays([()], 0)) == []
+        assert list(extreme_rays([], 0)) == []
+        assert is_bounded([((), 1)], 0)
+        assert is_bounded([], 0)
+
     def test_is_bounded(self):
         square = [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]
         assert is_bounded(square, 2)
