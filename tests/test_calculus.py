@@ -17,8 +17,10 @@ from shortgf import (
     InfiniteSupportError,
     LatticeBox,
     Polyhedron,
+    ResourceLimitError,
     ShortGF,
     TauMap,
+    UnboundedPolyhedronError,
     ZeroImageError,
     boolean_combine,
     box_range_gf,
@@ -247,6 +249,13 @@ class TestTauHadamard:
             )
             assert tab[(k,)] == want
 
+    def test_two_series_need_a_box(self):
+        # neither term is a monomial, so the pair's polytope needs box rows
+        f = ShortGF(1, (GFTerm(1, (0,), ((1,),)),))
+        g = ShortGF(1, (GFTerm(1, (0,), ((2,),)),))
+        with pytest.raises(UnboundedPolyhedronError):
+            hadamard(f, g)
+
 
 class TestBooleanCombine:
     def test_union_evens_and_interval(self):
@@ -282,6 +291,11 @@ class TestBooleanCombine:
         f = ShortGF(1, (GFTerm(2, (1,)),))
         with pytest.raises(ValueError):
             boolean_combine(f, f, (4,), "union")
+
+    def test_rejects_unknown_mode(self):
+        f = from_point_set([(1,)], 1)
+        with pytest.raises(ValueError, match="unknown mode"):
+            boolean_combine(f, f, (4,), "xor")
 
 
 class TestComplement:
@@ -392,6 +406,12 @@ class TestOracleProject:
         f = from_point_set([(0, 1), (0, 2)], 2)
         with pytest.raises(SpecializationError):
             oracle_project(f, [0], (4, 4), mode="specialize")
+
+    def test_anti_sub_box_over_limit(self):
+        f = from_point_set([(1, 0)], 2)
+        assert oracle_project(f, [0, 1], (4, 4), mode="anti", limit=16).terms
+        with pytest.raises(ResourceLimitError):
+            oracle_project(f, [0, 1], (4, 4), mode="anti", limit=15)
 
 
 class TestMinkowski:

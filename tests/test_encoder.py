@@ -1,5 +1,6 @@
 """Circuit encodings: Tseitin CNF, bit systems, segment and gadget pipelines."""
 
+import dataclasses
 import hashlib
 import random
 from collections import Counter
@@ -217,6 +218,41 @@ class TestEncodeSegment:
         seg = segment_gf(back)
         assert {p[0] for p in support_points(seg, (8,))} == {0, 2, 4, 6}
 
+    def test_segment_gf_rejects_a_dropped_piece(self):
+        enc = encode_segment(xor_detector(2))
+        full = enc.proj_points()
+        for i in range(len(enc.pieces)):
+            short = dataclasses.replace(
+                enc, pieces=enc.pieces[:i] + enc.pieces[i + 1:]
+            )
+            if short.proj_points() != full:
+                break
+        else:
+            pytest.fail("every piece is covered by the others")
+        with pytest.raises(ValueError, match="piece union"):
+            segment_gf(short)
+
+    @pytest.mark.parametrize(
+        "packed, old, new, error",
+        [
+            (False, "r=3 ", "r=4 ", "does not match its circuit"),
+            (False, "p=1 ", "p=2 ", "does not match its circuit"),
+            (False, "q=3 ", "q=1 ", "does not match its circuit"),
+            (False, "zdims=3", "zdims=2", "zdims must be 1 or 3"),
+            (False, "zdims=3", "zdims=1", "wrong number of variables"),
+            (True, "zdims=1", "zdims=3", "wrong number of variables"),
+        ],
+    )
+    def test_parse_encoding_checks_its_header(self, packed, old, new, error):
+        enc = encode_segment(even_detector(3))
+        if packed:
+            enc = compress_encoding(enc)
+        text = format_encoding(enc)
+        header, rest = text.split("\n", 1)
+        assert old in header
+        with pytest.raises(FormatError, match=error):
+            parse_encoding(header.replace(old, new) + "\n" + rest)
+
 
 class TestCompressEncoding:
     def test_even_detector_packed(self):
@@ -231,6 +267,11 @@ class TestCompressEncoding:
         enc = encode_segment(xor_detector(3))
         packed = compress_encoding(enc)
         assert packed.proj_points() == enc.proj_points()
+
+    def test_packed_encoding_is_not_packed_again(self):
+        packed = compress_encoding(encode_segment(even_detector(3)))
+        with pytest.raises(ValueError):
+            compress_encoding(packed)
 
 
 class TestLazyRegionGF:
@@ -359,6 +400,19 @@ class TestAlternating:
     def test_empty_prefix_rejects_certificate_bits(self):
         with pytest.raises(ValueError):
             encode_alternating(xor_detector(3), "", cert_bits=1)
+
+    @pytest.mark.parametrize("prefix, cert_bits", [("EA", 1), ("E", 3), ("A", 3)])
+    def test_encode_alternating_rejects(self, prefix, cert_bits):
+        # more than one block, or a certificate that takes every input bit
+        with pytest.raises(ValueError):
+            encode_alternating(xor_detector(3), prefix, cert_bits=cert_bits)
+
+    @pytest.mark.parametrize("sides", [(4,), (4, 2, 2), (4, -1)])
+    def test_pipeline_rejects_a_bad_box(self, sides):
+        body = LinearAtom.from_dict({"x": 1, "z": 1}, 3)
+        formula = PAFormula((QuantBlock("E", ("z",), 2),), body, ("x",))
+        with pytest.raises(ValueError, match="box"):
+            alternating_pipeline(formula, sides)
 
     @pytest.mark.parametrize(
         "kinds", [(), ("E",), ("A",), ("E", "A"), ("A", "E"), ("E", "A", "E")]
