@@ -17,8 +17,10 @@ most the original term's denominator count.
 """
 
 from fractions import Fraction
+from math import factorial
 import random
 
+from . import _linalg as la
 from ._series import eulerian_polynomials, limit_series
 from .errors import DegenerateDirectionError, InfiniteSupportError, ZeroImageError
 from .gfcore import (
@@ -35,13 +37,9 @@ def _draw_lambda(nvars, constraints, seed):
     rng = random.Random(seed)
     for _ in range(200):
         lam = tuple(rng.randint(1, 997) * (1 if rng.random() < 0.5 else -1) for _ in range(nvars))
-        if all(_dot(lam, vec) != 0 for vec in constraints):
+        if all(la.dot(lam, vec) != 0 for vec in constraints):
             return lam
     raise DegenerateDirectionError("no generic perturbation vector found")
-
-
-def _dot(lam, vec):
-    return sum(l * v for l, v in zip(lam, vec))
 
 
 def _map_vec(vrows, vec):
@@ -98,9 +96,9 @@ def substitute(
             continue
         d = len(dead)
         alive = [j for j in range(len(vecs)) if j not in dead]
-        nu_dead = [_dot(lam, vecs[j]) for j in dead]
-        lead, series = limit_series(_dot(lam, apex), nu_dead, d)
-        nu_alive = [_dot(lam, vecs[j]) for j in alive]
+        nu_dead = [la.dot(lam, vecs[j]) for j in dead]
+        lead, series = limit_series(la.dot(lam, apex), nu_dead, d)
+        nu_alive = [la.dot(lam, vecs[j]) for j in alive]
 
         def emit(pos, remaining, factor, extra_apex, extra_vecs):
             if pos == len(alive):
@@ -123,10 +121,7 @@ def substitute(
                 elif nu == 0:
                     break
                 else:
-                    fact = 1
-                    for t in range(2, i + 1):
-                        fact *= t
-                    weight = Fraction(nu**i, fact)
+                    weight = Fraction(nu**i, factorial(i))
                 poly = eulerian[i]
                 for k, a_ik in enumerate(poly):
                     if a_ik == 0:
@@ -170,7 +165,7 @@ def evaluate_at_one(f, seed=0):
             total += term.coeff
             continue
         lead, series = limit_series(
-            _dot(lam, term.numer), [_dot(lam, b) for b in term.denoms], k
+            la.dot(lam, term.numer), [la.dot(lam, b) for b in term.denoms], k
         )
         scale = term.coeff * lead
         total += scale * series[k]

@@ -24,13 +24,16 @@ from .calculus import (
     support_points,
 )
 from .encoder import (
+    alternating_pipeline,
     and_gate,
     compress_encoding,
     count_certificates,
     encode_segment,
     even_detector,
     minkowski_gadget,
+    segment_gf,
     square_tester,
+    violation_projection_by_bits,
     xor_detector,
 )
 from .gfcore import LatticeBox, from_point_set, progression_gf
@@ -212,8 +215,6 @@ def _segment_circuits():
 
 def criterion_4(seed=0, include_heavy=True):
     """Segment pipeline: acceptance sets, piece unions, one-witness property."""
-    from .encoder import segment_gf, violation_projection_by_bits
-
     t0 = time.time()
     circuits = _segment_circuits()
     if not include_heavy:
@@ -233,8 +234,6 @@ def criterion_4(seed=0, include_heavy=True):
 
 def criterion_5(seed=0):
     """Three-variable compression leaves projections and segments unchanged."""
-    from .encoder import segment_gf
-
     t0 = time.time()
     circuits = [
         ("even r=3", even_detector(3)),
@@ -425,8 +424,6 @@ def criterion_10(seed=0, families=20):
 
 def criterion_11(seed=0, trials=12):
     """One-alternation pipelines match direct exists-forall evaluation."""
-    from .encoder import alternating_pipeline
-
     rng = random.Random(seed + 11)
     t0 = time.time()
     boxes = [(8, 8, 8), (64, 16, 64), (16, 16, 32)]
@@ -512,10 +509,7 @@ QUICK_KWARGS = {
 }
 
 
-def run_all(criteria=None, quick=False, seed=0, stream=None):
-    import sys
-
-    stream = stream or sys.stdout
+def run_all(criteria=None, quick=False, seed=0):
     numbers = sorted(criteria or ALL_CRITERIA)
     reports = []
     for num in numbers:
@@ -525,7 +519,6 @@ def run_all(criteria=None, quick=False, seed=0, stream=None):
         status = "PASS" if report["passed"] else "FAIL"
         print(
             f"[{status}] criterion {num:2d}: {report['detail']} "
-            f"({report['seconds']}s)",
-            file=stream,
+            f"({report['seconds']}s)"
         )
     return reports

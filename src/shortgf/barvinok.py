@@ -26,6 +26,7 @@ auxiliary polytopes of the Hadamard machinery.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import ceil, floor
 
@@ -308,35 +309,29 @@ def _triangulate_rec(coords, active, r):
 # vertex machinery
 
 
-_DUAL_CACHE = {}
-
-
-def _dual_cone_gf_terms(tight_normals, d):
+@lru_cache(maxsize=20_000)
+def _dual_cone_gf_terms(normals, d):
     """Positive-form (sign, gen_cols, dual_cols) triples for one vertex's tangent cone.
 
-    The dual of the tangent cone is spanned by the tight constraint normals;
-    triangulate and decompose there, then polarize each unimodular piece W
-    (columns dual_cols) back to gen_cols.  Cached on the normal set: the
-    same cone shape recurs across vertices.
+    `normals` is the sorted tuple of the distinct primitive tight constraint
+    normals, which span the dual of the tangent cone; triangulate and
+    decompose there, then polarize each unimodular piece W (columns
+    dual_cols) back to gen_cols.  The same cone shape recurs across
+    vertices, so the results are cached on (normals, d) as tuples every
+    caller shares, the least recently used evicted past 20,000 entries;
+    `cache_info()` counts the hits.
     """
-    key = tuple(sorted({la.primitive(nrm) for nrm in tight_normals}))
-    hit = _DUAL_CACHE.get(key)
-    if hit is not None:
-        return hit
     results = []
-    for simplex in triangulate_cone(list(key)):
-        cols = [tuple(g) for g in simplex]
+    for simplex in triangulate_cone(list(normals)):
+        cols = tuple(tuple(g) for g in simplex)
         for sign, ucols in decompose_unimodular_fulldim(cols, 1):
             w_rows = [[ucols[j][i] for j in range(d)] for i in range(d)]
             _, inv = la.scaled_inverse_int(w_rows)  # det 1: inv is W^{-1}
             # polar generators g_i solve W^T G = -I: columns of -(W^{-1})^T,
             # i.e. the negated rows of W^{-1}
-            polar_cols = [tuple(-x for x in row) for row in inv]
+            polar_cols = tuple(tuple(-x for x in row) for row in inv)
             results.append((sign, polar_cols, ucols))
-    if len(_DUAL_CACHE) > 20_000:
-        _DUAL_CACHE.clear()
-    _DUAL_CACHE[key] = results
-    return results
+    return tuple(results)
 
 
 def _unimodular_cone_term(vertex, gen_cols, dual_cols, sign):
@@ -363,7 +358,7 @@ def _brion_fulldim(rows, d, verts):
     """
     triples = []
     for vertex, tight in verts:
-        normals = [rows[i][0] for i in tight]
+        normals = tuple(sorted({la.primitive(rows[i][0]) for i in tight}))
         for sign, polar_cols, ucols in _dual_cone_gf_terms(normals, d):
             triples.append(_unimodular_cone_term(vertex, polar_cols, ucols, sign))
     return triples

@@ -25,6 +25,7 @@ from .gfcore import (
     GFTerm,
     LatticeBox,
     ShortGF,
+    as_box,
     canonicalize,
     concat,
     from_point_set,
@@ -348,11 +349,9 @@ def tau_hadamard(f, g, tau_rows, box=None, seed=0):
     box does not cut the f-term of such a pair, so f's support outside the
     box can reach the result.
     """
-    if isinstance(tau_rows, TauMap):
-        tau_rows = tau_rows.rows()
     tau_rows = [tuple(r) for r in tau_rows]
-    if box is not None and not isinstance(box, LatticeBox):
-        box = LatticeBox(tuple(box))
+    if box is not None:
+        box = as_box(box)
     terms_f = _positive_terms(f)
     terms_g = _positive_terms(g)
     g_boxes = [
@@ -443,8 +442,7 @@ def boolean_combine(f, g, box, mode, check=True, seed=0):
     pair polytopes rather than cutting the operands; a pair whose g-term is
     a monomial carries no box rows (see `tau_hadamard`).
     """
-    if not isinstance(box, LatticeBox):
-        box = LatticeBox(tuple(box))
+    box = as_box(box)
     if check:
         _check_zero_one(f, box)
         _check_zero_one(g, box)
@@ -466,12 +464,11 @@ def box_range_gf(lows, highs):
     return progression_gf(lows, units, [hi - lo + 1 for lo, hi in zip(lows, highs)])
 
 
-def complement_in_box(f, box, check=True, seed=0):
+def complement_in_box(f, box, check=True):
     """Finite complement of the support within the box."""
-    if not isinstance(box, LatticeBox):
-        box = LatticeBox(tuple(box))
+    box = as_box(box)
     full = box_range_gf([0] * box.nvars, [u - 1 for u in box.sides])
-    return boolean_combine(full, f, box, "minus", check=check, seed=seed)
+    return boolean_combine(full, f, box, "minus", check=check)
 
 
 def coefficient(f, point, seed=0):
@@ -486,8 +483,7 @@ def norm(f, box, seed=0):
     Found by bisection: intersect with half-box GFs and test nonemptiness via
     evaluation at one.  The max-norm is the largest coordinate of the result.
     """
-    if not isinstance(box, LatticeBox):
-        box = LatticeBox(tuple(box))
+    box = as_box(box)
     n = f.nvars
     if evaluate_at_one(hadamard(f, box_range_gf([0] * n, [u - 1 for u in box.sides]), box=box, seed=seed)) == 0:
         return None
@@ -512,7 +508,7 @@ def norm(f, box, seed=0):
     return tuple(maxima)
 
 
-def proj_member(f, point, keep=None, seed=0):
+def proj_member(f, point, keep=None):
     """Is `point` in the projection of supp(f) onto the kept coordinates?
 
     Specializes the dropped variables to one (exact limits handle collapsed
@@ -520,8 +516,7 @@ def proj_member(f, point, keep=None, seed=0):
     """
     if keep is None:
         keep = list(range(len(point)))
-    g = specialize_vars(f, keep, seed=seed)
-    return coefficient(g, point, seed=seed) != 0
+    return coefficient(specialize_vars(f, keep), point) != 0
 
 
 def oracle_project(f, keep, box, mode="project", limit=None):
@@ -531,8 +526,7 @@ def oracle_project(f, keep, box, mode="project", limit=None):
     complement within the kept sub-box; 'specialize' verifies that every
     projected point has exactly one witness before projecting.
     """
-    if not isinstance(box, LatticeBox):
-        box = LatticeBox(tuple(box))
+    box = as_box(box)
     keep = list(keep)
     dropped = [i for i in range(f.nvars) if i not in keep]
     support = sorted(
@@ -559,19 +553,13 @@ def oracle_project(f, keep, box, mode="project", limit=None):
 
 def support_points(f, box, limit=None):
     """Support of a GF within a box, via the expansion oracle."""
-    if not isinstance(box, LatticeBox):
-        box = LatticeBox(tuple(box))
     return oracle_expand(canonicalize(f), box, limit=limit).support()
 
 
 def minkowski_oracle(f, g, box, out_box=None, limit=None):
     """Pointwise-sum support of two box-supported GFs, as a dense GF."""
-    if not isinstance(box, LatticeBox):
-        box = LatticeBox(tuple(box))
-    if out_box is None:
-        out_box = box
-    elif not isinstance(out_box, LatticeBox):
-        out_box = LatticeBox(tuple(out_box))
+    box = as_box(box)
+    out_box = box if out_box is None else as_box(out_box)
     sa = support_points(f, box, limit=limit)
     sb = support_points(g, box, limit=limit)
     sums = {la.vadd(a, b) for a in sa for b in sb}
@@ -626,10 +614,9 @@ def decompress(f, tau, seed=0):
     return tau_hadamard(full, f, tau.rows(), box=box, seed=seed)
 
 
-def gf_equal_on_box(f, g, box, limit=None):
+def gf_equal_on_box(f, g, box):
     """Semantic, box-relative equality: identical oracle tables."""
-    if not isinstance(box, LatticeBox):
-        box = LatticeBox(tuple(box))
-    ta = oracle_expand(canonicalize(f), box, limit=limit)
-    tb = oracle_expand(canonicalize(g), box, limit=limit)
+    box = as_box(box)
+    ta = oracle_expand(canonicalize(f), box)
+    tb = oracle_expand(canonicalize(g), box)
     return ta.support_with_values() == tb.support_with_values()

@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Verbs: count, coeff, norm, op, project, encode, segment, alt, demo, selftest.
-Exit codes: 1 usage, 2 semantic error, 3 resource limit.  Every randomized
-step receives an explicit or defaulted seed, recorded in the provenance line
-printed to stderr (together with input digests and the package version).
+Exit codes: 1 usage, 2 semantic error, 3 resource limit.  `--seed` (default
+0) reaches the lambda draws of `count`, `coeff`, `norm` and `op` (hadamard,
+the boolean operations and decompress) and seeds `selftest`.  `demo` never
+took it: its `sqcong` and `pi` draw at seed 0, as do the other verbs.  The
+seed is recorded in the provenance line printed to stderr, together with
+input digests and the package version.
 """
 
 import argparse

@@ -31,7 +31,9 @@ from .gfcore import (
     LatticeBox,
     ShortGF,
     canonicalize,
+    format_gf,
     from_point_set,
+    parse_gf,
     progression_gf,
 )
 from .presburger import (
@@ -188,10 +190,9 @@ def circuit_to_3cnf(circuit):
     """
     r = circuit.r
 
-    def lit(ref, positive=True):
+    def lit(ref):
         kind, idx = ref
-        v = idx if kind == "x" else r + idx
-        return v if positive else -v
+        return idx if kind == "x" else r + idx
 
     clauses = []
 
@@ -287,29 +288,58 @@ def cnf_to_pa(cnf):
 
 @dataclass
 class SegmentEncoding:
-    """Box, GF of the clause-violation region, and its per-cell projections.
+    """A circuit's clause-violation region GF and its per-cell projections.
+
+    Everything else follows from the circuit's r input bits and p gates and
+    the witness range q = max(r, p, 1): the (x, y) `box` is
+    [0, 2^r) x [0, 2^p), and the `full_box` adds three z-variables over
+    [0, 2^q) (`zdims` 3), or, once `tau` packs them, one over [0, N^3)
+    (`zdims` 1).  `cnf` is the circuit's Tseitin 3-CNF.
 
     `cells` holds the disjoint Polyhedron cells of the violation region in
-    the full box (empty for an encoding read back from text or packed).
-    The region GF `fr` is built from them with `polytope_gf` on its first
-    read and cached, so `segment_gf` and `proj_points`, which never read it,
-    pay nothing for it; `compress_encoding` and `parse_encoding` hand over
-    the `fr` they already have as `_fr`.
+    the full box, and `cell_points` their lattice points (both empty for an
+    encoding read back from text; a packed encoding keeps the points only).
+    The region GF `fr` is built from the cells with `polytope_gf` on its
+    first read and cached, so `segment_gf` and `proj_points`, which never
+    read it, pay nothing for it; `compress_encoding` and `parse_encoding`
+    hand over the `fr` they already have as `_fr`.
     """
 
-    r: int
-    p: int
-    q: int
-    box: LatticeBox  # the (x, y) box
-    full_box: LatticeBox  # the (x, y, z...) box
-    pieces: tuple  # per-cell (x, y)-projection GFs, one monomial per point
     circuit: BooleanCircuit
-    cnf: CNF3
-    zdims: int = 3
+    pieces: tuple  # per-cell (x, y)-projection GFs, one monomial per point
     tau: TauMap = None
-    cell_points: tuple = ()  # per-cell full lattice point lists
+    cell_points: tuple = ()
     cells: tuple = ()
     _fr: ShortGF = field(default=None, repr=False, compare=False)
+
+    @property
+    def r(self):
+        return self.circuit.r
+
+    @property
+    def p(self):
+        return self.circuit.p
+
+    @property
+    def q(self):
+        return max(self.r, self.p, 1)
+
+    @property
+    def zdims(self):
+        return 3 if self.tau is None else 1
+
+    @property
+    def cnf(self):
+        return circuit_to_3cnf(self.circuit)
+
+    @property
+    def box(self):
+        return LatticeBox((1 << self.r, 1 << self.p))
+
+    @property
+    def full_box(self):
+        z = (1 << self.q,) * 3 if self.tau is None else (self.tau.N**3,)
+        return LatticeBox(self.box.sides + z)
 
     @property
     def fr(self):
@@ -332,26 +362,15 @@ def encode_segment(circuit):
     `enumerate_polytope_points` bounds it by interval propagation alone; no
     vertex enumeration is needed.
     """
-    cnf = circuit_to_3cnf(circuit)
-    formula, violation, q = cnf_to_pa(cnf)
-    r, p = cnf.r, cnf.p
+    enc = SegmentEncoding(circuit, ())
+    _, violation, _ = cnf_to_pa(enc.cnf)
     var_order = ("x", "y", "z1", "z2", "z3")
-    full_box = LatticeBox((1 << r, 1 << p, 1 << q, 1 << q, 1 << q))
-    box = LatticeBox((1 << r, 1 << p))
-    if violation is None:
-        cells = []
-    else:
-        cells = disjointify(violation, full_box, var_order)
-    pieces = []
-    cell_points = []
-    for cell in cells:
-        pts = enumerate_polytope_points(cell)
-        cell_points.append(tuple(pts))
-        pieces.append(from_point_set([(pt[0], pt[1]) for pt in pts], 2))
-    return SegmentEncoding(
-        r, p, q, box, full_box, tuple(pieces), circuit, cnf, zdims=3,
-        cell_points=tuple(cell_points), cells=tuple(cells),
+    enc.cells = tuple(disjointify(violation, enc.full_box, var_order))
+    enc.cell_points = tuple(tuple(enumerate_polytope_points(c)) for c in enc.cells)
+    enc.pieces = tuple(
+        from_point_set([pt[:2] for pt in pts], 2) for pts in enc.cell_points
     )
+    return enc
 
 
 def violation_projection_by_bits(cnf, box):
@@ -393,20 +412,12 @@ def segment_gf(encoding):
 
 def compress_encoding(encoding):
     """Pack the three z-variables into one coordinate, leaving x and y alone."""
-    if encoding.zdims != 3:
+    if encoding.tau is not None:
         raise ValueError("encoding does not have a 3-variable z-block")
-    tau = choose_tau(
-        encoding.fr, (1, 1, 3), box=encoding.full_box
-    )
-    fr2 = compress(encoding.fr, tau)
-    n3 = tau.N ** 3
-    full_box = LatticeBox(
-        (encoding.box.sides[0], encoding.box.sides[1], n3)
-    )
+    tau = choose_tau(encoding.fr, (1, 1, 3), box=encoding.full_box)
     return SegmentEncoding(
-        encoding.r, encoding.p, encoding.q, encoding.box, full_box,
-        encoding.pieces, encoding.circuit, encoding.cnf, zdims=1, tau=tau,
-        cell_points=encoding.cell_points, _fr=fr2,
+        encoding.circuit, encoding.pieces, tau, encoding.cell_points,
+        _fr=compress(encoding.fr, tau),
     )
 
 
@@ -422,9 +433,6 @@ class AlternatingPipeline:
     box, or of its complement when `negated` is set.
     """
 
-    formula: PAFormula
-    var_order: tuple
-    box_sides: tuple
     region_points: set
     negated: bool
     accepted: tuple
@@ -486,9 +494,7 @@ def alternating_pipeline(formula, box_sides, limit=2_000_000):
         accepted = tuple(pt for pt in sub_box_points(width) if pt not in current)
     else:
         accepted = tuple(sorted(current))
-    return AlternatingPipeline(
-        formula, var_order, sides, region, negated, accepted,
-    )
+    return AlternatingPipeline(region, negated, accepted)
 
 
 def encode_alternating(circuit, prefix, cert_bits=0):
@@ -531,7 +537,7 @@ def encode_alternating(circuit, prefix, cert_bits=0):
     return pipeline, accepted
 
 
-def count_certificates(f2r, x, r, seed=0):
+def count_certificates(f2r, x, r):
     """Number of certificates paired with instance x in a concatenated-pair GF.
 
     Pairs are encoded as x + 2^r * c; the comb GF selecting them is
@@ -540,7 +546,7 @@ def count_certificates(f2r, x, r, seed=0):
     """
     step = 1 << r
     comb = progression_gf((x,), ((step,),), (step,))
-    return evaluate_at_one(hadamard(f2r, comb, seed=seed), seed=seed)
+    return evaluate_at_one(hadamard(f2r, comb))
 
 
 @dataclass
@@ -594,8 +600,6 @@ def minkowski_gadget(pieces, t_bound):
 
 
 def format_encoding(enc):
-    from .gfcore import format_gf
-
     n_field = enc.tau.N if enc.tau else 0
     lines = [
         f"enc r={enc.r} p={enc.p} q={enc.q} zdims={enc.zdims} "
@@ -613,8 +617,6 @@ def format_encoding(enc):
 
 
 def parse_encoding(text):
-    from .gfcore import parse_gf
-
     lines = text.splitlines()
     if not lines or not lines[0].startswith("enc "):
         raise FormatError("missing 'enc' header")
@@ -649,27 +651,19 @@ def parse_encoding(text):
         for name in order
         if name.startswith("piece")
     ]
-    if (r, p, q) != (circuit.r, circuit.p, max(circuit.r, circuit.p, 1)):
+    enc = SegmentEncoding(circuit, tuple(pieces), _fr=fr)
+    if (r, p, q) != (enc.r, enc.p, enc.q):
         raise FormatError(f"enc header does not match its circuit: {lines[0]!r}")
     if zdims not in (1, 3):
         raise FormatError(f"zdims must be 1 or 3, not {zdims}")
     if fr.nvars != 2 + zdims or any(piece.nvars != 2 for piece in pieces):
         raise FormatError("encoding GFs have the wrong number of variables")
-    cnf = circuit_to_3cnf(circuit)
-    box = LatticeBox((1 << r, 1 << p))
-    if zdims == 3:
-        full_box = LatticeBox((1 << r, 1 << p, 1 << q, 1 << q, 1 << q))
-        tau = None
-    else:
+    if zdims == 1:
         try:
-            tau = TauMap(n_field, (1, 1, 3))
+            enc.tau = TauMap(n_field, (1, 1, 3))
         except ValueError as exc:
             raise FormatError(f"bad packing base N={n_field}") from exc
-        full_box = LatticeBox((1 << r, 1 << p, n_field**3))
-    return SegmentEncoding(
-        r, p, q, box, full_box, tuple(pieces), circuit, cnf, zdims=zdims,
-        tau=tau, _fr=fr,
-    )
+    return enc
 
 
 # ---------------------------------------------------------------------------

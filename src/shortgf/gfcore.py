@@ -18,9 +18,16 @@ the reference semantics every other operation in the package is tested against.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import prod
 import random
 
-from .errors import DegenerateDirectionError, FormatError, NonCanonicalError
+from .errors import (
+    DegenerateDirectionError,
+    FormatError,
+    NonCanonicalError,
+    ResourceLimitError,
+)
 
 _PRIME_POOL = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -119,20 +126,15 @@ class LatticeBox:
         return [[0, u - 1] for u in self.sides]
 
     def volume(self):
-        v = 1
-        for u in self.sides:
-            v *= u
-        return v
+        return prod(self.sides)
 
     def points(self):
-        def rec(prefix, rest):
-            if not rest:
-                yield tuple(prefix)
-                return
-            for v in range(rest[0]):
-                yield from rec(prefix + [v], rest[1:])
+        return product(*(range(u) for u in self.sides))
 
-        yield from rec([], list(self.sides))
+
+def as_box(box):
+    """`box` itself when it is a LatticeBox, else the LatticeBox of its sides."""
+    return box if isinstance(box, LatticeBox) else LatticeBox(tuple(box))
 
 
 @dataclass
@@ -164,11 +166,9 @@ def zero_gf(nvars):
     return ShortGF(nvars, ())
 
 
-def monomial(nvars, point, coeff=1):
+def monomial(nvars, point):
     return ShortGF(
-        nvars,
-        (GFTerm(Fraction(coeff), tuple(point)),),
-        orientation=direction_for(nvars),
+        nvars, (GFTerm(Fraction(1), tuple(point)),), orientation=direction_for(nvars)
     )
 
 
@@ -231,11 +231,10 @@ def gf_length(f):
     return total
 
 
-def is_canonical(f, direction=None):
-    direction = direction or f.orientation
-    if direction is None:
+def is_canonical(f):
+    if f.orientation is None:
         return False
-    ell = direction.ell
+    ell = f.orientation.ell
     return all(
         sum(e * b for e, b in zip(ell, d)) < 0 for t in f.terms for d in t.denoms
     )
@@ -324,9 +323,8 @@ def oracle_expand(f, box, limit=None):
     tuples whose exponent stays inside the box (each step strictly increases
     the pairing with ell, which is bounded on the box, so the walk terminates).
     """
-    if not isinstance(box, LatticeBox):
-        box = LatticeBox(tuple(box))
-    if f.orientation is None or not is_canonical(f):
+    box = as_box(box)
+    if not is_canonical(f):
         raise NonCanonicalError("oracle_expand requires a canonicalized GF")
     ell = f.orientation.ell
     max_ell = sum(e * (u - 1) for e, u in zip(ell, box.sides))
@@ -342,8 +340,6 @@ def oracle_expand(f, box, limit=None):
             nonlocal steps
             steps += 1
             if limit is not None and steps > limit:
-                from .errors import ResourceLimitError
-
                 raise ResourceLimitError("oracle expansion exceeded step limit")
             if pairing > max_ell:
                 return

@@ -196,7 +196,7 @@ def factor_semiprime_from_sigma(n, sigma):
 # square congruences and prime counting
 
 
-def count_square_roots(alpha, beta, gamma, seed=0):
+def count_square_roots(alpha, beta, gamma):
     """#{x : 0 <= x <= gamma, x^2 = alpha mod beta} via the Hadamard gadget.
 
     Squares up to gamma^2 are intersected with the congruence-class comb
@@ -209,9 +209,9 @@ def count_square_roots(alpha, beta, gamma, seed=0):
     r = 2 * max(1, (gamma - 1).bit_length() + 1)  # squares up to gamma^2 < 2^r
     seg = segment_set("SQUARES", r)
     cls = ShortGF(1, (GFTerm(Fraction(1), (alpha % beta,), ((beta,),)),))
-    trimmed = hadamard(seg.gf, box_range_gf([0], [gamma * gamma]), seed=seed)
-    matched = hadamard(trimmed, cls, seed=seed)
-    return int(evaluate_at_one(matched, seed=seed))
+    trimmed = hadamard(seg.gf, box_range_gf([0], [gamma * gamma]))
+    matched = hadamard(trimmed, cls)
+    return int(evaluate_at_one(matched))
 
 
 def count_square_roots_direct(alpha, beta, gamma):
@@ -221,7 +221,7 @@ def count_square_roots_direct(alpha, beta, gamma):
     )
 
 
-def prime_pi(n, r=None, seed=0):
+def prime_pi(n, r=None):
     """pi(n) by intersecting the prime segment with [0, n] and evaluating."""
     if n < 1:
         return 0
@@ -230,8 +230,8 @@ def prime_pi(n, r=None, seed=0):
     if n >= (1 << r):
         raise ValueError("n must be below 2^r")
     seg = segment_set("PRIMES", r)
-    h = hadamard(seg.gf, box_range_gf([0], [n]), seed=seed)
-    return int(evaluate_at_one(h, seed=seed))
+    h = hadamard(seg.gf, box_range_gf([0], [n]))
+    return int(evaluate_at_one(h))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import _linalg as la
 from .barvinok import Polyhedron, polytope_gf
 from .errors import FormatError
-from .gfcore import LatticeBox, ShortGF, canonicalize
+from .gfcore import ShortGF, as_box, canonicalize
 
 # ---------------------------------------------------------------------------
 # AST
@@ -101,24 +101,6 @@ def conj(children):
 def disj(children):
     items = tuple(children)
     return items[0] if len(items) == 1 else Or(items)
-
-
-def collect_atoms(node, acc=None, seen=None):
-    """Atoms in syntactic order, deduplicated by value."""
-    if acc is None:
-        acc, seen = [], set()
-    if isinstance(node, LinearAtom):
-        if node not in seen:
-            seen.add(node)
-            acc.append(node)
-    elif isinstance(node, Not):
-        collect_atoms(node.child, acc, seen)
-    elif isinstance(node, (And, Or)):
-        for c in node.children:
-            collect_atoms(c, acc, seen)
-    else:
-        raise TypeError(f"not a quantifier-free node: {node!r}")
-    return acc
 
 
 def free_variables(node, bound=frozenset()):
@@ -259,8 +241,7 @@ def disjointify(body, box, var_order=None):
     branch its tightened negation; branches without an integer point are
     pruned exactly.
     """
-    if not isinstance(box, LatticeBox):
-        box = LatticeBox(tuple(box))
+    box = as_box(box)
     if var_order is None:
         var_order = tuple(free_variables(body))
     n = len(var_order)
@@ -316,8 +297,7 @@ def disjointify(body, box, var_order=None):
 
 def qf_to_gf(body, box, var_order=None):
     """Short GF of the truth set of a quantifier-free formula on a box."""
-    if not isinstance(box, LatticeBox):
-        box = LatticeBox(tuple(box))
+    box = as_box(box)
     if var_order is None:
         var_order = tuple(free_variables(body))
     return cells_gf(disjointify(body, box, var_order), len(var_order))

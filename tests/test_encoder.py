@@ -15,6 +15,7 @@ from shortgf import (
     PAFormula,
     QuantBlock,
     ResourceLimitError,
+    SegmentEncoding,
     alternating_pipeline,
     and_gate,
     bit_atoms,
@@ -242,6 +243,7 @@ class TestEncodeSegment:
             (False, "zdims=3", "zdims=1", "wrong number of variables"),
             (True, "zdims=1", "zdims=3", "wrong number of variables"),
         ],
+        ids=["r", "p", "q", "zdims", "unpacked-fr", "packed-fr"],
     )
     def test_parse_encoding_checks_its_header(self, packed, old, new, error):
         enc = encode_segment(even_detector(3))
@@ -252,6 +254,28 @@ class TestEncodeSegment:
         assert old in header
         with pytest.raises(FormatError, match=error):
             parse_encoding(header.replace(old, new) + "\n" + rest)
+
+
+class TestSegmentGeometry:
+    # every box of an encoding follows from the circuit: r inputs, p gates
+    # and the witness range q = max(r, p, 1)
+    def test_fields_are_what_cannot_be_derived(self):
+        assert [f.name for f in dataclasses.fields(SegmentEncoding)] == [
+            "circuit", "pieces", "tau", "cell_points", "cells", "_fr",
+        ]
+
+    def test_xor_detector_2(self):
+        enc = encode_segment(xor_detector(2))
+        assert (enc.r, enc.p, enc.q, enc.zdims) == (2, 5, 5, 3)
+        assert enc.box == LatticeBox((4, 32))
+        assert enc.full_box == LatticeBox((4, 32, 32, 32, 32))
+        assert enc.cnf == circuit_to_3cnf(enc.circuit)
+        packed = compress_encoding(enc)
+        back = parse_encoding(format_encoding(packed))
+        for e in (packed, back):
+            assert (e.r, e.p, e.q, e.zdims, e.tau.N) == (2, 5, 5, 1, 32)
+            assert e.box == LatticeBox((4, 32))
+            assert e.full_box == LatticeBox((4, 32, 32768))
 
 
 class TestCompressEncoding:

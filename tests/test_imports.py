@@ -1,18 +1,31 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses or defines a
+function or class that nothing names.
 
-A stdlib-`ast` stand-in for a linter's unused-import check, run on
-`src/shortgf/*.py`.  `__init__.py` is left out: its imports are the public
-re-exports.  A name counts as used when the module reads it anywhere or
-lists it in `__all__`.
+Stdlib-`ast` stand-ins for a linter's unused-import and dead-code checks,
+run on `src/shortgf/*.py`.  `__init__.py` is left out: its imports are the
+public re-exports.  An imported name counts as used when the module reads
+it anywhere or lists it in `__all__`.  A module-level function or class
+counts as used when some file under `src/`, `tests/`, `perfbench/` or
+`scripts/` other than `__init__.py` names it outside its own body: as a
+variable, an attribute, an imported name or a string constant (the
+benchmark tracer and `monkeypatch.setattr` name functions by string).
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "shortgf"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "shortgf"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCANNED = sorted(
+    p
+    for top in ("src", "tests", "perfbench", "scripts")
+    for p in (ROOT / top).rglob("*.py")
+    if p != SRC / "__init__.py"
+)
 
 
 def unused_imports(source):
@@ -55,3 +68,47 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def unused_definitions(modules, scanned):
+    """`module.name` of every module-level function or class in `modules`
+    (name -> source) that no source in `scanned` names outside its body."""
+    counts = Counter()
+    for source in scanned:
+        counts.update(_names(ast.parse(source)))
+    unused = []
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own = sum(1 for name in _names(node) if name == node.name)
+                if counts[node.name] == own:
+                    unused.append(f"{module}.{node.name}")
+    return sorted(unused)
+
+
+def test_checker_flags_an_unused_definition():
+    module = (
+        "class Used:\n    pass\n"
+        "def walk(node):\n    return [walk(c) for c in node]\n"
+        "def traced():\n    pass\n"
+        "def entry():\n    return Used()\n"
+    )
+    caller = "from pkg.mod import entry\nTARGETS = [('mod', 'traced')]\n"
+    assert unused_definitions({"mod": module}, [module, caller]) == ["mod.walk"]
+
+
+def test_no_unused_definitions():
+    modules = {p.stem: p.read_text() for p in MODULES}
+    assert unused_definitions(modules, [p.read_text() for p in SCANNED]) == []
