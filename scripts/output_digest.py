@@ -1,4 +1,4 @@
-"""Digest of every GF the benchmark's checkers return, per workload and seed.
+"""Digest of every output of the benchmark's items, per workload and seed.
 
     python3 scripts/output_digest.py --seeds 7 11
     python3 scripts/output_digest.py --seeds 7 --workload calculus --root DIR
@@ -6,11 +6,14 @@
 For each workload and seed this makes the benchmark's inputs, runs its items
 and its checker (``perfbench/workloads.py``), and prints one line:
 
-    <workload> seed=<s> gfs=<count> failed=<count> sha256=<hex>
+    <workload> seed=<s> gfs=<count> failed=<count> sha256=<hex> values_sha256=<hex>
 
-The digest is the sha256 of ``format_gf`` of the checker's GFs, joined in
-the order the checker returns them.  Two checkouts that print the same lines
-give byte-identical outputs on every benchmark workload.  ``--root`` is the
+``sha256`` is the sha256 of ``format_gf`` of the checker's GFs, joined in
+the order the checker returns them.  ``values_sha256`` is the sha256 of the
+``repr`` of each item's other outputs, item by item: the counts, encoding
+texts, coefficients, norms, packing maps and number-theory results, or the
+error an item raised.  Two checkouts that print the same lines give
+byte-identical outputs on every benchmark workload.  ``--root`` is the
 checkout whose ``src/`` and ``perfbench/`` are imported (default: the one
 that holds this script), so one copy of the script digests any commit.
 Nothing under ``perfbench/`` is written: bytecode caching is off.
@@ -24,14 +27,27 @@ import sys
 WORKLOADS = ("circuit_accept", "circuit_encode", "calculus", "number_theory")
 
 
+def values(sg, outcome):
+    """An item's outputs other than its GFs and encodings, in order."""
+    if isinstance(outcome, dict):
+        outcome = tuple(outcome.values())
+    elif not isinstance(outcome, tuple):
+        outcome = (outcome,)
+    return [x for x in outcome if not isinstance(x, (sg.ShortGF, sg.SegmentEncoding))]
+
+
 def digest(sg, workloads, workload, seed, make_inputs):
     item_fn, check = workloads.WORKLOADS[workload]
     inputs = make_inputs(workload, seed)
-    failures, gfs = check(sg, inputs, workloads.run_items(sg, item_fn, inputs))
+    outcomes = workloads.run_items(sg, item_fn, inputs)
+    failures, gfs = check(sg, inputs, outcomes)
     h = hashlib.sha256()
     for g in gfs:
         h.update(sg.format_gf(g).encode())
-    return len(gfs), len(failures), h.hexdigest()
+    hv = hashlib.sha256()
+    for out in outcomes:
+        hv.update(repr(values(sg, out)).encode())
+    return len(gfs), len(failures), h.hexdigest(), hv.hexdigest()
 
 
 def main(argv):
@@ -53,8 +69,13 @@ def main(argv):
     names = WORKLOADS if args.workload == "all" else (args.workload,)
     for seed in args.seeds:
         for name in names:
-            count, failed, hexdigest = digest(sg, workloads, name, seed, make_inputs)
-            print(f"{name} seed={seed} gfs={count} failed={failed} sha256={hexdigest}")
+            count, failed, gfs_hex, values_hex = digest(
+                sg, workloads, name, seed, make_inputs
+            )
+            print(
+                f"{name} seed={seed} gfs={count} failed={failed} sha256={gfs_hex} "
+                f"values_sha256={values_hex}"
+            )
             sys.stdout.flush()
 
 

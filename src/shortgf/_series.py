@@ -10,10 +10,20 @@ alpha = <lam, a>, nu_j = <lam, b_j>, and
     Td(x) = x/(e^x - 1) = sum_i B_i x^i / i!,
 
 the Todd series, whose coefficients B_i/i! are tabled once for all terms.
+
+The product is taken in integers.  Truncated after eps^K, the exp series
+times K! has integer coefficients K!/i! * alpha^i, and the Todd table times
+the lcm D of its denominators has integer entries D * B_i/i!.  With k factors
+the product is then K! * D^k times the true series, and `limit_series`
+returns it with that scale and the leads -1/nu_j folded into one integer
+denominator K! * prod_j (-nu_j * D).  No Fraction is made while the
+series is multiplied out; a caller divides by that denominator only where
+it needs an exact value.
 """
 
 from fractions import Fraction
-from math import factorial
+from functools import cache
+from math import factorial, lcm
 
 _TODD = [Fraction(1)]  # _TODD[i] = B_i / i!
 
@@ -30,19 +40,37 @@ def todd_coefficients(order):
     return _TODD[: order + 1]
 
 
-def limit_series(alpha, nus, order):
-    """(lead, coeffs) with exp(alpha*eps) * prod_j 1/(1 - e^(nu_j*eps)) =
-    lead * eps^-len(nus) * sum_i coeffs[i] eps^i, truncated after eps^order.
-
-    lead = prod_j (-1/nu_j), each nu_j nonzero; coeffs are the eps^0..eps^order
-    coefficients of exp(alpha*eps) * prod_j Td(nu_j*eps).
-    """
+@cache
+def _scaled_tables(order):
+    """The integer exp weights K!/i!, the lcm D and the Todd table times D."""
     todd = todd_coefficients(order)
-    coeffs = [Fraction(alpha**i, factorial(i)) for i in range(order + 1)]
-    lead = Fraction(1)
+    d = lcm(*(t.denominator for t in todd))
+    kfact = factorial(order)
+    return (
+        tuple(kfact // factorial(i) for i in range(order + 1)),
+        d,
+        tuple(int(t * d) for t in todd),
+    )
+
+
+def limit_series(alpha, nus, order):
+    """(den, ints) with exp(alpha*eps) * prod_j 1/(1 - e^(nu_j*eps)) =
+    eps^-len(nus) * sum_i Fraction(ints[i], den) eps^i, truncated after
+    eps^order.
+
+    Each nu_j is nonzero.  ints[i] is the eps^i coefficient of
+    exp(alpha*eps) * prod_j Td(nu_j*eps) times K! * D^k (K = order, k =
+    len(nus), D the lcm of the denominators of `todd_coefficients(K)`), all in
+    integers: the exp series enters as K!/i! * alpha^i and each Todd factor
+    as D * B_j/j! * nu^j.  den = K! * prod_j (-nu_j * D) carries that scale
+    and the lead prod_j (-1/nu_j); it may be negative.
+    """
+    weights, d, todd = _scaled_tables(order)
+    coeffs = [w * alpha**i for i, w in enumerate(weights)]
+    den = weights[0]
     for nu in nus:
-        lead *= Fraction(-1, nu)
-        out = [Fraction(0)] * (order + 1)
+        den *= -nu * d
+        out = [0] * (order + 1)
         for j, t in enumerate(todd):
             if t:
                 w = t * nu**j
@@ -50,7 +78,7 @@ def limit_series(alpha, nus, order):
                     if coeffs[i]:
                         out[i + j] += coeffs[i] * w
         coeffs = out
-    return lead, coeffs
+    return den, coeffs
 
 
 def eulerian_polynomials(max_order):

@@ -17,7 +17,7 @@ most the original term's denominator count.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 import random
 
 from . import _linalg as la
@@ -97,16 +97,19 @@ def substitute(
         d = len(dead)
         alive = [j for j in range(len(vecs)) if j not in dead]
         nu_dead = [la.dot(lam, vecs[j]) for j in dead]
-        lead, series = limit_series(la.dot(lam, apex), nu_dead, d)
+        den, series = limit_series(la.dot(lam, apex), nu_dead, d)
         nu_alive = [la.dot(lam, vecs[j]) for j in alive]
+        scale = c * coeff_factor
+        scale_num, scale_den = scale.numerator, scale.denominator * den
 
-        def emit(pos, remaining, factor, extra_apex, extra_vecs):
+        def emit(pos, remaining, num, fden, extra_apex, extra_vecs):
+            # num / fden = prod over the alive factors of nu^i / i! * a_ik
             if pos == len(alive):
-                total = factor * series[remaining]
+                total = num * series[remaining]
                 if total:
                     out_terms.append(
                         term_from_positive(
-                            c * coeff_factor * lead * total,
+                            Fraction(scale_num * total, scale_den * fden),
                             tuple(a + e for a, e in zip(base_shift, extra_apex)),
                             tuple(extra_vecs),
                         )
@@ -116,12 +119,8 @@ def substitute(
             gvec = images[j]
             nu = nu_alive[pos]
             for i in range(remaining + 1):
-                if i == 0:
-                    weight = Fraction(1)
-                elif nu == 0:
+                if i and nu == 0:
                     break
-                else:
-                    weight = Fraction(nu**i, factorial(i))
                 poly = eulerian[i]
                 for k, a_ik in enumerate(poly):
                     if a_ik == 0:
@@ -129,12 +128,13 @@ def substitute(
                     emit(
                         pos + 1,
                         remaining - i,
-                        factor * weight * a_ik,
+                        num * nu**i * a_ik,
+                        fden * factorial(i),
                         tuple(e + k * gv for e, gv in zip(extra_apex, gvec)),
                         extra_vecs + [gvec] * (i + 1),
                     )
 
-        emit(0, d, Fraction(1), tuple(0 for _ in range(out_nvars)), [])
+        emit(0, d, 1, 1, tuple(0 for _ in range(out_nvars)), [])
 
     return normalized(canonicalize(ShortGF(out_nvars, tuple(out_terms))))
 
@@ -144,35 +144,46 @@ def evaluate_at_one(f, seed=0):
 
     Each term contributes exp(<lam,a> eps) times, per denominator b, -1/(nu eps)
     and the Todd series x/(e^x - 1) = sum_i B_i x^i / i! at x = nu eps = <lam,b> eps.
+    `limit_series` multiplies these out in integers, and the value and the
+    pole sums are accumulated in integers over one common denominator, the
+    lcm of the terms' denominators; the only Fraction is the returned one.
 
-    For a GF of finite support this is the cardinality of the support; for a
-    short power series of finite support it is the sum of all coefficients.
-    A finite support makes f a Laurent polynomial, so the poles eps^-j
-    (j >= 1) of the summed term series cancel; when they do not, f has
-    infinite support and InfiniteSupportError is raised.  The check is
+    Returns a Fraction: for a GF of finite support the cardinality of the
+    support; for a short power series of finite support the sum of all
+    coefficients.  A finite support makes f a Laurent polynomial, so the
+    poles eps^-j (j >= 1) of the summed term series cancel; when they do not,
+    f has infinite support and InfiniteSupportError is raised.  The check is
     necessary but not sufficient: poles can cancel at the drawn lam for
     some infinite supports, and then the returned value is meaningless.
     """
     constraints = [d for t in f.terms for d in t.denoms]
     lam = _draw_lambda(f.nvars, constraints, seed) if constraints else None
-    total = Fraction(0)
-    poles = {}  # j -> coefficient of eps^-j
+    # acc[j] / common is the coefficient of eps^-j of the summed series
+    acc = [0] * (max((len(t.denoms) for t in f.terms), default=0) + 1)
+    common = 1
     for term in f.terms:
         if term.coeff == 0:
             continue
         k = len(term.denoms)
         if k == 0:
-            total += term.coeff
-            continue
-        lead, series = limit_series(
-            la.dot(lam, term.numer), [la.dot(lam, b) for b in term.denoms], k
-        )
-        scale = term.coeff * lead
-        total += scale * series[k]
-        for j in range(1, k + 1):
-            poles[j] = poles.get(j, 0) + scale * series[k - j]
-    if any(poles.values()):
+            den, series = 1, [1]
+        else:
+            den, series = limit_series(
+                la.dot(lam, term.numer), [la.dot(lam, b) for b in term.denoms], k
+            )
+        num = term.coeff.numerator
+        den *= term.coeff.denominator
+        if den < 0:
+            num, den = -num, -den
+        m = den // gcd(common, den)
+        if m > 1:
+            acc = [x * m for x in acc]
+            common *= m
+        num *= common // den
+        for j in range(k + 1):
+            acc[j] += num * series[k - j]
+    if any(acc[1:]):
         raise InfiniteSupportError(
             "evaluation at one has a pole: the GF does not have finite support"
         )
-    return total
+    return Fraction(acc[0], common)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import ceil, floor
+from math import ceil, floor, lcm
 
 from . import _linalg as la
 from ._subst import substitute
@@ -334,21 +334,29 @@ def _dual_cone_gf_terms(normals, d):
     return tuple(results)
 
 
-def _unimodular_cone_term(vertex, gen_cols, dual_cols, sign):
+def _unimodular_cone_term(nums, den, gen_cols, dual_cols, sign):
     """GF of the shifted unimodular cone: sign * t^a / prod(1 - t^g).
 
-    a is the unique lattice point of vertex + sum [0,1) g_i.  The cone is
-    the polar of the cone on dual_cols: with W the matrix of dual_cols, the
-    generator matrix is G = -(W^-1)^T, so G^-1 = -W^T and the vertex has
-    coordinates gamma_j = -<dual_cols[j], vertex> in the basis g.
+    The vertex is nums / den, den > 0, and a is the unique lattice point of
+    vertex + sum [0,1) g_i.  The cone is the polar of the cone on dual_cols:
+    with W the matrix of dual_cols, the generator matrix is G = -(W^-1)^T,
+    so G^-1 = -W^T and the vertex has coordinates gamma_j =
+    -<dual_cols[j], nums> / den in the basis g, rounded up to
+    -(<dual_cols[j], nums> // den).
     """
     d = len(gen_cols)
     apex = [0] * d
     for j in range(d):
-        c = ceil(-la.dot(dual_cols[j], vertex))
+        c = -(la.dot(dual_cols[j], nums) // den)
         for i in range(d):
             apex[i] += c * gen_cols[j][i]
     return Fraction(sign), tuple(apex), tuple(gen_cols)
+
+
+def _scaled_point(point):
+    """(nums, den) with point = nums / den, den the lcm of its denominators."""
+    den = lcm(*(x.denominator for x in point))
+    return [x.numerator * (den // x.denominator) for x in point], den
 
 
 def _brion_fulldim(rows, d, verts):
@@ -358,9 +366,10 @@ def _brion_fulldim(rows, d, verts):
     """
     triples = []
     for vertex, tight in verts:
+        nums, den = _scaled_point(vertex)
         normals = tuple(sorted({la.primitive(rows[i][0]) for i in tight}))
         for sign, polar_cols, ucols in _dual_cone_gf_terms(normals, d):
-            triples.append(_unimodular_cone_term(vertex, polar_cols, ucols, sign))
+            triples.append(_unimodular_cone_term(nums, den, polar_cols, ucols, sign))
     return triples
 
 
@@ -580,8 +589,9 @@ def cone_gf(cone):
         raise ValueError("cone_gf requires a unimodular cone")
     # inv is G^{-1}, and the cone is the polar of the one on its negated rows
     dual_cols = [tuple(-x for x in row) for row in inv]
+    nums, den = _scaled_point(cone.apex)
     sign, apex, cols = _unimodular_cone_term(
-        cone.apex, cone.generators, dual_cols, cone.sign
+        nums, den, cone.generators, dual_cols, cone.sign
     )
     return canonicalize(
         ShortGF(n, (term_from_positive(sign, apex, cols),))

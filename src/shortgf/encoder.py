@@ -626,6 +626,7 @@ def parse_encoding(text):
         p = int(fields["p"])
         q = int(fields["q"])
         zdims = int(fields["zdims"])
+        npieces = int(fields["npieces"])
         n_field = int(fields.get("N", "0"))
     except (KeyError, ValueError) as exc:
         raise FormatError(f"bad enc header: {lines[0]!r}") from exc
@@ -651,6 +652,10 @@ def parse_encoding(text):
         for name in order
         if name.startswith("piece")
     ]
+    if npieces != len(pieces):
+        raise FormatError(
+            f"enc header says npieces={npieces} over {len(pieces)} piece sections"
+        )
     enc = SegmentEncoding(circuit, tuple(pieces), _fr=fr)
     if (r, p, q) != (enc.r, enc.p, enc.q):
         raise FormatError(f"enc header does not match its circuit: {lines[0]!r}")

@@ -242,8 +242,9 @@ class TestEncodeSegment:
             (False, "zdims=3", "zdims=2", "zdims must be 1 or 3"),
             (False, "zdims=3", "zdims=1", "wrong number of variables"),
             (True, "zdims=1", "zdims=3", "wrong number of variables"),
+            (False, "npieces=3 ", "npieces=7 ", "npieces=7 over 3 piece sections"),
         ],
-        ids=["r", "p", "q", "zdims", "unpacked-fr", "packed-fr"],
+        ids=["r", "p", "q", "zdims", "unpacked-fr", "packed-fr", "npieces"],
     )
     def test_parse_encoding_checks_its_header(self, packed, old, new, error):
         enc = encode_segment(even_detector(3))
@@ -352,14 +353,18 @@ class TestLazyRegionGF:
             assert digest == self.FORMAT_SHA256[(name, packed)]
 
     # the exponential-substitution limits are exact: the count of the packed
-    # region GF and the bytes of a collapsed specialization are fixed
-    SPECIALIZE_SHA256 = "74bfc7581c9a3bc1a09a70d04391592811a2580770cbeae4a651f5f8560d4c6f"
+    # region GF and the bytes of a collapsed specialization, per lambda seed,
+    # are fixed
+    SPECIALIZE_SHA256 = {
+        0: "74bfc7581c9a3bc1a09a70d04391592811a2580770cbeae4a651f5f8560d4c6f",
+        1: "f38791944b4f5d3c6e953357952efe399a0d90f9958d61c583a338489fc01d8f",
+    }
 
     def test_limits_unchanged(self):
         enc = encode_segment(xor_detector(2))
         assert evaluate_at_one(compress_encoding(enc).fr) == 347
         text = format_gf(specialize_vars(enc.fr, [0]))
-        assert hashlib.sha256(text.encode()).hexdigest() == self.SPECIALIZE_SHA256
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SPECIALIZE_SHA256[0]
 
     def test_collapsed_series_same_for_every_seed(self):
         # the bytes of a collapsed specialization depend on the lambda draw;
@@ -369,6 +374,8 @@ class TestLazyRegionGF:
         assert sum(want.values()) == 347
         for seed in (0, 1):
             f = specialize_vars(enc.fr, [0], seed=seed)
+            digest = hashlib.sha256(format_gf(f).encode()).hexdigest()
+            assert digest == self.SPECIALIZE_SHA256[seed]
             table = oracle_expand(f, LatticeBox((8,))).support_with_values()
             assert table == {(x,): c for x, c in want.items()}
             assert evaluate_at_one(f, seed=seed) == 347
