@@ -82,24 +82,36 @@ def substitute(
     max_d = max((len(dead) for _, _, _, _, dead in per_term), default=0)
     eulerian = eulerian_polynomials(max_d) if max_d else None
 
-    out_terms = []
+    # (apex, vecs) -> [num, den]: the coefficient num / den summed over the
+    # key's emissions, in first-emission order
+    acc = {}
+
+    def add(key, num, den):
+        hit = acc.get(key)
+        if hit is None:
+            acc[key] = [num, den]
+        elif hit[1] == den:
+            hit[0] += num
+        else:
+            g = gcd(hit[1], den)
+            hit[0] = hit[0] * (den // g) + num * (hit[1] // g)
+            hit[1] = hit[1] // g * den
+
     for c, apex, vecs, images, dead in per_term:
         if c == 0:
             continue
         base_shift = tuple(
             s + x for s, x in zip(shift, _map_vec(vrows, apex))
         )
+        scale = c * coeff_factor
         if not dead:
-            out_terms.append(
-                term_from_positive(c * coeff_factor, base_shift, images)
-            )
+            add((base_shift, images), scale.numerator, scale.denominator)
             continue
         d = len(dead)
         alive = [j for j in range(len(vecs)) if j not in dead]
         nu_dead = [la.dot(lam, vecs[j]) for j in dead]
         den, series = limit_series(la.dot(lam, apex), nu_dead, d)
         nu_alive = [la.dot(lam, vecs[j]) for j in alive]
-        scale = c * coeff_factor
         scale_num, scale_den = scale.numerator, scale.denominator * den
 
         def emit(pos, remaining, num, fden, extra_apex, extra_vecs):
@@ -107,12 +119,13 @@ def substitute(
             if pos == len(alive):
                 total = num * series[remaining]
                 if total:
-                    out_terms.append(
-                        term_from_positive(
-                            Fraction(scale_num * total, scale_den * fden),
+                    add(
+                        (
                             tuple(a + e for a, e in zip(base_shift, extra_apex)),
                             tuple(extra_vecs),
-                        )
+                        ),
+                        scale_num * total,
+                        scale_den * fden,
                     )
                 return
             j = alive[pos]
@@ -136,7 +149,13 @@ def substitute(
 
         emit(0, d, 1, 1, tuple(0 for _ in range(out_nvars)), [])
 
-    return normalized(canonicalize(ShortGF(out_nvars, tuple(out_terms))))
+    # a key whose sum is zero stays for `normalized` to drop: it may share
+    # its canonical form with a later key, whose place it then sets
+    out_terms = tuple(
+        term_from_positive(Fraction(num, den), apex, vecs)
+        for (apex, vecs), (num, den) in acc.items()
+    )
+    return normalized(canonicalize(ShortGF(out_nvars, out_terms)))
 
 
 def evaluate_at_one(f, seed=0):

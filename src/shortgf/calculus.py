@@ -25,6 +25,7 @@ from .gfcore import (
     GFTerm,
     LatticeBox,
     ShortGF,
+    _term,
     as_box,
     canonicalize,
     concat,
@@ -292,12 +293,12 @@ def _pair_terms(
     """
     p, q = len(vecsA), len(vecsB)
     if p == 0 and q == 0:
-        return (GFTerm(coeff, aA),)
+        return (_term(coeff, aA),)
     if p == 0 and q == 1 and len(aB) == 1:
         diff = tau_a[0] - aB[0]
         d0 = vecsB[0][0]
         if diff % d0 == 0 and diff // d0 >= 0:
-            return (GFTerm(coeff, aA),)
+            return (_term(coeff, aA),)
         return ()
     if boxed and box is None:
         raise UnboundedPolyhedronError(

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
+from operator import add, mul
 import random
 
 from .errors import (
@@ -59,7 +60,13 @@ def direction_for(nvars, seed=0):
 
 @dataclass(frozen=True)
 class GFTerm:
-    """One summand c * t^numer / prod (1 - t^d) for d in denoms."""
+    """One summand c * t^numer / prod (1 - t^d) for d in denoms.
+
+    The public constructor coerces the coefficient to a Fraction and the
+    exponents to int tuples, and validates the denominator vectors.
+    Internal producers that already hold those types build terms with
+    `_term`, which keeps the validation and skips the coercion.
+    """
 
     coeff: Fraction
     numer: tuple
@@ -76,6 +83,25 @@ class GFTerm:
                 raise ValueError("denominator exponent vectors must be nonzero")
             if len(d) != len(self.numer):
                 raise ValueError("denominator vector length mismatch")
+
+
+def _term(coeff, numer, denoms=()):
+    """GFTerm from a Fraction and int tuples, without re-coercing them.
+
+    The checks of `GFTerm.__post_init__` still hold: every denominator
+    vector is nonzero and as long as the numerator.
+    """
+    n = len(numer)
+    for d in denoms:
+        if not any(d):
+            raise ValueError("denominator exponent vectors must be nonzero")
+        if len(d) != n:
+            raise ValueError("denominator vector length mismatch")
+    t = object.__new__(GFTerm)
+    object.__setattr__(t, "coeff", coeff)
+    object.__setattr__(t, "numer", numer)
+    object.__setattr__(t, "denoms", denoms)
+    return t
 
 
 @dataclass(frozen=True)
@@ -178,7 +204,8 @@ def from_point_set(points, nvars):
     for p in pts:
         if len(p) != nvars:
             raise ValueError("point arity mismatch")
-    terms = tuple(GFTerm(Fraction(1), p) for p in pts)
+    one = Fraction(1)
+    terms = tuple(_term(one, p) for p in pts)
     return ShortGF(nvars, terms, orientation=direction_for(nvars))
 
 
@@ -194,16 +221,22 @@ def progression_gf(apex, vecs, counts, coeff=1):
     if len(counts) != len(vecs) or any(c < 0 for c in counts):
         raise ValueError("need one nonnegative count per vector")
     coeff = Fraction(coeff)
+    apex = tuple(int(a) for a in apex)
+    vecs = tuple(tuple(int(x) for x in v) for v in vecs)
+    # every term has the denominators of coeff * t^apex / prod (1 - t^v_j),
+    # so orienting that one term orients them all
+    base = canonicalize(ShortGF(len(apex), (_term(coeff, apex, vecs),)))
+    (first,) = base.terms
+    signs = (first.coeff, -first.coeff)
+    steps = [tuple(int(c) * x for x in v) for v, c in zip(vecs, counts)]
     terms = []
     for mask in range(1 << len(vecs)):
-        numer = tuple(apex)
-        signed = coeff
-        for j, (v, c) in enumerate(zip(vecs, counts)):
+        numer = first.numer
+        for j, step in enumerate(steps):
             if mask >> j & 1:
-                numer = tuple(a + c * x for a, x in zip(numer, v))
-                signed = -signed
-        terms.append(GFTerm(signed, numer, tuple(vecs)))
-    return canonicalize(ShortGF(len(apex), tuple(terms)))
+                numer = tuple(map(add, numer, step))
+        terms.append(_term(signs[mask.bit_count() & 1], numer, first.denoms))
+    return ShortGF(len(apex), tuple(terms), base.index_bound, base.orientation)
 
 
 def gf_index(f):
@@ -251,20 +284,16 @@ def canonicalize(f, direction=None):
     seed.  The direction defaults to f's own orientation, else
     `direction_for(f.nvars)`; f is returned itself when it is already
     canonical under its orientation and that is the direction asked for.
+    Each pairing <ell, b> is computed once per direction tried, and a term
+    with no vector to flip is kept as the same object.
     """
     if direction is None:
         direction = f.orientation or direction_for(f.nvars)
-    if direction == f.orientation and is_canonical(f):
-        return f
     seed = direction.seed
     for attempt in range(_CANON_MAX_RETRIES):
         ell = direction.ell
-        degenerate = any(
-            sum(e * b for e, b in zip(ell, d)) == 0
-            for t in f.terms
-            for d in t.denoms
-        )
-        if not degenerate:
+        pairings = [[sum(map(mul, ell, d)) for d in t.denoms] for t in f.terms]
+        if all(all(ps) for ps in pairings):
             break
         seed += 1
         direction = direction_for(f.nvars, seed)
@@ -272,20 +301,25 @@ def canonicalize(f, direction=None):
         raise DegenerateDirectionError(
             f"no valid direction after {_CANON_MAX_RETRIES} retries"
         )
-    ell = direction.ell
+    flips = [any(p > 0 for p in ps) for ps in pairings]
+    if direction == f.orientation and not any(flips):
+        return f
     new_terms = []
-    for t in f.terms:
+    for t, ps, flip in zip(f.terms, pairings, flips):
+        if not flip:
+            new_terms.append(t)
+            continue
         coeff = t.coeff
-        numer = list(t.numer)
+        numer = t.numer
         denoms = []
-        for d in t.denoms:
-            if sum(e * b for e, b in zip(ell, d)) > 0:
+        for d, p in zip(t.denoms, ps):
+            if p > 0:
                 coeff = -coeff
-                numer = [a - b for a, b in zip(numer, d)]
+                numer = tuple(a - b for a, b in zip(numer, d))
                 denoms.append(tuple(-b for b in d))
             else:
                 denoms.append(d)
-        new_terms.append(GFTerm(coeff, tuple(numer), tuple(denoms)))
+        new_terms.append(_term(coeff, numer, tuple(denoms)))
     return ShortGF(f.nvars, tuple(new_terms), f.index_bound, direction)
 
 
@@ -307,13 +341,13 @@ def term_positive_form(term):
 
 def term_from_positive(coeff, apex, vecs):
     """Inverse of `term_positive_form`: raw (*) data from expanded data."""
-    k = len(vecs)
-    c = Fraction(coeff) if k % 2 == 0 else -Fraction(coeff)
-    numer = apex
+    if type(coeff) is not Fraction:
+        coeff = Fraction(coeff)
+    numer = tuple(apex)
     for v in vecs:
-        numer = tuple(a - v_ for a, v_ in zip(numer, v))
+        numer = tuple(a - x for a, x in zip(numer, v))
     denoms = tuple(tuple(-x for x in v) for v in vecs)
-    return GFTerm(c, numer, denoms)
+    return _term(coeff if len(vecs) % 2 == 0 else -coeff, numer, denoms)
 
 
 def oracle_expand(f, box, limit=None):
@@ -324,6 +358,8 @@ def oracle_expand(f, box, limit=None):
     the pairing with ell, which is bounded on the box, so the walk terminates).
     """
     box = as_box(box)
+    if box.nvars != f.nvars:
+        raise ValueError("box arity does not match nvars")
     if not is_canonical(f):
         raise NonCanonicalError("oracle_expand requires a canonicalized GF")
     ell = f.orientation.ell
@@ -362,20 +398,25 @@ def oracle_expand(f, box, limit=None):
 
 
 def normalized(f):
-    """Merge terms with identical (numer, denoms) and drop zero terms.
+    """Merge terms with the same numerator and denominator multiset, and
+    drop zero terms.
 
-    Terms are not merged automatically anywhere else; this is an explicit pass.
+    The terms keep the order of their keys' first occurrences, with their
+    denominator vectors sorted.  A term whose key occurs once and whose
+    denominators are already sorted is kept as the same object.
+    `tau_hadamard`, `substitute`, `lattice_gf_mapped` and `boolean_combine`
+    return their results through this pass.
     """
     acc = {}
-    order = []
     for t in f.terms:
-        key = (t.numer, tuple(sorted(t.denoms)))
-        if key not in acc:
-            acc[key] = Fraction(0)
-            order.append(key)
-        acc[key] += t.coeff
+        d = t.denoms
+        key = (t.numer, d if len(d) < 2 else tuple(sorted(d)))
+        hit = acc.get(key)
+        acc[key] = (t.coeff, t) if hit is None else (hit[0] + t.coeff, None)
     terms = tuple(
-        GFTerm(acc[key], key[0], key[1]) for key in order if acc[key] != 0
+        t if t is not None and t.denoms == key[1] else _term(c, *key)
+        for key, (c, t) in acc.items()
+        if c
     )
     return ShortGF(f.nvars, terms, f.index_bound, f.orientation)
 

@@ -29,6 +29,7 @@ from shortgf import (
     coefficient,
     complement_in_box,
     compress,
+    concat,
     decompress,
     evaluate_at_one,
     from_point_set,
@@ -38,6 +39,7 @@ from shortgf import (
     monomial,
     multiply,
     norm,
+    normalized,
     oracle_expand,
     oracle_project,
     polytope_gf,
@@ -52,7 +54,7 @@ from shortgf import (
 )
 from shortgf.errors import SpecializationError
 from shortgf.calculus import _polytope_pair_terms, _separable_terms
-from shortgf.gfcore import format_gf, term_positive_form
+from shortgf.gfcore import format_gf, term_from_positive, term_positive_form
 
 
 def interval_gf(lo, hi):
@@ -818,6 +820,114 @@ class TestHadamardWork:
         f = polytope_gf(Polyhedron(((1,), (-1,)), (9, -3), 1))
         assert _table(f, (16,)) == _indicator((x,) for x in range(3, 10))
         assert calls == []
+
+    def test_canonicalize_keeps_oriented_terms(self):
+        # (-1, 0) pairs negatively with the default ell = (2, 3), (1, 0) not
+        kept = GFTerm(1, (0, 0), ((-1, 0),))
+        flipped = GFTerm(1, (0, 0), ((1, 0),))
+        g = canonicalize(ShortGF(2, (kept, flipped)))
+        assert g.terms[0] is kept
+        assert g.terms[1] == GFTerm(-1, (-1, 0), ((-1, 0),))
+
+    def test_normalized_keeps_unmerged_sorted_terms(self):
+        single = GFTerm(1, (0,), ((-2,), (-1,)))
+        unsorted = GFTerm(1, (1,), ((-1,), (-2,)))
+        twice = GFTerm(1, (5,))
+        g = normalized(ShortGF(1, (single, unsorted, twice, twice)))
+        assert g.terms[0] is single
+        assert g.terms[1] == GFTerm(1, (1,), ((-2,), (-1,)))
+        assert g.terms[2] == GFTerm(2, (5,))
+
+    def test_hadamard_builds_terms_without_coercion(self, monkeypatch):
+        # monomial pairs, the 1-D divisibility test and separable pairs
+        f1 = from_point_set([(3,), (9,), (12,)], 1)
+        g1 = box_range_gf([2], [10])
+        f2 = from_point_set([(0, 1), (2, 3), (3, 0), (5, 5)], 2)
+        g2 = box_range_gf([1, 0], [4, 6])
+        calls = self._count(monkeypatch, GFTerm, "__post_init__")
+        h1 = hadamard(f1, g1, box=(16,))
+        h2 = hadamard(f2, g2, box=(8, 8))
+        h3 = hadamard(g2, f2, box=(8, 8))
+        assert calls == []
+        assert _table(h1, (16,)) == _indicator([(3,), (9,)])
+        for h in (h2, h3):
+            assert _table(h, (8, 8)) == _indicator([(2, 3), (3, 0)])
+
+
+@st.composite
+def raw_gfs(draw):
+    """A 1-3-D GF of 1-4 terms with numerators in [-3, 3] and 0-2 nonzero
+    denominator vectors in [-2, 2]^n, not canonicalized."""
+    n = draw(st.integers(1, 3))
+    coord = st.integers(-3, 3)
+    vec = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
+    terms = [
+        GFTerm(
+            Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))),
+            tuple(draw(coord) for _ in range(n)),
+            tuple(draw(st.lists(vec, max_size=2))),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return ShortGF(n, tuple(terms))
+
+
+class TestInternalTerms:
+    """Terms that the package builds without GFTerm's coercion are exact and
+    equal to the public constructor's."""
+
+    @staticmethod
+    def _assert_exact(terms):
+        for t in terms:
+            assert type(t.coeff) is Fraction
+            assert type(t.numer) is tuple
+            assert all(type(x) is int for x in t.numer)
+            assert type(t.denoms) is tuple
+            for d in t.denoms:
+                assert type(d) is tuple and all(type(x) is int for x in d)
+            assert t == GFTerm(t.coeff, t.numer, t.denoms)
+
+    @settings(max_examples=40, deadline=None)
+    @given(raw_gfs(), st.data())
+    def test_producers_build_exact_terms(self, f, data):
+        n = f.nvars
+        g = canonicalize(f)
+        self._assert_exact(g.terms)
+        self._assert_exact(normalized(f).terms)
+        self._assert_exact(normalized(concat(g, g)).terms)
+        # term_from_positive inverts term_positive_form, from an int
+        # coefficient and a list apex as well
+        for t in g.terms:
+            c, apex, vecs = term_positive_form(t)
+            back = term_from_positive(c, apex, vecs)
+            self._assert_exact([back])
+            assert back == t
+            self._assert_exact([term_from_positive(int(c * 6), list(apex), vecs)])
+        side = 4
+        lows = [data.draw(st.integers(0, side - 1)) for _ in range(n)]
+        highs = [data.draw(st.integers(lo, side - 1)) for lo in lows]
+        box = (side,) * n
+        slab = box_range_gf(lows, highs)
+        steps = [data.draw(st.integers(1, 2)) for _ in range(n)]
+        units = [tuple(s if i == j else 0 for i in range(n)) for j, s in enumerate(steps)]
+        prog = progression_gf(lows, units, [(side - lo - 1) // s + 1 for lo, s in zip(lows, steps)])
+        cells = list(product(range(side), repeat=n))
+        pts = from_point_set(data.draw(st.sets(st.sampled_from(cells), max_size=4)), n)
+        self._assert_exact(slab.terms + prog.terms + pts.terms)
+        for a, b in ((slab, prog), (prog, pts), (pts, slab)):
+            h = hadamard(a, b, box=box)
+            self._assert_exact(h.terms)
+            self._assert_exact(specialize_vars(h, [0]).terms)
+        self._assert_exact(specialize_vars(prog, [n - 1]).terms)
+
+    def test_polytope_terms_are_exact(self):
+        disc = polytope_gf(
+            Polyhedron(((1, 0), (-1, 0), (0, 1), (0, -1), (1, 2)), (7, 0, 7, 0, 9), 2)
+        )
+        self._assert_exact(disc.terms)
+        slab = box_range_gf([1, 0], [6, 5])
+        self._assert_exact(hadamard(disc, slab, box=(8, 8)).terms)
+        self._assert_exact(specialize_vars(disc, [1]).terms)
 
 
 class TestHadamardBytes:

@@ -135,6 +135,15 @@ class TestErrors:
         code, _, _ = run_cli(["count", "/nonexistent/f.gf"], capsys)
         assert code == 2
 
+    def test_box_of_wrong_arity_exits_two(self, two_witness_file, capsys):
+        code, out, err = run_cli(
+            ["project", two_witness_file, "--keep", "0", "--box", "2,8,3"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "box arity does not match nvars" in err
+
     def test_count_infinite_support_exits_two(self, tmp_path, capsys):
         path = tmp_path / "geom.gf"
         path.write_text("gf nvars=1 index=1\nterm c=1/1 a=0 b=1\n")

@@ -28,7 +28,9 @@ from shortgf import (
     oracle_expand,
     parse_gf,
     progression_gf,
+    support_points,
 )
+from shortgf.gfcore import _term
 
 
 def expand(f, box):
@@ -119,6 +121,15 @@ class TestOracleExpand:
         with pytest.raises(NonCanonicalError):
             oracle_expand(f, LatticeBox((4,)))
 
+    @pytest.mark.parametrize("sides", [(4,), (4, 4, 4)])
+    def test_rejects_box_of_wrong_arity(self, sides):
+        # zip over the sides would truncate: (4,) would keep only (0, 0)
+        f = from_point_set([(1, 2), (0, 0)], 2)
+        with pytest.raises(ValueError, match="box arity does not match nvars"):
+            oracle_expand(f, LatticeBox(sides))
+        with pytest.raises(ValueError, match="box arity does not match nvars"):
+            support_points(f, sides)
+
 
 class TestFromPointSet:
     def test_empty(self):
@@ -186,6 +197,22 @@ class TestProgressionGF:
             progression_gf((0,), ((2,),), (-1,))
         with pytest.raises(ValueError, match="one nonnegative count per vector"):
             progression_gf((0, 0), ((1, 0), (0, 1)), (3,))
+
+
+class TestTermConstructors:
+    def test_public_constructor_coerces(self):
+        t = GFTerm(1, [1.0], [[2]])
+        assert type(t.coeff) is Fraction and t.coeff == 1
+        assert t.numer == (1,) and type(t.numer[0]) is int
+        assert t.denoms == ((2,),) and type(t.denoms[0][0]) is int
+
+    def test_internal_constructor_validates(self):
+        t = _term(Fraction(3, 2), (1, 2), ((0, -1),))
+        assert t == GFTerm(Fraction(3, 2), (1, 2), ((0, -1),))
+        with pytest.raises(ValueError, match="nonzero"):
+            _term(Fraction(1), (1, 2), ((0, 0),))
+        with pytest.raises(ValueError, match="length mismatch"):
+            _term(Fraction(1), (1, 2), ((1,),))
 
 
 class TestLengthAndIndex:
