@@ -909,8 +909,11 @@ class TestInternalTerms:
         box = (side,) * n
         slab = box_range_gf(lows, highs)
         steps = [data.draw(st.integers(1, 2)) for _ in range(n)]
-        units = [tuple(s if i == j else 0 for i in range(n)) for j, s in enumerate(steps)]
-        prog = progression_gf(lows, units, [(side - lo - 1) // s + 1 for lo, s in zip(lows, steps)])
+        units = [
+            tuple(s if i == j else 0 for i in range(n)) for j, s in enumerate(steps)
+        ]
+        counts = [(side - lo - 1) // s + 1 for lo, s in zip(lows, steps)]
+        prog = progression_gf(lows, units, counts)
         cells = list(product(range(side), repeat=n))
         pts = from_point_set(data.draw(st.sets(st.sampled_from(cells), max_size=4)), n)
         self._assert_exact(slab.terms + prog.terms + pts.terms)
