@@ -4,9 +4,11 @@ The exponent map x -> V x (+ shift) sends a term c t^a / prod(1 - t^b) to
 c u^(Va) / prod(1 - u^(Vb)).  When some V b = 0 the substituted factor is
 singular; for finite-support inputs the total is still a Laurent polynomial,
 and the correct value is the eps^0 coefficient after perturbing the
-substitution by t_j <- u^(V e_j) * exp(eps * lam_j) with a generic integer
-lam.  Each collapsed factor 1/(1 - e^(nu*eps)) is -1/(nu*eps) times the Todd
-series x/(e^x - 1) = sum_i B_i x^i / i! at x = nu*eps (`limit_series`);
+substitution by t_j <- u^(V e_j) * exp(eps * lam_j), where lam is the point
+(1, k, k^2, ..) of the moment curve with the least k >= 1 at which no
+collapsed vector pairs to zero (`moment_vector`).  Each collapsed factor
+1/(1 - e^(nu*eps)) is -1/(nu*eps) times the Todd series
+x/(e^x - 1) = sum_i B_i x^i / i! at x = nu*eps (`limit_series`);
 surviving factors contribute series whose coefficients are m-th moment sums
 
     sum_{m>=0} m^i w^m = A_i(w) / (1-w)^(i+1),    w = u^(Vb),
@@ -18,28 +20,18 @@ most the original term's denominator count.
 
 from fractions import Fraction
 from math import factorial, gcd
-import random
 
 from . import _linalg as la
 from ._series import eulerian_polynomials, limit_series
-from .errors import DegenerateDirectionError, InfiniteSupportError, ZeroImageError
+from .errors import InfiniteSupportError, ZeroImageError
 from .gfcore import (
     ShortGF,
     canonicalize,
+    moment_vector,
     normalized,
     term_from_positive,
     term_positive_form,
 )
-
-
-def _draw_lambda(nvars, constraints, seed):
-    """Integer vector with nonzero pairing against every constraint vector."""
-    rng = random.Random(seed)
-    for _ in range(200):
-        lam = tuple(rng.randint(1, 997) * (1 if rng.random() < 0.5 else -1) for _ in range(nvars))
-        if all(la.dot(lam, vec) != 0 for vec in constraints):
-            return lam
-    raise DegenerateDirectionError("no generic perturbation vector found")
 
 
 def _map_vec(vrows, vec):
@@ -53,7 +45,6 @@ def substitute(
     shift=None,
     coeff_factor=1,
     allow_collapse=False,
-    seed=0,
 ):
     """Apply the exponent map x -> V x + shift to a short GF.
 
@@ -78,7 +69,7 @@ def substitute(
         per_term.append((c, apex, vecs, images, dead))
         collapsed_vecs.extend(vecs[j] for j in dead)
 
-    lam = _draw_lambda(f.nvars, collapsed_vecs, seed) if collapsed_vecs else None
+    lam = moment_vector(f.nvars, collapsed_vecs, 1) if collapsed_vecs else None
     max_d = max((len(dead) for _, _, _, _, dead in per_term), default=0)
     eulerian = eulerian_polynomials(max_d) if max_d else None
 
@@ -158,7 +149,7 @@ def substitute(
     return normalized(canonicalize(ShortGF(out_nvars, out_terms)))
 
 
-def evaluate_at_one(f, seed=0):
+def evaluate_at_one(f):
     """Limit of f(t) as t -> (1,..,1), exact, via t_j <- exp(eps * lam_j).
 
     Each term contributes exp(<lam,a> eps) times, per denominator b, -1/(nu eps)
@@ -172,11 +163,12 @@ def evaluate_at_one(f, seed=0):
     coefficients.  A finite support makes f a Laurent polynomial, so the
     poles eps^-j (j >= 1) of the summed term series cancel; when they do not,
     f has infinite support and InfiniteSupportError is raised.  The check is
-    necessary but not sufficient: poles can cancel at the drawn lam for
-    some infinite supports, and then the returned value is meaningless.
+    necessary but not sufficient: poles can cancel at the moment-curve lam
+    (`moment_vector` from 1) for some infinite supports, and then the
+    returned value is meaningless.
     """
     constraints = [d for t in f.terms for d in t.denoms]
-    lam = _draw_lambda(f.nvars, constraints, seed) if constraints else None
+    lam = moment_vector(f.nvars, constraints, 1) if constraints else None
     # acc[j] / common is the coefficient of eps^-j of the summed series
     acc = [0] * (max((len(t.denoms) for t in f.terms), default=0) + 1)
     common = 1

@@ -469,7 +469,6 @@ def lattice_gf_mapped(
     exp_offset,
     out_nvars,
     coeff_factor=1,
-    seed=0,
 ):
     """Short GF over out-space of sum over {y in Z^m : A y <= b, E y = h} of t^(M y + o).
 
@@ -516,7 +515,6 @@ def lattice_gf_mapped(
         shift=offset,
         coeff_factor=coeff_factor,
         allow_collapse=True,
-        seed=seed,
     )
 
 

@@ -112,7 +112,7 @@ def substitute_monomials(f, vrows, out_nvars):
     return substitute(f, [tuple(r) for r in vrows], out_nvars)
 
 
-def specialize_vars(f, keep, seed=0):
+def specialize_vars(f, keep):
     """Set all variables outside `keep` to one; requires finite support.
 
     Collapsed denominator factors are resolved by the exact perturbation
@@ -122,7 +122,7 @@ def specialize_vars(f, keep, seed=0):
     vrows = [
         tuple(1 if j == k else 0 for j in range(f.nvars)) for k in keep
     ]
-    return substitute(f, vrows, len(keep), allow_collapse=True, seed=seed)
+    return substitute(f, vrows, len(keep), allow_collapse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +241,7 @@ def _separable_terms(coeff, aA, vecsA, aB, vecsB, box):
 
 
 def _polytope_pair_terms(
-    coeff, aA, vecsA, tau_a, aB, vecsB, tau_rows, boxed, box, out_nvars, seed
+    coeff, aA, vecsA, tau_a, aB, vecsB, tau_rows, boxed, box, out_nvars
 ):
     """Terms of one term pair through its auxiliary polytope.
 
@@ -275,13 +275,12 @@ def _polytope_pair_terms(
     ]
     return lattice_gf_mapped(
         ineqs, eq_rows, eq_rhs, m, exp_rows, tuple(aA), out_nvars,
-        coeff_factor=coeff, seed=seed,
+        coeff_factor=coeff,
     ).terms
 
 
 def _pair_terms(
-    coeff, aA, vecsA, tau_a, aB, vecsB, tau_rows, pinned, boxed, box, out_nvars,
-    seed,
+    coeff, aA, vecsA, tau_a, aB, vecsB, tau_rows, pinned, boxed, box, out_nvars
 ):
     """Terms of one term pair of a linear-functional Hadamard product.
 
@@ -311,11 +310,11 @@ def _pair_terms(
         if terms is not None:
             return terms
     return _polytope_pair_terms(
-        coeff, aA, vecsA, tau_a, aB, vecsB, tau_rows, boxed, box, out_nvars, seed
+        coeff, aA, vecsA, tau_a, aB, vecsB, tau_rows, boxed, box, out_nvars
     )
 
 
-def tau_hadamard(f, g, tau_rows, box=None, seed=0):
+def tau_hadamard(f, g, tau_rows, box=None):
     """Linear-functional Hadamard product: coefficients alpha_x * beta_tau(x).
 
     f ranges over the output variables; g over the functional's target
@@ -387,14 +386,14 @@ def tau_hadamard(f, g, tau_rows, box=None, seed=0):
             collected.extend(
                 _pair_terms(
                     cA * cB, aA, vecsA, tau_a, aB, vecsB, tau_rows, pinned,
-                    boxed, box, f.nvars, seed,
+                    boxed, box, f.nvars,
                 )
             )
     out = canonicalize(ShortGF(f.nvars, tuple(collected)))
     return normalized(out)
 
 
-def hadamard(f, g, box=None, seed=0):
+def hadamard(f, g, box=None):
     """Coefficientwise product; the identity functional applied coordinatewise.
 
     Both supports must lie in `box`; a pair whose g-term is a monomial
@@ -406,7 +405,7 @@ def hadamard(f, g, box=None, seed=0):
         tuple(1 if i == j else 0 for j in range(f.nvars))
         for i in range(f.nvars)
     ]
-    return tau_hadamard(f, g, ident, box=box, seed=seed)
+    return tau_hadamard(f, g, ident, box=box)
 
 
 def multiply(f, g):
@@ -436,7 +435,7 @@ def _check_zero_one(f, box):
     return table
 
 
-def boolean_combine(f, g, box, mode, check=True, seed=0):
+def boolean_combine(f, g, box, mode, check=True):
     """Set algebra on supports: mode is one of 'intersect', 'union', 'minus'.
 
     Both supports must lie in `box`, which bounds the Hadamard product's
@@ -447,7 +446,7 @@ def boolean_combine(f, g, box, mode, check=True, seed=0):
     if check:
         _check_zero_one(f, box)
         _check_zero_one(g, box)
-    h = hadamard(f, g, box=box, seed=seed)
+    h = hadamard(f, g, box=box)
     if mode in ("intersect", "&"):
         return h
     if mode in ("union", "|"):
@@ -472,13 +471,13 @@ def complement_in_box(f, box, check=True):
     return boolean_combine(full, f, box, "minus", check=check)
 
 
-def coefficient(f, point, seed=0):
+def coefficient(f, point):
     """Coefficient at one exponent: Hadamard with the monomial, evaluated at one."""
-    h = hadamard(f, monomial(f.nvars, point), seed=seed)
-    return evaluate_at_one(h, seed=seed)
+    h = hadamard(f, monomial(f.nvars, point))
+    return evaluate_at_one(h)
 
 
-def norm(f, box, seed=0):
+def norm(f, box):
     """Coordinatewise support maxima within the box (None when empty).
 
     Found by bisection: intersect with half-box GFs and test nonemptiness via
@@ -486,7 +485,7 @@ def norm(f, box, seed=0):
     """
     box = as_box(box)
     n = f.nvars
-    if evaluate_at_one(hadamard(f, box_range_gf([0] * n, [u - 1 for u in box.sides]), box=box, seed=seed)) == 0:
+    if evaluate_at_one(hadamard(f, box_range_gf([0] * n, [u - 1 for u in box.sides]), box=box)) == 0:
         return None
     maxima = []
     for j in range(n):
@@ -497,7 +496,7 @@ def norm(f, box, seed=0):
             highs = [u - 1 for u in box.sides]
             lows[j] = m
             half = box_range_gf(lows, highs)
-            return evaluate_at_one(hadamard(f, half, box=box, seed=seed)) != 0
+            return evaluate_at_one(hadamard(f, half, box=box)) != 0
 
         while lo < hi:
             mid = (lo + hi + 1) // 2
@@ -607,12 +606,12 @@ def compress(f, tau):
     return substitute_monomials(f, tau.rows(), tau.ngroups)
 
 
-def decompress(f, tau, seed=0):
+def decompress(f, tau):
     """Recover the unpacked support: functional Hadamard of the box GF with f."""
     n = tau.nvars
     box = LatticeBox(tuple(tau.N for _ in range(n)))
     full = box_range_gf([0] * n, [tau.N - 1] * n)
-    return tau_hadamard(full, f, tau.rows(), box=box, seed=seed)
+    return tau_hadamard(full, f, tau.rows(), box=box)
 
 
 def gf_equal_on_box(f, g, box):

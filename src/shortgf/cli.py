@@ -2,11 +2,10 @@
 
 Verbs: count, coeff, norm, op, project, encode, segment, alt, demo, selftest.
 Exit codes: 1 usage, 2 semantic error, 3 resource limit.  `--seed` (default
-0) reaches the lambda draws of `count`, `coeff`, `norm` and `op` (hadamard,
-the boolean operations and decompress) and seeds `selftest`.  `demo` never
-took it: its `sqcong` and `pi` draw at seed 0, as do the other verbs.  The
-seed is recorded in the provenance line printed to stderr, together with
-input digests and the package version.
+0) seeds only the random trials of `selftest`: every other verb is
+deterministic and writes the same output for any seed.  The seed is
+recorded in the provenance line printed to stderr, together with input
+digests and the package version.
 """
 
 import argparse
@@ -181,7 +180,7 @@ def _cmd_op(args):
         g = read_gf(args.inputs[1])
         box = _box_from_flag(args.box, f.nvars)
         if kind == "hadamard":
-            out = hadamard(f, g, box=box, seed=args.seed)
+            out = hadamard(f, g, box=box)
         elif kind == "minkowski":
             if box is None:
                 raise FormatError("minkowski requires --box")
@@ -189,7 +188,7 @@ def _cmd_op(args):
         else:
             if box is None:
                 raise FormatError(f"{kind} requires --box")
-            out = boolean_combine(f, g, box, kind, seed=args.seed)
+            out = boolean_combine(f, g, box, kind)
         _emit_gf(out, args.output)
         return 0
     # compress or decompress
@@ -210,7 +209,7 @@ def _cmd_op(args):
         if not args.base:
             raise FormatError("decompress requires --base")
         tau = TauMap(args.base, groups)
-        out = decompress(f, tau, seed=args.seed)
+        out = decompress(f, tau)
     _emit_gf(out, args.output)
     return 0
 
@@ -267,17 +266,17 @@ def main(argv=None):
         _provenance([p for p in paths if _exists(p)], args.seed)
         if args.verb == "count":
             f = read_gf(args.gf)
-            print(evaluate_at_one(f, seed=args.seed))
+            print(evaluate_at_one(f))
             return 0
         if args.verb == "coeff":
             f = read_gf(args.gf)
             point = tuple(int(x) for x in args.point.split(","))
-            print(coefficient(f, point, seed=args.seed))
+            print(coefficient(f, point))
             return 0
         if args.verb == "norm":
             f = read_gf(args.gf)
             box = _box_from_flag(args.box, f.nvars)
-            result = norm(f, box, seed=args.seed)
+            result = norm(f, box)
             print("empty" if result is None else ",".join(str(x) for x in result))
             return 0
         if args.verb == "op":

@@ -9,10 +9,6 @@ class FormatError(ShortGFError):
     """Malformed text input (GF files, polyhedron files, circuits, formulas)."""
 
 
-class DegenerateDirectionError(ShortGFError):
-    """No valid expansion direction found after bounded retries."""
-
-
 class NonCanonicalError(ShortGFError):
     """Operation requires a canonicalized generating function."""
 

@@ -21,10 +21,8 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 from operator import add, mul
-import random
 
 from .errors import (
-    DegenerateDirectionError,
     FormatError,
     NonCanonicalError,
     ResourceLimitError,
@@ -39,23 +37,39 @@ _PRIME_POOL = [
 
 @dataclass(frozen=True)
 class ExpansionDirection:
-    """Direction fixing the Laurent region; entries are distinct positive primes."""
+    """Direction fixing the Laurent region; entries are distinct and positive.
+
+    `direction_for` gives the first primes; `canonicalize` falls back to a
+    point of the moment curve (`moment_vector` from 2) when they are
+    degenerate for the GF at hand.
+    """
 
     ell: tuple
-    seed: int = 0
 
     def __post_init__(self):
         if len(set(self.ell)) != len(self.ell) or any(e <= 0 for e in self.ell):
             raise ValueError("direction entries must be distinct and positive")
 
 
-def direction_for(nvars, seed=0):
-    """Deterministic expansion direction: seed 0 gives the first nvars primes."""
-    if seed == 0:
-        return ExpansionDirection(tuple(_PRIME_POOL[:nvars]), 0)
-    rng = random.Random(seed)
-    ell = tuple(rng.sample(_PRIME_POOL, nvars))
-    return ExpansionDirection(ell, seed)
+def direction_for(nvars):
+    """The default expansion direction: the first nvars primes."""
+    return ExpansionDirection(tuple(_PRIME_POOL[:nvars]))
+
+
+def moment_vector(nvars, vecs, k):
+    """(1, k', k'^2, ..) for the least k' >= k >= 1 that pairs nonzero with
+    every vector of `vecs`.
+
+    <(1, x, .., x^(n-1)), v> is a nonzero integer polynomial in x, so by
+    Cauchy's root bound each of its roots has |x| < 1 + max_i |v_i|; the
+    search stops by k' = max(k, 1 + max |v_i|) at the latest.
+    """
+    vecs = set(vecs)
+    while True:
+        lam = tuple(k**i for i in range(nvars))
+        if all(sum(map(mul, lam, v)) for v in vecs):
+            return lam
+        k += 1
 
 
 @dataclass(frozen=True)
@@ -273,34 +287,26 @@ def is_canonical(f):
     )
 
 
-_CANON_MAX_RETRIES = 64
-
-
 def canonicalize(f, direction=None):
     """Flip denominator vectors until all pair negatively with the direction.
 
     The flip identity 1/(1-t^b) = -t^(-b)/(1-t^(-b)) preserves the rational
-    function; a direction with <ell, b> = 0 for some b is regenerated from its
-    seed.  The direction defaults to f's own orientation, else
-    `direction_for(f.nvars)`; f is returned itself when it is already
-    canonical under its orientation and that is the direction asked for.
-    Each pairing <ell, b> is computed once per direction tried, and a term
-    with no vector to flip is kept as the same object.
+    function.  The direction defaults to f's own orientation, else
+    `direction_for(f.nvars)`; when some denominator pairs to zero with it,
+    the moment-curve point `moment_vector(n, denoms, 2)` is taken instead.
+    f is returned itself when it is already canonical under its orientation
+    and that is the direction asked for.  Each pairing <ell, b> is computed
+    once per direction tried, and a term with no vector to flip is kept as
+    the same object.
     """
     if direction is None:
         direction = f.orientation or direction_for(f.nvars)
-    seed = direction.seed
-    for attempt in range(_CANON_MAX_RETRIES):
-        ell = direction.ell
+    ell = direction.ell
+    pairings = [[sum(map(mul, ell, d)) for d in t.denoms] for t in f.terms]
+    if not all(all(ps) for ps in pairings):
+        ell = moment_vector(f.nvars, (d for t in f.terms for d in t.denoms), 2)
+        direction = ExpansionDirection(ell)
         pairings = [[sum(map(mul, ell, d)) for d in t.denoms] for t in f.terms]
-        if all(all(ps) for ps in pairings):
-            break
-        seed += 1
-        direction = direction_for(f.nvars, seed)
-    else:
-        raise DegenerateDirectionError(
-            f"no valid direction after {_CANON_MAX_RETRIES} retries"
-        )
     flips = [any(p > 0 for p in ps) for ps in pairings]
     if direction == f.orientation and not any(flips):
         return f

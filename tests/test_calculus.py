@@ -167,18 +167,15 @@ def small_polytopes(draw, min_dim=1):
 
 
 class TestLambdaDraw:
-    """Results that depend on the drawn lambda only through exact limits."""
-
-    SEEDS = (0, 1, 2)
+    """Results that depend on the moment-curve lambda only through exact limits."""
 
     @settings(max_examples=25, deadline=None)
     @given(small_polytopes(), st.randoms(use_true_random=False))
-    def test_evaluate_at_one_counts_for_every_seed(self, poly, rng):
+    def test_evaluate_at_one_counts(self, poly, rng):
         p, _, pts = poly
         subset = [q for q in pts if rng.random() < 0.5]
-        for seed in self.SEEDS:
-            assert evaluate_at_one(from_point_set(subset, p.n), seed=seed) == len(subset)
-            assert evaluate_at_one(polytope_gf(p), seed=seed) == len(pts)
+        assert evaluate_at_one(from_point_set(subset, p.n)) == len(subset)
+        assert evaluate_at_one(polytope_gf(p)) == len(pts)
 
     @settings(max_examples=60, deadline=None)
     @given(small_polytopes(min_dim=2), st.data())
@@ -190,10 +187,8 @@ class TestLambdaDraw:
         )
         want = Counter(tuple(q[i] for i in keep) for q in pts)
         box = LatticeBox(tuple(highs[i] + 1 for i in keep))
-        f = polytope_gf(p)
-        for seed in self.SEEDS:
-            g = specialize_vars(f, keep, seed=seed)
-            assert oracle_expand(canonicalize(g), box).support_with_values() == want
+        g = specialize_vars(polytope_gf(p), keep)
+        assert oracle_expand(canonicalize(g), box).support_with_values() == want
 
 
 class TestTauHadamard:
@@ -718,7 +713,7 @@ class TestSeparablePairs:
                     coeff, aA, vecsA, aB, vecsB, boxed,
                     _separable_terms(coeff, aA, vecsA, aB, vecsB, box if boxed else None),
                     _polytope_pair_terms(
-                        coeff, aA, vecsA, aA, aB, vecsB, ident, boxed, box, n, 0
+                        coeff, aA, vecsA, aA, aB, vecsB, ident, boxed, box, n
                     ),
                 )
 
@@ -934,15 +929,15 @@ class TestInternalTerms:
 
 
 class TestHadamardBytes:
-    """The bytes of seeded Hadamard-product results are fixed."""
+    """The bytes of Hadamard-product results on seeded inputs are fixed."""
 
-    # sha256 of format_gf, one per (seed, result) below
+    # sha256 of format_gf, one per (input seed, result) below
     SHA256 = {
         (0, "intersect"): "df5ab34898c5262ce71a28bf34f444ab2184243cd8d67116f8afcc7a07665b1c",
         (0, "union"): "3b690ae1e515943987dd8a239f6ea2674e9bb237cbc0aa71c4b0f295c9b74c1b",
         (0, "minus"): "5dca310b539fab41b0e801d7b423e1e127dceada460843e67817c0a777b1c72a",
         (0, "decompress_points"): "c34d92574a8227cbaf48b6afe620ca33c1a47f66ff9362c1728579318a2244a2",
-        (0, "decompress_polytope"): "02b71303b8e65e8da52e8cf08096a9700c5379e82cc4db3f1829dd75b8c666b5",
+        (0, "decompress_polytope"): "2412bab48184f370e7c2ad9abf3d8bd10398e426edde36c28374a92a25343418",
         (1, "intersect"): "66fe53413ec5f1bcfa8237d84946bbc4dd677f9a03a4080f62aa0e804e5e4c72",
         (1, "union"): "a49322c124b9caba0dfb73c15d32330adc85754879b0b4fa3983a8d910383023",
         (1, "minus"): "84d03b68e615321bbcc7e3c6c94312987cef0b6706838ba350650354c54f2bac",

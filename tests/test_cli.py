@@ -7,6 +7,20 @@ import sys
 import pytest
 
 import shortgf
+from shortgf import (
+    LatticeBox,
+    Polyhedron,
+    box_range_gf,
+    choose_tau,
+    compress,
+    compress_encoding,
+    encode_segment,
+    format_circuit,
+    format_encoding,
+    polytope_gf,
+    write_gf,
+    xor_detector,
+)
 from shortgf.cli import main
 
 
@@ -243,3 +257,63 @@ class TestDeterminism:
         second = subprocess.run(cmd, capture_output=True, env=env)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+
+class TestSeedIndependence:
+    """`--seed` seeds only `selftest`: every other verb writes the same
+    stdout and the same `-o` file under any seed."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        # a clipped triangle and a box; decompressing the packed triangle
+        # takes the collapse path of `substitute`, where lambda is chosen
+        rows = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 2))
+        f = polytope_gf(Polyhedron(rows, (7, 0, 7, 0, 12), 2))
+        tau = choose_tau(f, (2,), box=LatticeBox((8, 8)))
+        enc = compress_encoding(encode_segment(xor_detector(2)))
+        paths = {
+            "f": tmp_path / "f.gf",
+            "g": tmp_path / "g.gf",
+            "packed": tmp_path / "packed.gf",
+            "circuit": tmp_path / "xor.circ",
+            "encoding": tmp_path / "xor.enc",
+        }
+        write_gf(f, str(paths["f"]))
+        write_gf(box_range_gf([1, 0], [6, 5]), str(paths["g"]))
+        write_gf(compress(f, tau), str(paths["packed"]))
+        paths["circuit"].write_text(format_circuit(xor_detector(2)))
+        paths["encoding"].write_text(format_encoding(enc))
+        paths = {k: str(v) for k, v in paths.items()}
+        paths["base"] = str(tau.N)
+        return paths
+
+    # argument templates: {name} is an input path, {out} the -o path
+    VERBS = {
+        "count": "count {f}",
+        "coeff": "coeff {f} --point 4,3",
+        "norm": "norm {f} --box 8",
+        "op intersect": "op intersect {f} {g} --box 8 -o {out}",
+        "op union": "op union {f} {g} --box 8 -o {out}",
+        "op minus": "op minus {f} {g} --box 8 -o {out}",
+        "op hadamard": "op hadamard {f} {g} --box 8 -o {out}",
+        "op decompress": "op decompress {packed} --base {base} --groups 2 -o {out}",
+        "project": "project {f} --keep 0 --box 8,8 -o {out}",
+        "encode --pack": "encode --pack --circuit {circuit} -o {out}",
+        "segment": "segment {encoding} -o {out}",
+        "alt": "alt --prefix E --circuit {circuit}",
+        "demo pi": "demo pi --n 100",
+    }
+
+    @pytest.mark.parametrize("verb", sorted(VERBS))
+    def test_same_bytes_for_every_seed(self, verb, inputs, tmp_path, capsys):
+        outputs = []
+        for seed in ("0", "5"):
+            path = tmp_path / f"out-{seed}"
+            args = [
+                token.format(out=path, **inputs) for token in self.VERBS[verb].split()
+            ]
+            code, out, _ = run_cli(["--seed", seed, *args], capsys)
+            assert code == 0
+            outputs.append((out, path.read_bytes() if path.exists() else None))
+        assert outputs[0] == outputs[1]
+        assert any(outputs[0])

@@ -301,11 +301,12 @@ class TestCompressEncoding:
 
 class TestLazyRegionGF:
     # sha256 of format_encoding, unpacked and packed, as produced by the
-    # eager region-GF construction; a lazy fr must not change a byte
+    # eager region-GF construction with the moment-curve lambda; a lazy fr
+    # must not change a byte
     FORMAT_SHA256 = {
         ("even_detector(3)", False): "8a4e282a9203b9ee0c2261927062e773b3cacee5f92012da06240e3d4352a588",
         ("even_detector(3)", True): "908a1a3ee534fcacc213c30a046e64265e865bfab9d68ef4f286a40c329c599f",
-        ("xor_detector(2)", False): "d0d546231e6f941b4eb90539626722edb096a2af175feea6a34725086fee92e7",
+        ("xor_detector(2)", False): "d8b55a0c391c5e43886ab574595ed4a49735ab8ee5c7dff844d77b7f6674764c",
         ("xor_detector(2)", True): "affb1d51f8e639d997ce378767078ea72d707449d0d0a12dc4ce82deb9e1e987",
     }
 
@@ -353,32 +354,27 @@ class TestLazyRegionGF:
             assert digest == self.FORMAT_SHA256[(name, packed)]
 
     # the exponential-substitution limits are exact: the count of the packed
-    # region GF and the bytes of a collapsed specialization, per lambda seed,
-    # are fixed
-    SPECIALIZE_SHA256 = {
-        0: "74bfc7581c9a3bc1a09a70d04391592811a2580770cbeae4a651f5f8560d4c6f",
-        1: "f38791944b4f5d3c6e953357952efe399a0d90f9958d61c583a338489fc01d8f",
-    }
+    # region GF and the bytes of a collapsed specialization are fixed
+    SPECIALIZE_SHA256 = "431d2d027a80db0830e4d5a82688a7c4b3a173cb340fcf9e2a7db371b2694865"
 
     def test_limits_unchanged(self):
         enc = encode_segment(xor_detector(2))
         assert evaluate_at_one(compress_encoding(enc).fr) == 347
         text = format_gf(specialize_vars(enc.fr, [0]))
-        assert hashlib.sha256(text.encode()).hexdigest() == self.SPECIALIZE_SHA256[0]
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SPECIALIZE_SHA256
 
-    def test_collapsed_series_same_for_every_seed(self):
-        # the bytes of a collapsed specialization depend on the lambda draw;
-        # its series must not, and must count the cells' points by x
+    def test_collapsed_series_counts_points_by_x(self):
+        # the bytes of a collapsed specialization depend on lambda; its
+        # series must not, and must count the cells' points by x
         enc = encode_segment(xor_detector(2))
         want = Counter(pt[0] for pts in enc.cell_points for pt in pts)
         assert sum(want.values()) == 347
-        for seed in (0, 1):
-            f = specialize_vars(enc.fr, [0], seed=seed)
-            digest = hashlib.sha256(format_gf(f).encode()).hexdigest()
-            assert digest == self.SPECIALIZE_SHA256[seed]
-            table = oracle_expand(f, LatticeBox((8,))).support_with_values()
-            assert table == {(x,): c for x, c in want.items()}
-            assert evaluate_at_one(f, seed=seed) == 347
+        f = specialize_vars(enc.fr, [0])
+        digest = hashlib.sha256(format_gf(f).encode()).hexdigest()
+        assert digest == self.SPECIALIZE_SHA256
+        table = oracle_expand(f, LatticeBox((8,))).support_with_values()
+        assert table == {(x,): c for x, c in want.items()}
+        assert evaluate_at_one(f) == 347
 
 
 class TestAlternating:

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shortgf import (
@@ -30,7 +30,7 @@ from shortgf import (
     progression_gf,
     support_points,
 )
-from shortgf.gfcore import _term
+from shortgf.gfcore import _term, moment_vector
 
 
 def expand(f, box):
@@ -81,18 +81,64 @@ class TestCanonicalize:
                         denoms.append(d)
                 terms.append(GFTerm(rng.choice([1, -1]), numer, tuple(denoms)))
             f = ShortGF(2, tuple(terms))
-            g1 = canonicalize(f, direction_for(2, 0))
-            g2 = canonicalize(g1, direction_for(2, 0))
+            g1 = canonicalize(f, direction_for(2))
+            g2 = canonicalize(g1, direction_for(2))
             t1 = oracle_expand(g1, LatticeBox((8, 8)))
             t2 = oracle_expand(g2, LatticeBox((8, 8)))
             assert t1.support_with_values() == t2.support_with_values()
 
-    def test_degenerate_direction_reseeds(self):
-        # denominator (3, -2) pairs to zero against ell = (2, 3)
+    def test_degenerate_primes_take_the_moment_curve(self):
+        # denominator (3, -2) pairs to zero against ell = (2, 3) and to -1
+        # against the moment-curve point (1, 2)
         f = ShortGF(2, (GFTerm(1, (0, 0), ((3, -2),)),))
         g = canonicalize(f)
-        ell = g.orientation.ell
-        assert 3 * ell[0] - 2 * ell[1] != 0
+        assert g.orientation == ExpansionDirection((1, 2))
+        assert g.terms == f.terms
+        assert is_canonical(g)
+        assert canonicalize(g) is g
+
+
+@st.composite
+def moment_cases(draw):
+    """(n, vecs, k): nonzero integer vectors of arity n with entries in
+    +-20, some of them built to pair to zero at a moment-curve point."""
+    n = draw(st.integers(1, 4))
+    free = st.tuples(*[st.integers(-20, 20)] * n).filter(any)
+    # (x - r) * q(x) has the root x = r; its coefficients stay within +-18
+    rooted = st.builds(
+        lambda r, q: tuple(
+            (q[i - 1] if i else 0) - r * (q[i] if i < n - 1 else 0)
+            for i in range(n)
+        ),
+        st.integers(1, 5),
+        st.tuples(*[st.integers(-3, 3)] * (n - 1)).filter(any),
+    )
+    vec = st.one_of(free, rooted) if n > 1 else free
+    return n, draw(st.lists(vec, max_size=8)), draw(st.integers(1, 4))
+
+
+def _moment_point(n, x):
+    return tuple(x**i for i in range(n))
+
+
+class TestMomentVector:
+    @settings(max_examples=300, deadline=None)
+    @given(moment_cases())
+    @example((2, [(1, -1), (2, -1), (3, -1)], 1))
+    @example((3, [(2, -3, 1)], 1))
+    def test_least_valid_point_within_cauchy_bound(self, case):
+        n, vecs, k = case
+        lam = moment_vector(n, vecs, k)
+        least = lam[1] if n > 1 else k
+        assert lam == _moment_point(n, least)
+
+        def valid(x):
+            point = _moment_point(n, x)
+            return all(sum(a * b for a, b in zip(point, v)) for v in vecs)
+
+        assert valid(least)
+        assert least >= k and not any(valid(x) for x in range(k, least))
+        assert least <= max(k, 1 + max((abs(x) for v in vecs for x in v), default=0))
 
 
 class TestOracleExpand:

@@ -70,6 +70,27 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def imported_modules(source):
+    """Top-level names of every module that `source` imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_the_acceptance_suite_imports_random():
+    # results must not depend on a seed: only the random trials of
+    # `selftest` draw from an RNG
+    assert "random" in imported_modules("from random import Random\n")
+    importers = [
+        p.name for p in SRC.glob("*.py") if "random" in imported_modules(p.read_text())
+    ]
+    assert importers == ["acceptance.py"]
+
+
 def _names(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
