@@ -8,15 +8,19 @@ are Gauss-Jordan over `fractions.Fraction`, kept as the references the
 tests compare against; no program code calls them.  Rows of inequality
 systems are (coeffs, rhs) pairs of ints meaning coeffs . x <= rhs.
 
-`vertices_of` (n-subsets of rows) and `extreme_rays` ((n-1)-subsets of
-normals) are the only enumerations of tight-row subsets.  `is_bounded`, on
-`extreme_rays`, is the one boundedness test; an LP or a reverse-search
-vertex enumeration would replace these three functions and nothing else.
+`_first_vertex` is the one exact pivoting kernel: an active-set simplex
+with Bland's rule in integers (Bland 1977).  `vertices_of` walks the edge
+graph from the vertex it finds (the adjacency walk of Avis-Fukuda 1992),
+and `is_bounded` is one call of it on the recession cone.  `extreme_rays`
+((n-1)-subsets of normals) is the only enumeration of row subsets; it
+serves cones of few rows: degenerate vertices, tangent cones and the
+facets of the triangulation.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 
 from .errors import ResourceLimitError
 
@@ -37,7 +41,7 @@ def primitive(v):
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vadd(a, b):
@@ -461,51 +465,141 @@ def lattice_points(rows, bounds, limit=None, first_only=False):
     return out
 
 
-_VERTEX_MAX_SUBSETS = 2_000_000
+def _independent_rows(normals):
+    """Indices of a maximal set of linearly independent normals, least first.
+
+    They are the pivot columns of `echelon` on the transposed matrix.
+    """
+    return echelon([list(col) for col in zip(*normals)])[0]
+
+
+def _reduced(nums, den):
+    """(nums, den) with den > 0 divided by their gcd."""
+    g = gcd(den, *nums)
+    if g > 1:
+        return [x // g for x in nums], den // g
+    return nums, den
+
+
+def _first_vertex(rows, basis):
+    """A vertex of {x : rows hold} as reduced (nums, den), or None when it is empty.
+
+    `basis` indexes n linearly independent rows (x in Q^n), as
+    `_independent_rows` gives them.  Their intersection point is a vertex
+    of the system of just those rows; the other rows are then added one at
+    a time in index order.  While the current vertex breaks the new row r,
+    an active-set simplex lowers a_r . x over the rows added so far.  Bland's rule makes it end:
+    the basis row that leaves is the least index whose multiplier has the
+    wrong sign, and the entering row is the least index of the ratio test,
+    which includes row r itself, so the step stops on r's hyperplane.  When
+    no multiplier has the wrong sign and r is still broken, the system is
+    empty.  All arithmetic is integer: the vertex is nums / den and the
+    basis inverse is `scaled_inverse_int`'s (d, R) with R = d * W^-1.
+    """
+    basis = list(basis)
+    active = [False] * len(rows)
+    for i in basis:
+        active[i] = True
+    den, r_rows = scaled_inverse_int([rows[i][0] for i in basis])
+    b_basis = [rows[i][1] for i in basis]
+    nums, den = _reduced([dot(row, b_basis) for row in r_rows], den)
+    for r, (a_r, b_r) in enumerate(rows):
+        if active[r]:
+            continue
+        active[r] = True
+        while dot(a_r, nums) > b_r * den:
+            cols = list(zip(*r_rows))
+            j = min(
+                (j for j, col in enumerate(cols) if dot(a_r, col) > 0),
+                key=basis.__getitem__,
+                default=None,
+            )
+            if j is None:
+                return None
+            direction = [-x for x in cols[j]]
+            # least t = slack / (den * a . direction) over the blocking rows;
+            # row r blocks from the other side, where both signs flip
+            enter = None
+            for i, on in enumerate(active):
+                if not on:
+                    continue
+                coeffs, rhs = rows[i]
+                ad = dot(coeffs, direction)
+                slack = rhs * den - dot(coeffs, nums)
+                if i == r:
+                    ad, slack = -ad, -slack
+                elif ad <= 0:
+                    continue
+                if enter is None or slack * step_ad < step_slack * ad:
+                    enter, step_slack, step_ad = i, slack, ad
+            nums, den = _reduced(
+                [x * step_ad + step_slack * y for x, y in zip(nums, direction)],
+                den * step_ad,
+            )
+            basis[j] = enter
+            r_rows = scaled_inverse_int([rows[i][0] for i in basis])[1]
+    return nums, den
 
 
 def vertices_of(rows, n):
-    """Vertices of {x : rows hold} by exhaustive basic feasible solutions.
+    """Vertices of {x : rows hold} by a walk along the edges of the polyhedron.
 
     Rows are integer (coeffs, rhs) pairs; returns (vertex as Fractions,
-    tight row indices), sorted for determinism.  All arithmetic is integer
-    until the final conversion.  Raises ResourceLimitError when there are
-    more than `_VERTEX_MAX_SUBSETS` candidate bases.
+    tight row indices), sorted for determinism, and [] when the system is
+    empty or its normals have rank < n.  `_first_vertex` finds one vertex;
+    from each vertex found, every edge direction is followed to the first
+    row it meets.  At a vertex tight on exactly n rows the directions are
+    the columns of -W^-1 (W the tight normals); at a degenerate one they are
+    the `extreme_rays` of the tight normals.  An edge that meets no row is
+    an unbounded ray and leads nowhere.  The vertices and bounded edges of
+    a polyhedron with a vertex form a connected graph, so the walk reaches
+    every vertex.  All arithmetic is integer until the final conversion.
     """
-    m = len(rows)
-    if m < n:
+    normals = [r[0] for r in rows]
+    basis = _independent_rows(normals)
+    if len(basis) < n:
         return []
-    total = 1
-    for i in range(n):
-        total = total * (m - i) // (i + 1)
-    if total > _VERTEX_MAX_SUBSETS:
-        raise ResourceLimitError(
-            f"vertex enumeration over {total} constraint subsets exceeds cap"
-        )
-    seen = {}
-    for subset in combinations(range(m), n):
-        sol = solve([rows[i][0] for i in subset], [rows[i][1] for i in subset])
-        if sol is None:
-            continue
-        nums, den = sol
-        key = (tuple(nums), den)
-        if key in seen:
-            continue
-        feasible = True
-        for coeffs, rhs_ in rows:
-            if sum(c * x for c, x in zip(coeffs, nums)) > rhs_ * den:
-                feasible = False
-                break
-        if feasible:
-            seen[key] = None
-    out = []
-    for nums, den in seen:
-        tight = tuple(
-            i
-            for i, (coeffs, rhs_) in enumerate(rows)
-            if sum(c * x for c, x in zip(coeffs, nums)) == rhs_ * den
-        )
-        out.append((tuple(Fraction(x, den) for x in nums), tight))
+    start = _first_vertex(rows, basis)
+    if start is None:
+        return []
+    nums, den = start
+    slacks = [b * den - dot(a, nums) for a, b in rows]
+    tight = tuple(i for i, s in enumerate(slacks) if not s)
+    seen = {(tuple(nums), den): tight}
+    stack = [(nums, den, slacks, tight)]
+    while stack:
+        nums, den, slacks, tight = stack.pop()
+        if len(tight) == n:
+            r_rows = scaled_inverse_int([normals[i] for i in tight])[1]
+            directions = [[-x for x in col] for col in zip(*r_rows)]
+        else:
+            directions = extreme_rays([normals[i] for i in tight], n)
+        for direction in directions:
+            ads = [dot(a, direction) for a in normals]
+            step_slack = None
+            for i, ad in enumerate(ads):
+                if ad > 0 and (
+                    step_slack is None or slacks[i] * step_ad < step_slack * ad
+                ):
+                    step_slack, step_ad = slacks[i], ad
+            if step_slack is None:
+                continue
+            new_nums = [x * step_ad + step_slack * y for x, y in zip(nums, direction)]
+            new_den = den * step_ad
+            g = gcd(new_den, *new_nums)
+            key = (tuple(x // g for x in new_nums), new_den // g)
+            if key in seen:
+                continue
+            new_slacks = [
+                (s * step_ad - step_slack * ad) // g for s, ad in zip(slacks, ads)
+            ]
+            new_tight = tuple(i for i, s in enumerate(new_slacks) if not s)
+            seen[key] = new_tight
+            stack.append((*key, new_slacks, new_tight))
+    out = [
+        (tuple(Fraction(x, den) for x in nums), tight)
+        for (nums, den), tight in seen.items()
+    ]
     out.sort(key=lambda t: t[0])
     return out
 
@@ -517,8 +611,8 @@ def extreme_rays(normals, n):
     normals, so the rays are found by trying both signs of each 1-D kernel
     of an (n - 1)-subset; they come in the order `combinations` first
     reaches them.  On a cone with a line the rays it yields are not all of
-    its directions; `is_bounded` rules that case out by rank.  In 0
-    dimensions the cone is {0}, which has no rays.
+    its directions; the callers pass normals of rank n, as at a vertex.  In
+    0 dimensions the cone is {0}, which has no rays.
     """
     if n == 0:
         return
@@ -536,12 +630,18 @@ def extreme_rays(normals, n):
 def is_bounded(rows, n):
     """True when {x : rows hold} has the recession cone {0}, empty or not.
 
-    Always true in 0 dimensions, where the only point is ().
+    With normals a_i of rank n, a nonzero d with A d <= 0 has some
+    a_i . d < 0, so the cone is {0} exactly when {d : A d <= 0,
+    (sum_i a_i) . d <= -1} is empty: one `_first_vertex` call.  Always true
+    in 0 dimensions, where the only point is ().
     """
     normals = [r[0] for r in rows]
-    if rank_int(normals) < n:
+    basis = _independent_rows(normals)
+    if len(basis) < n:
         return False
-    return next(extreme_rays(normals, n), None) is None
+    total = tuple(sum(col) for col in zip(*normals))
+    cone = [(a, 0) for a in normals] + [(total, -1)]
+    return _first_vertex(cone, basis) is None
 
 
 def matrix_inverse_fraction(rows):
@@ -639,27 +739,28 @@ _LLL_MAX_ROUNDS = 10_000
 
 def lll_reduce(basis):
     """Textbook LLL (delta = 3/4) over the rationals; basis is a list of
-    integer row vectors.
+    linearly independent integer row vectors.
 
-    Raises ResourceLimitError rather than return an unreduced basis when the
-    swap-and-size-reduce loop runs past `_LLL_MAX_ROUNDS` rounds.
+    The Gram-Schmidt coefficients mu and squared lengths |b*_i|^2 are
+    computed once and then kept up to date: size reduction of row k by row
+    j leaves every b*_i unchanged and only moves mu[k][:j+1], and a swap
+    of rows k - 1 and k changes two lengths and columns k - 1, k of mu
+    (Cohen 1993, Algorithm 2.6.3).  Raises ResourceLimitError rather than
+    return an unreduced basis when the swap-and-size-reduce loop runs past
+    `_LLL_MAX_ROUNDS` rounds.
     """
     b = [list(r) for r in basis]
     n = len(b)
-
-    def gram(b):
-        bstar = []
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            v = [Fraction(x) for x in b[i]]
-            for j in range(i):
-                denom = dot(bstar[j], bstar[j])
-                mu[i][j] = dot([Fraction(x) for x in b[i]], bstar[j]) / denom
-                v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
-            bstar.append(v)
-        return bstar, mu
-
-    bstar, mu = gram(b)
+    bstar = []
+    norms = []
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        v = [Fraction(x) for x in b[i]]
+        for j in range(i):
+            mu[i][j] = dot(b[i], bstar[j]) / norms[j]
+            v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
+        bstar.append(v)
+        norms.append(dot(v, v))
     k = 1
     guard = 0
     while k < n:
@@ -673,13 +774,23 @@ def lll_reduce(basis):
             r = q.numerator // q.denominator  # nearest integer to mu[k][j]
             if r != 0:
                 b[k] = [x - r * y for x, y in zip(b[k], b[j])]
-                bstar, mu = gram(b)
-        lhs = dot(bstar[k], bstar[k])
-        rhs = (Fraction(3, 4) - mu[k][k - 1] ** 2) * dot(bstar[k - 1], bstar[k - 1])
-        if lhs >= rhs:
+                for i in range(j):
+                    mu[k][i] -= r * mu[j][i]
+                mu[k][j] -= r
+        m = mu[k][k - 1]
+        if norms[k] >= (Fraction(3, 4) - m * m) * norms[k - 1]:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            bstar, mu = gram(b)
-            k = max(k - 1, 1)
+            continue
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
+        new_norm = norms[k] + m * m * norms[k - 1]
+        mu[k][k - 1] = m * norms[k - 1] / new_norm
+        norms[k] = norms[k - 1] * norms[k] / new_norm
+        norms[k - 1] = new_norm
+        for i in range(k + 1, n):
+            t = mu[i][k]
+            mu[i][k] = mu[i][k - 1] - m * t
+            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+        k = max(k - 1, 1)
     return [tuple(r) for r in b]

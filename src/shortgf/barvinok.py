@@ -1,16 +1,16 @@
 """Short GFs of lattice points of rational polyhedra in fixed low dimension.
 
-Pipeline: check boundedness (`la.is_bounded`), enumerate vertices as basic
-feasible solutions (`la.vertices_of`), take the dual of each tangent cone
-(the cone spanned by the tight constraint normals), triangulate it by
-pulling over its facets (`la.extreme_rays` of the dual of the cone being
-triangulated), decompose each simplicial piece into unimodular signed cones
-by repeated replacement with a short parallelepiped vector, dualize the
-unimodular pieces back, and sum the vertex-cone rational functions (Brion).
-Lower-dimensional pieces are discarded in the dual, where they correspond to
-cones with lines and contribute zero.  `la.vertices_of` and
-`la.extreme_rays` are the only loops over subsets of tight rows, and
-`la.is_bounded` is the one boundedness test.
+Pipeline: check boundedness (`la.is_bounded`, one exact LP), enumerate
+vertices by a pivoting walk along the edges (`la.vertices_of`), take the
+dual of each tangent cone (the cone spanned by the tight constraint
+normals), triangulate it by pulling over its facets (`la.extreme_rays` of
+the dual of the cone being triangulated), decompose each simplicial piece
+into unimodular signed cones by repeated replacement with a short
+parallelepiped vector, dualize the unimodular pieces back, and sum the
+vertex-cone rational functions (Brion).  Lower-dimensional pieces are
+discarded in the dual, where they correspond to cones with lines and
+contribute zero.  `la.extreme_rays` is the only loop over subsets of tight
+rows, and `la.is_bounded` is the one boundedness test.
 
 Both signed decompositions, this one and the exact `sign_decompose`, take
 the same parallelepiped step: one `scaled_inverse_int` of the cone's
@@ -523,7 +523,8 @@ def lattice_gf_mapped(
 
 
 def vertex_cones(polyhedron):
-    """Vertices with their tangent cones, by exhaustive basic solutions."""
+    """Vertices with their tangent cones: `la.vertices_of` and the extreme
+    rays of each vertex's tight rows."""
     rows = polyhedron.scaled_int_rows()
     n = polyhedron.n
     if not la.is_bounded(rows, n):
@@ -596,11 +597,11 @@ def cone_gf(cone):
     )
 
 
-def polytope_gf(polyhedron, check_bounded=True):
+def polytope_gf(polyhedron):
     """Short GF of the polytope's lattice points via signed cone decomposition."""
     n = polyhedron.n
     rows = polyhedron.scaled_int_rows()
-    if check_bounded and not la.is_bounded(rows, n):
+    if not la.is_bounded(rows, n):
         raise UnboundedPolyhedronError("unbounded polyhedra are unsupported")
     lrows = polyhedron.lattice_rows()
     if lrows is None:

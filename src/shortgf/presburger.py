@@ -305,11 +305,7 @@ def qf_to_gf(body, box, var_order=None):
 
 def cells_gf(cells, nvars):
     """Canonical sum of the polytope GFs of disjoint bounded cells."""
-    terms = [
-        t
-        for cell in cells
-        for t in polytope_gf(cell, check_bounded=False).terms
-    ]
+    terms = [t for cell in cells for t in polytope_gf(cell).terms]
     return canonicalize(ShortGF(nvars, tuple(terms)))
 
 

@@ -16,9 +16,11 @@ from shortgf import (
     QuantBlock,
     ResourceLimitError,
     SegmentEncoding,
+    ShortGF,
     alternating_pipeline,
     and_gate,
     bit_atoms,
+    canonicalize,
     circuit_to_3cnf,
     cnf_to_pa,
     compress_encoding,
@@ -43,6 +45,7 @@ from shortgf import (
     parse_circuit,
     parse_encoding,
     parity3,
+    polytope_gf,
     segment_gf,
     specialize_vars,
     square_tester,
@@ -50,6 +53,7 @@ from shortgf import (
     violation_projection_by_bits,
     xor_detector,
 )
+import shortgf._linalg
 import shortgf.presburger
 from shortgf.encoder import _literal_value, segment_gf as _segment_gf
 
@@ -336,6 +340,24 @@ class TestLazyRegionGF:
         assert len(calls) == len(enc.pieces) == len(enc.cells)
         assert enc.fr is first
         assert len(calls) == len(enc.pieces)
+
+    def test_fr_checks_every_cell_is_bounded(self, monkeypatch):
+        checked = []
+        real = shortgf._linalg.is_bounded
+
+        def recording(rows, n):
+            checked.append(real(rows, n))
+            return checked[-1]
+
+        monkeypatch.setattr(shortgf._linalg, "is_bounded", recording)
+        enc = encode_segment(xor_detector(2))
+        checked.clear()
+        fr = enc.fr
+        assert checked == [True] * len(enc.cells)
+        gfs = [polytope_gf(cell) for cell in enc.cells]
+        assert [evaluate_at_one(g) for g in gfs] == [len(p) for p in enc.cell_points]
+        terms = tuple(t for g in gfs for t in g.terms)
+        assert canonicalize(ShortGF(fr.nvars, terms)) == fr
 
     CIRCUITS = {"even_detector(3)": even_detector(3), "xor_detector(2)": xor_detector(2)}
 

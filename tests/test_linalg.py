@@ -234,17 +234,154 @@ class TestLatticePoints:
         assert lattice_points(rows, bounds, first_only=True) == []
 
 
+def basic_feasible_solutions(rows, n):
+    """Every vertex as a feasible solution of some n rows taken as equations.
+
+    The n-subset enumeration `vertices_of` replaced, kept as its reference.
+    """
+    seen = {}
+    for subset in combinations(range(len(rows)), n):
+        sol = solve([rows[i][0] for i in subset], [rows[i][1] for i in subset])
+        if sol is None:
+            continue
+        nums, den = sol
+        if all(
+            sum(c * x for c, x in zip(coeffs, nums)) <= rhs * den
+            for coeffs, rhs in rows
+        ):
+            seen[(tuple(nums), den)] = None
+    out = []
+    for nums, den in seen:
+        tight = tuple(
+            i
+            for i, (coeffs, rhs) in enumerate(rows)
+            if sum(c * x for c, x in zip(coeffs, nums)) == rhs * den
+        )
+        out.append((tuple(Fraction(x, den) for x in nums), tight))
+    return sorted(out, key=lambda t: t[0])
+
+
+def is_bounded_reference(rows, n):
+    """Boundedness by rank and the (n-1)-subset ray search of `extreme_rays`."""
+    normals = [r[0] for r in rows]
+    return rank_int(normals) >= n and next(extreme_rays(normals, n), None) is None
+
+
+def random_system(rng, n):
+    """Rows in n variables drawn to give empty, unbounded, rank-deficient,
+    degenerate and lower-dimensional systems alike."""
+    kind = rng.choice(("free", "boxed", "slab", "flat"))
+    width = n if kind == "flat" else n + 1
+    rows = []
+    if kind == "boxed":
+        for j in range(n):
+            unit = tuple(int(i == j) for i in range(n))
+            rows.append((unit, rng.randint(0, 3)))
+            rows.append((tuple(-x for x in unit), rng.randint(-1, 1)))
+    for _ in range(rng.randint(0, width + 2)):
+        coeffs = [rng.randint(-2, 2) for _ in range(n)]
+        if kind == "flat":
+            coeffs[-1] = 0  # every normal misses the last axis: rank < n
+        rows.append((tuple(coeffs), rng.randint(-3, 3)))
+    if kind == "slab" and rows:
+        coeffs, rhs = rng.choice(rows)
+        rows.append((tuple(-x for x in coeffs), -rhs))  # an equality pair
+    rng.shuffle(rows)
+    return rows
+
+
 class TestVerticesOf:
     SQUARE = [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]
+    # the square pyramid over [0, 2]^2 with apex (1, 1, 1), tight on 4 rows
+    PYRAMID = [
+        ((0, 0, -1), 0),
+        ((-1, 0, 1), 0),
+        ((1, 0, 1), 2),
+        ((0, -1, 1), 0),
+        ((0, 1, 1), 2),
+    ]
+    OCTAHEDRON = [
+        ((a, b, c), 1) for a in (1, -1) for b in (1, -1) for c in (1, -1)
+    ]
+    # a cell of encode_segment(xor_detector(2)): 48 vertices, 18 degenerate
+    CIRCUIT_CELL = [
+        ((1, 0, 0, 0, 0), 3),
+        ((-1, 0, 0, 0, 0), 0),
+        ((0, 1, 0, 0, 0), 29),
+        ((0, -1, 0, 0, 0), -4),
+        ((0, 0, 1, 0, 0), 3),
+        ((0, 0, -1, 0, 0), 0),
+        ((0, 0, 0, 1, 0), 7),
+        ((0, 0, 0, -1, 0), -1),
+        ((0, 0, 0, 0, 1), 7),
+        ((0, 0, 0, 0, -1), -1),
+        ((0, -1, 2, 0, 0), -2),
+        ((0, -1, 4, 0, 0), -4),
+        ((0, 1, -8, 0, 0), 7),
+        ((0, -1, 8, 0, 0), -4),
+        ((1, 0, 0, -2, 0), -1),
+        ((0, 1, 0, -4, 0), 1),
+        ((0, -1, 0, 4, 0), 0),
+        ((0, 1, 0, 0, -4), 1),
+        ((0, -1, 0, 0, 4), 0),
+    ]
 
     def test_unit_square(self):
         got = [v for v, _ in vertices_of(self.SQUARE, 2)]
         assert got == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
-    def test_subset_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(shortgf._linalg, "_VERTEX_MAX_SUBSETS", 1)
-        with pytest.raises(ResourceLimitError):
-            vertices_of(self.SQUARE, 2)
+    def test_pyramid_and_octahedron(self):
+        got = vertices_of(self.PYRAMID, 3)
+        assert got == basic_feasible_solutions(self.PYRAMID, 3)
+        assert ((1, 1, 1), (1, 2, 3, 4)) in got and len(got) == 5
+        got = vertices_of(self.OCTAHEDRON, 3)
+        assert got == basic_feasible_solutions(self.OCTAHEDRON, 3)
+        assert len(got) == 6 and all(len(t) == 4 for _, t in got)
+        # without its base the pyramid is a cone: one vertex, unbounded
+        cone = self.PYRAMID[1:]
+        assert vertices_of(cone, 3) == basic_feasible_solutions(cone, 3)
+        for rows in (self.PYRAMID, self.OCTAHEDRON, cone):
+            assert is_bounded(rows, 3) == is_bounded_reference(rows, 3)
+        assert not is_bounded(cone, 3)
+
+    def test_circuit_cell(self):
+        got = vertices_of(self.CIRCUIT_CELL, 5)
+        assert got == basic_feasible_solutions(self.CIRCUIT_CELL, 5)
+        assert len(got) == 48 and sum(len(t) > 5 for _, t in got) == 18
+        assert is_bounded(self.CIRCUIT_CELL, 5)
+
+    def test_matches_basic_feasible_solutions(self):
+        rng = random.Random(17)
+        seen = set()
+        for n in range(1, 6):
+            for _ in range((400, 300, 200, 80, 30)[n - 1]):
+                rows = random_system(rng, n)
+                want = basic_feasible_solutions(rows, n)
+                assert vertices_of(rows, n) == want
+                bounded = is_bounded_reference(rows, n)
+                assert is_bounded(rows, n) == bounded
+                if rank_int([r[0] for r in rows]) < n:
+                    seen.add("rank-deficient")
+                elif not want:
+                    seen.add("empty")
+                if not bounded:
+                    seen.add("unbounded")
+                if any(len(t) > n for _, t in want):
+                    seen.add("degenerate")
+                diffs = [[x - y for x, y in zip(v, want[0][0])] for v, _ in want]
+                if want and rank_int(diffs) < n:
+                    seen.add("lower-dimensional")
+        assert seen == {
+            "rank-deficient",
+            "empty",
+            "unbounded",
+            "degenerate",
+            "lower-dimensional",
+        }
+
+    def test_zero_dimensional(self):
+        assert vertices_of([((), 0), ((), 2)], 0) == [((), (0,))]
+        assert vertices_of([((), -1)], 0) == []
 
 
 def tangent_cone_rays(normals, n):
@@ -301,6 +438,43 @@ class TestExtremeRays:
         assert is_bounded([((1,), 3), ((-1,), -5)], 1)  # empty, yet bounded
 
 
+def lll_reduce_reference(basis):
+    """LLL (delta = 3/4) that recomputes Gram-Schmidt after every row change."""
+    b = [list(r) for r in basis]
+    n = len(b)
+
+    def gram(b):
+        bstar = []
+        mu = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            v = [Fraction(x) for x in b[i]]
+            for j in range(i):
+                denom = sum(x * x for x in bstar[j])
+                mu[i][j] = sum(x * y for x, y in zip(b[i], bstar[j])) / denom
+                v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
+            bstar.append(v)
+        return bstar, mu
+
+    bstar, mu = gram(b)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = mu[k][j] + Fraction(1, 2)
+            r = q.numerator // q.denominator
+            if r != 0:
+                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+                bstar, mu = gram(b)
+        lhs = sum(x * x for x in bstar[k])
+        rhs = (Fraction(3, 4) - mu[k][k - 1] ** 2) * sum(x * x for x in bstar[k - 1])
+        if lhs >= rhs:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            bstar, mu = gram(b)
+            k = max(k - 1, 1)
+    return [tuple(r) for r in b]
+
+
 class TestLLL:
     # consecutive Fibonacci numbers F20, F21, F22: unimodular, badly skewed
     BASIS = [(6765, 10946), (10946, 17711)]
@@ -309,6 +483,17 @@ class TestLLL:
         reduced = lll_reduce(self.BASIS)
         assert abs(det_int(reduced)) == 1
         assert max(abs(x) for row in reduced for x in row) == 1
+
+    def test_matches_full_recompute(self):
+        rng = random.Random(23)
+        checked = 0
+        while checked < 150:
+            n = rng.randint(1, 6)
+            basis = [tuple(rng.randint(-40, 40) for _ in range(n)) for _ in range(n)]
+            if det_int(basis) == 0:
+                continue
+            assert lll_reduce(basis) == lll_reduce_reference(basis)
+            checked += 1
 
     def test_round_cap_raises(self, monkeypatch):
         monkeypatch.setattr(shortgf._linalg, "_LLL_MAX_ROUNDS", 1)
