@@ -4,9 +4,10 @@ No floating point.  Every exact solve, determinant, rank, inverse and kernel
 basis goes through one fraction-free (Bareiss) Gauss-Jordan routine,
 `echelon`: `det_int`, `rank_int`, `solve`, `kernel_basis` and
 `scaled_inverse_int` wrap it.  `solve_square` and `matrix_inverse_fraction`
-are Gauss-Jordan over `fractions.Fraction`, kept as the references the
-tests compare against; no program code calls them.  Rows of inequality
-systems are (coeffs, rhs) pairs of ints meaning coeffs . x <= rhs.
+are Gauss-Jordan over `fractions.Fraction`.  No program code calls
+`det_int`, `rank_int`, `solve`, `solve_square` or `matrix_inverse_fraction`:
+they are kept as the references the tests compare against.  Rows of
+inequality systems are (coeffs, rhs) pairs of ints meaning coeffs . x <= rhs.
 
 `_first_vertex` is the one exact pivoting kernel: an active-set simplex
 with Bland's rule in integers (Bland 1977).  `vertices_of` walks the edge

@@ -12,12 +12,6 @@ discarded in the dual, where they correspond to cones with lines and
 contribute zero.  `la.extreme_rays` is the only loop over subsets of tight
 rows, and `la.is_bounded` is the one boundedness test.
 
-Both signed decompositions, this one and the exact `sign_decompose`, take
-the same parallelepiped step: one `scaled_inverse_int` of the cone's
-generator matrix gives its index and drives the search for the replacing
-vector.  `sign_decompose` first writes a lower-dimensional cone in a basis
-of its saturated lattice Z^n ∩ span, where it is full-dimensional.
-
 Lower-dimensional and equality-constrained inputs are reduced to the
 full-dimensional case by an integer parameterization of their affine lattice
 hull (column Hermite form), so the same core serves the equality-constrained
@@ -27,7 +21,6 @@ auxiliary polytopes of the Hadamard machinery.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import ceil, floor, lcm
 
 from . import _linalg as la
@@ -41,6 +34,7 @@ from .gfcore import (
     GFTerm,
     ShortGF,
     canonicalize,
+    int_vector,
     normalized,
     progression_gf,
     term_from_positive,
@@ -84,65 +78,6 @@ class Polyhedron:
                 continue
             out.append(norm)
         return out
-
-    def contains(self, point):
-        return all(
-            sum(c * x for c, x in zip(row, point)) <= rhs
-            for row, rhs in zip(self.A, self.b)
-        )
-
-
-@dataclass(frozen=True)
-class SignedCone:
-    """apex + cone(generators), carrying a +1/-1 multiplicity."""
-
-    apex: tuple
-    generators: tuple
-    sign: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "apex", tuple(Fraction(x) for x in self.apex))
-        gens = tuple(la.primitive(g) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        n = len(self.apex)
-        if any(len(g) != n for g in gens):
-            raise ValueError("generator arity mismatch")
-        if gens and la.rank_int(list(gens)) != len(gens):
-            raise ValueError("generators must be linearly independent")
-
-
-def _saturated_coordinates(gens, n):
-    """A basis of the lattice Z^n ∩ span(gens) and the generators in it.
-
-    Returns (basis, coords): k integer n-vectors spanning that lattice, and
-    for each generator its k integer coordinates in the basis; None when
-    the k generators are dependent.  The basis is the integer kernel of the
-    span's normals, and one echelon of [basis | generators] gives the
-    coordinates.
-    """
-    k = len(gens)
-    normals = la.kernel_basis(gens, n)
-    _, basis = la.solve_affine_lattice(normals, [0] * len(normals), n)
-    if len(basis) != k:
-        return None
-    _, w, pivot, _ = la.echelon(
-        [[b[i] for b in basis] + [g[i] for g in gens] for i in range(n)], k
-    )
-    coords = [tuple(w[i][k + j] // pivot for i in range(k)) for j in range(k)]
-    return basis, coords
-
-
-def cone_index(generators, n):
-    """Lattice index of the cone's generator lattice inside its saturation.
-
-    |det| of the generators' coordinates in a basis of Z^n ∩ span, which is
-    the gcd of the maximal minors of the generator matrix; 0 for dependent
-    generators.
-    """
-    sat = _saturated_coordinates(generators, n)
-    return 0 if sat is None else abs(la.det_int(sat[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -522,81 +457,6 @@ def lattice_gf_mapped(
 # public operations
 
 
-def vertex_cones(polyhedron):
-    """Vertices with their tangent cones: `la.vertices_of` and the extreme
-    rays of each vertex's tight rows."""
-    rows = polyhedron.scaled_int_rows()
-    n = polyhedron.n
-    if not la.is_bounded(rows, n):
-        raise UnboundedPolyhedronError("unbounded polyhedra are unsupported")
-    out = []
-    for vertex, tight in la.vertices_of(rows, n):
-        rays = la.extreme_rays([rows[i][0] for i in tight], n)
-        out.append((vertex, tuple(sorted(rays))))
-    return out
-
-
-def sign_decompose(cone):
-    """Exact signed unimodular decomposition of a simplicial cone.
-
-    The signed indicator sum of the output equals the input's indicator
-    exactly (lower-dimensional intersection cones are kept with alternating
-    signs, unlike the mod-lower-dimensional variant used inside polytope GFs).
-    Each k-generator piece is written in a basis of its saturated lattice
-    Z^n ∩ span, where it is full-dimensional and takes the same
-    parallelepiped step as `decompose_unimodular_fulldim`.
-    """
-    n = len(cone.apex)
-    out = []
-    stack = [(cone.sign, tuple(cone.generators))]
-    guard = 0
-    while stack:
-        guard += 1
-        if guard > 100_000:
-            raise ResourceLimitError("sign decomposition did not converge")
-        s, gens = stack.pop()
-        k = len(gens)
-        basis, coords = _saturated_coordinates(gens, n)
-        inverse = la.scaled_inverse_int(
-            [[coords[j][i] for j in range(k)] for i in range(k)]
-        )
-        if inverse[0] == 1:
-            out.append(SignedCone(cone.apex, gens, s))
-            continue
-        wc, lam = _parallelepiped_point(coords, inverse)
-        w = tuple(sum(c * b[i] for c, b in zip(wc, basis)) for i in range(n))
-        support = [i for i in range(k) if lam[i] > 0]
-        # exact stellar inclusion-exclusion over the covering subcones
-        for size in range(1, len(support) + 1):
-            for subset in combinations(support, size):
-                piece = tuple(
-                    gens[i] for i in range(k) if i not in subset
-                ) + (w,)
-                sign = s if size % 2 == 1 else -s
-                stack.append((sign, piece))
-    return out
-
-
-def cone_gf(cone):
-    """Short GF of a shifted unimodular full-dimensional cone."""
-    n = len(cone.apex)
-    if len(cone.generators) != n:
-        raise ValueError("cone_gf requires a full-dimensional simplicial cone")
-    g_rows = [[g[i] for g in cone.generators] for i in range(n)]
-    det, inv = la.scaled_inverse_int(g_rows)
-    if det != 1:
-        raise ValueError("cone_gf requires a unimodular cone")
-    # inv is G^{-1}, and the cone is the polar of the one on its negated rows
-    dual_cols = [tuple(-x for x in row) for row in inv]
-    nums, den = _scaled_point(cone.apex)
-    sign, apex, cols = _unimodular_cone_term(
-        nums, den, cone.generators, dual_cols, cone.sign
-    )
-    return canonicalize(
-        ShortGF(n, (term_from_positive(sign, apex, cols),))
-    )
-
-
 def polytope_gf(polyhedron):
     """Short GF of the polytope's lattice points via signed cone decomposition."""
     n = polyhedron.n
@@ -643,7 +503,7 @@ def enumerate_polytope_points(polyhedron, limit=None):
 
 def semigroup_gf(b):
     """1 / prod_j (1 - t^(b_j)): the numerical-semigroup short power series."""
-    bs = tuple(int(x) for x in b)
+    bs = int_vector(b)
     if any(x < 1 for x in bs):
         raise ValueError("semigroup generators must be positive")
     term = GFTerm(Fraction(1), (0,), tuple((x,) for x in bs))

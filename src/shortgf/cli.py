@@ -347,7 +347,3 @@ def main(argv=None):
 
 def _exists(path):
     return isinstance(path, str) and os.path.exists(path)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

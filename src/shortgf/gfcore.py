@@ -72,12 +72,26 @@ def moment_vector(nvars, vecs, k):
         k += 1
 
 
+def int_vector(v):
+    """v as a tuple of ints; ValueError when an entry is not integral.
+
+    Integral Fractions and floats such as Fraction(2) and 2.0 are accepted;
+    Fraction(3, 2) is rejected, not truncated to 1.
+    """
+    v = tuple(v)
+    ints = tuple(map(int, v))
+    if ints != v:
+        raise ValueError(f"{v!r} has a non-integral entry")
+    return ints
+
+
 @dataclass(frozen=True)
 class GFTerm:
     """One summand c * t^numer / prod (1 - t^d) for d in denoms.
 
     The public constructor coerces the coefficient to a Fraction and the
-    exponents to int tuples, and validates the denominator vectors.
+    exponents to int tuples, rejecting a non-integral exponent, and
+    validates the denominator vectors.
     Internal producers that already hold those types build terms with
     `_term`, which keeps the validation and skips the coercion.
     """
@@ -88,9 +102,9 @@ class GFTerm:
 
     def __post_init__(self):
         object.__setattr__(self, "coeff", Fraction(self.coeff))
-        object.__setattr__(self, "numer", tuple(int(x) for x in self.numer))
+        object.__setattr__(self, "numer", int_vector(self.numer))
         object.__setattr__(
-            self, "denoms", tuple(tuple(int(x) for x in d) for d in self.denoms)
+            self, "denoms", tuple(int_vector(d) for d in self.denoms)
         )
         for d in self.denoms:
             if not any(d):
@@ -151,7 +165,7 @@ class LatticeBox:
     sides: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "sides", tuple(int(u) for u in self.sides))
+        object.__setattr__(self, "sides", int_vector(self.sides))
         if any(u < 1 for u in self.sides):
             raise ValueError("box sides must be positive")
 
@@ -214,7 +228,7 @@ def monomial(nvars, point):
 
 def from_point_set(points, nvars):
     """Dense GF of a finite point set: one monomial term per point, index 0."""
-    pts = sorted(set(tuple(int(x) for x in p) for p in points))
+    pts = sorted(set(map(int_vector, points)))
     for p in pts:
         if len(p) != nvars:
             raise ValueError("point arity mismatch")
@@ -229,20 +243,21 @@ def progression_gf(apex, vecs, counts, coeff=1):
     The GF of the points apex + sum_j m_j v_j, 0 <= m_j < counts[j]: an
     interval, a progression or a grid.  The product is expanded into its 2^k
     terms in mask order.  Dependent vectors count a point once per way of
-    reaching it.  A count of 0 gives the zero series; a negative count, or
-    a count list as long as `vecs` is not, raises ValueError.
+    reaching it.  A count of 0 gives the zero series; a negative count, a
+    non-integral entry, or a count list as long as `vecs` is not, raises
+    ValueError.
     """
     if len(counts) != len(vecs) or any(c < 0 for c in counts):
         raise ValueError("need one nonnegative count per vector")
     coeff = Fraction(coeff)
-    apex = tuple(int(a) for a in apex)
-    vecs = tuple(tuple(int(x) for x in v) for v in vecs)
+    apex = int_vector(apex)
+    vecs = tuple(map(int_vector, vecs))
     # every term has the denominators of coeff * t^apex / prod (1 - t^v_j),
     # so orienting that one term orients them all
     base = canonicalize(ShortGF(len(apex), (_term(coeff, apex, vecs),)))
     (first,) = base.terms
     signs = (first.coeff, -first.coeff)
-    steps = [tuple(int(c) * x for x in v) for v, c in zip(vecs, counts)]
+    steps = [tuple(c * x for x in v) for v, c in zip(vecs, int_vector(counts))]
     terms = []
     for mask in range(1 << len(vecs)):
         numer = first.numer
@@ -287,20 +302,19 @@ def is_canonical(f):
     )
 
 
-def canonicalize(f, direction=None):
+def canonicalize(f):
     """Flip denominator vectors until all pair negatively with the direction.
 
     The flip identity 1/(1-t^b) = -t^(-b)/(1-t^(-b)) preserves the rational
-    function.  The direction defaults to f's own orientation, else
+    function.  The direction is f's own orientation, else
     `direction_for(f.nvars)`; when some denominator pairs to zero with it,
     the moment-curve point `moment_vector(n, denoms, 2)` is taken instead.
-    f is returned itself when it is already canonical under its orientation
-    and that is the direction asked for.  Each pairing <ell, b> is computed
-    once per direction tried, and a term with no vector to flip is kept as
-    the same object.
+    f is returned itself when it is already canonical under its
+    orientation.  Each pairing <ell, b> is computed once per direction
+    tried, and a term with no vector to flip is kept as the same object.
+    To re-orient f, canonicalize a copy that carries the new orientation.
     """
-    if direction is None:
-        direction = f.orientation or direction_for(f.nvars)
+    direction = f.orientation or direction_for(f.nvars)
     ell = direction.ell
     pairings = [[sum(map(mul, ell, d)) for d in t.denoms] for t in f.terms]
     if not all(all(ps) for ps in pairings):

@@ -3,20 +3,16 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shortgf import (
     GFTerm,
     LatticeBox,
     Polyhedron,
-    SignedCone,
     UnboundedPolyhedronError,
-    cone_gf,
-    cone_index,
     enumerate_polytope_points,
     evaluate_at_one,
     format_polyhedron,
@@ -25,10 +21,8 @@ from shortgf import (
     parse_polyhedron,
     polytope_gf,
     semigroup_gf,
-    sign_decompose,
     support_points,
     triangulate_cone,
-    vertex_cones,
 )
 from shortgf import _linalg as la
 from shortgf.barvinok import decompose_unimodular_fulldim
@@ -56,35 +50,6 @@ def cut_boxes(draw):
     return Polyhedron(tuple(rows), tuple(rhs), 3)
 
 
-@st.composite
-def generator_sets(draw, max_n=4):
-    """n in 1..max_n and k <= n integer n-vectors, possibly dependent."""
-    n = draw(st.integers(1, max_n))
-    k = draw(st.integers(1, n))
-    vec = st.tuples(*[st.integers(-6, 6)] * n)
-    return draw(st.lists(vec, min_size=k, max_size=k)), n
-
-
-@st.composite
-def lower_dim_cones(draw):
-    """A cone with k < n <= 3 independent generators and an apex near (3, ..)."""
-    n = draw(st.integers(2, 3))
-    k = draw(st.integers(1, n - 1))
-    vec = st.tuples(*[st.integers(-3, 3)] * n)
-    gens = draw(st.lists(vec, min_size=k, max_size=k))
-    assume(la.rank_int(gens) == k)
-    apex = draw(st.tuples(*[st.integers(2, 4)] * n))
-    return SignedCone(apex, tuple(gens), draw(st.sampled_from([1, -1])))
-
-
-def minors_gcd(gens, n):
-    """Reference index: the gcd of all maximal minors of the generator matrix."""
-    g = 0
-    for rows in combinations(range(n), len(gens)):
-        g = gcd(g, abs(la.det_int([[v[i] for v in gens] for i in rows])))
-    return g
-
-
 def interval(lo_num, lo_den, hi_num, hi_den):
     return Polyhedron(
         ((Fraction(1),), (Fraction(-1),)),
@@ -93,17 +58,26 @@ def interval(lo_num, lo_den, hi_num, hi_den):
     )
 
 
+def tangent_cones(p):
+    """Vertices of p with the extreme rays of each vertex's tangent cone."""
+    rows = p.scaled_int_rows()
+    return [
+        (vertex, tuple(sorted(la.extreme_rays([rows[i][0] for i in tight], p.n))))
+        for vertex, tight in la.vertices_of(rows, p.n)
+    ]
+
+
 class TestVertexCones:
     def test_interval(self):
         p = interval(0, 1, 3, 1)
-        cones = vertex_cones(p)
+        cones = tangent_cones(p)
         assert [v for v, _ in cones] == [(Fraction(0),), (Fraction(3),)]
         assert cones[0][1] == ((1,),)
         assert cones[1][1] == ((-1,),)
 
     def test_triangle(self):
         p = Polyhedron(((-1, 0), (0, -1), (1, 1)), (0, 0, 2), 2)
-        cones = vertex_cones(p)
+        cones = tangent_cones(p)
         assert len(cones) == 3
         verts = {tuple(int(x) for x in v) for v, _ in cones}
         assert verts == {(0, 0), (2, 0), (0, 2)}
@@ -124,15 +98,11 @@ class TestVertexCones:
             rows.append(tuple(rng.randint(-10, 10) for _ in range(3)))
             rhs.append(rng.randint(5, 30))
             p = Polyhedron(tuple(rows), tuple(rhs), 3)
-            got = {tuple(v) for v, _ in vertex_cones(p)}
+            got = {tuple(v) for v, _ in la.vertices_of(p.scaled_int_rows(), 3)}
             # oracle: all feasible basic solutions of 3-subsets
-            from itertools import combinations
-
-            from shortgf._linalg import solve_square
-
             expect = set()
             for sub in combinations(range(len(rows)), 3):
-                sol = solve_square([rows[i] for i in sub], [rhs[i] for i in sub])
+                sol = la.solve_square([rows[i] for i in sub], [rhs[i] for i in sub])
                 if sol is None:
                     continue
                 if all(
@@ -143,24 +113,30 @@ class TestVertexCones:
             assert got == expect
 
     def test_unbounded_rejected(self):
+        # the half-line x >= 0 has the vertex 0, but polytope_gf refuses it
         p = Polyhedron(((-1,),), (0,), 1)
+        assert tangent_cones(p) == [((Fraction(0),), ((1,),))]
+        assert not la.is_bounded(p.scaled_int_rows(), 1)
         with pytest.raises(UnboundedPolyhedronError):
-            vertex_cones(p)
+            polytope_gf(p)
 
     def test_empty_gives_empty(self):
         p = Polyhedron(((1,), (-1,)), (0, -2), 1)
-        assert vertex_cones(p) == []
+        assert tangent_cones(p) == []
 
     def test_point_has_the_zero_tangent_cone(self):
         # the tangent cone of a point is {0}: no rays, in 1-D as in 2-D
         point_1d = Polyhedron(((1,), (-1,)), (2, -2), 1)
-        assert vertex_cones(point_1d) == [((Fraction(2),), ())]
+        assert tangent_cones(point_1d) == [((Fraction(2),), ())]
         point_2d = Polyhedron(((1, 0), (-1, 0), (0, 1), (0, -1)), (2, -2, 1, -1), 2)
-        assert vertex_cones(point_2d) == [((Fraction(2), Fraction(1)), ())]
+        assert tangent_cones(point_2d) == [((Fraction(2), Fraction(1)), ())]
 
     def test_no_constraints_rejected(self):
+        p = Polyhedron((), (), 2)
+        assert tangent_cones(p) == []
+        assert not la.is_bounded([], 2)
         with pytest.raises(UnboundedPolyhedronError):
-            vertex_cones(Polyhedron((), (), 2))
+            polytope_gf(p)
 
 
 class TestTriangulateCone:
@@ -175,107 +151,27 @@ class TestTriangulateCone:
             triangulate_cone([(1, 0), (-1, 0), (0, 1)])
 
 
-def signed_count(cones, box):
-    """Signed number of box lattice points inside each apex + cone(gens) region.
-
-    A point lies in the (possibly lower-dimensional) cone region when its
-    offset from the apex is a nonnegative rational combination of the
-    generators; brute force over the box.
-    """
-    from itertools import product
-
-    from shortgf._linalg import rank_int, solve_square
-
-    total = 0
-    for cone in cones:
-        n = len(cone.apex)
-        gens = list(cone.generators)
-        k = len(gens)
-        rows_idx = []
-        for i in range(n):
-            trial = rows_idx + [i]
-            if rank_int([[g[r] for g in gens] for r in trial]) == len(trial):
-                rows_idx.append(i)
-            if len(rows_idx) == k:
-                break
-        mat = [[g[r] for g in gens] for r in rows_idx]
-        count = 0
-        for pt in product(*(range(u) for u in box)):
-            off = [Fraction(pt[i]) - cone.apex[i] for i in range(n)]
-            if k == 0:
-                if all(x == 0 for x in off):
-                    count += 1
-                continue
-            lam = solve_square(mat, [off[i] for i in rows_idx])
-            if lam is None or any(c < 0 for c in lam):
-                continue
-            if all(
-                sum(lam[j] * gens[j][i] for j in range(k)) == off[i]
-                for i in range(n)
-            ):
-                count += 1
-        total += cone.sign * count
-    return total
+def unimodular_pieces(gens):
+    """The signed pieces of the cone on `gens`, each checked to have |det| 1."""
+    out = decompose_unimodular_fulldim(gens, 1)
+    assert all(abs(la.det_int([list(c) for c in cols])) == 1 for _, cols in out)
+    return out
 
 
-class TestSignDecompose:
-    def test_unimodular_identity(self):
-        c = SignedCone((0, 0), ((1, 0), (0, 1)), 1)
-        out = sign_decompose(c)
-        assert len(out) == 1
-        assert out[0].generators == ((1, 0), (0, 1))
-        assert out[0].sign == 1
-
-    def test_index_two_cone_conserves_counts(self):
-        c = SignedCone((0, 0), ((1, 0), (1, 2)), 1)
-        out = sign_decompose(c)
-        assert all(
-            len(p.generators) < 2
-            or abs(
-                p.generators[0][0] * p.generators[1][1]
-                - p.generators[0][1] * p.generators[1][0]
-            )
-            == 1
-            for p in out
-        )
-        box = (6, 6)
-        assert signed_count(out, box) == signed_count([c], box)
-
-    def test_index_five_cone(self):
-        c = SignedCone((0, 0), ((1, 0), (1, 5)), 1)
-        out = sign_decompose(c)
-        assert len(out) <= 16
-        box = (6, 6)
-        assert signed_count(out, box) == signed_count([c], box)
-
-    @settings(max_examples=25, deadline=None)
-    @given(lower_dim_cones())
-    def test_lower_dimensional_cone_conserves_counts(self, c):
-        out = sign_decompose(c)
-        n = len(c.apex)
-        assert all(cone_index(p.generators, n) == 1 for p in out)
-        box = (7,) * n
-        assert signed_count(out, box) == signed_count([c], box)
-
-    def test_long_generator_index_two(self):
-        # a 500k-point bounding box, but only two lattice classes
-        c = SignedCone((0, 0, 0), ((1, 0, 10**6), (1, 2, 0)), 1)
-        assert cone_index(c.generators, 3) == 2
-        w = (1, 1, 500_000)
-        out = {(p.sign, p.generators) for p in sign_decompose(c)}
-        assert out == {
-            (1, ((1, 2, 0), w)),
-            (1, ((1, 0, 10**6), w)),
-            (-1, (w,)),
-        }
+def corner_polytope(gens):
+    """{x : g . x <= 0 for g in gens, -x_j <= 6}: the tight normals at the
+    vertex 0 are `gens`, so its dual tangent cone is the cone on them."""
+    n = len(gens[0])
+    rows = tuple(gens) + tuple(tuple(-int(i == j) for i in range(n)) for j in range(n))
+    return Polyhedron(rows, (0,) * len(gens) + (6,) * n, n)
 
 
-class TestConeIndex:
-    @settings(max_examples=200, deadline=None)
-    @given(generator_sets())
-    def test_matches_gcd_of_maximal_minors(self, case):
-        gens, n = case
-        assert cone_index(gens, n) == minors_gcd(gens, n)
+def corner_count(gens):
+    """Lattice points of `corner_polytope(gens)`, the same by GF and by search."""
+    p = corner_polytope(gens)
+    count = len(enumerate_polytope_points(p))
+    assert evaluate_at_one(polytope_gf(p)) == count
+    return count
 
 
 class TestDecomposeUnimodular:
@@ -298,28 +194,31 @@ class TestDecomposeUnimodular:
         assert len(inverted) == len(set(inverted)) > len(out) > 1
         assert all(abs(real([list(c) for c in cols])[0]) == 1 for _, cols in out)
 
+    def test_unimodular_identity(self):
+        gens = ((1, 0), (0, 1))
+        assert decompose_unimodular_fulldim(gens, 1) == [(1, gens)]
+        assert decompose_unimodular_fulldim(gens, -1) == [(-1, gens)]
 
-class TestConeGF:
-    def test_standard_quadrant_ray(self):
-        g = cone_gf(SignedCone((0,), ((1,),), 1))
-        tab = oracle_expand(g, LatticeBox((4,)))
-        assert tab.support_with_values() == {(i,): 1 for i in range(4)}
+    def test_index_two_cone_conserves_counts(self):
+        gens = ((1, 0), (1, 2))
+        assert len(unimodular_pieces(gens)) == 2
+        assert corner_count(gens) == 58
 
-    def test_fractional_apex_rounds_up(self):
-        g = cone_gf(SignedCone((Fraction(1, 2),), ((1,),), 1))
-        (term,) = g.terms
-        tab = oracle_expand(g, LatticeBox((4,)))
-        assert tab.support() == {(1,), (2,), (3,)}
+    def test_index_five_cone(self):
+        gens = ((1, 0), (1, 5))
+        assert len(unimodular_pieces(gens)) == 5
+        assert corner_count(gens) == 51
 
-    def test_two_dim_quadrant(self):
-        g = cone_gf(SignedCone((0, 0), ((1, 0), (0, 1)), 1))
-        tab = oracle_expand(g, LatticeBox((4, 4)))
-        assert tab.support() == {(i, j) for i in range(4) for j in range(4)}
-        assert tab.is_zero_one()
-
-    def test_non_unimodular_rejected(self):
-        with pytest.raises(ValueError):
-            cone_gf(SignedCone((0, 0), ((1, 0), (1, 2)), 1))
+    def test_long_generator_index_two(self):
+        # a 500k-point bounding box, but only two lattice classes
+        gens = ((1, 0, 10**6), (1, 2, 0), (0, 0, 1))
+        assert abs(la.det_int([list(g) for g in gens])) == 2
+        w = (1, 1, 500_000)
+        assert set(unimodular_pieces(gens)) == {
+            (1, ((1, 0, 10**6), w, (0, 0, 1))),
+            (1, (w, (1, 2, 0), (0, 0, 1))),
+        }
+        assert corner_count(gens) == 658
 
 
 class TestPolytopeGF:

@@ -246,7 +246,7 @@ class TestDemos:
 class TestDeterminism:
     def test_byte_identical_outputs(self, interval_file, evens_file, tmp_path):
         cmd = [
-            sys.executable, "-m", "shortgf.cli",
+            sys.executable, "-m", "shortgf",
             "op", "hadamard", interval_file, evens_file, "--box", "8",
         ]
         # the child imports the same package as this process

@@ -28,6 +28,7 @@ from shortgf import (
     oracle_expand,
     parse_gf,
     progression_gf,
+    semigroup_gf,
     support_points,
 )
 from shortgf.gfcore import _term, moment_vector
@@ -61,9 +62,10 @@ class TestCanonicalize:
         # (1, -1) pairs to -1 with the default ell = (2, 3), to 3 with (5, 2)
         f = canonicalize(ShortGF(2, (GFTerm(1, (0, 0), ((1, -1),)),)))
         assert canonicalize(f) is f
-        assert canonicalize(f, f.orientation) is f
+        same = ShortGF(f.nvars, f.terms, f.index_bound, f.orientation)
+        assert canonicalize(same) is same
         other = ExpansionDirection((5, 2))
-        g = canonicalize(f, other)
+        g = canonicalize(ShortGF(f.nvars, f.terms, f.index_bound, other))
         assert g.orientation == other
         assert g.terms == (GFTerm(-1, (-1, 1), ((-1, 1),)),)
 
@@ -81,8 +83,9 @@ class TestCanonicalize:
                         denoms.append(d)
                 terms.append(GFTerm(rng.choice([1, -1]), numer, tuple(denoms)))
             f = ShortGF(2, tuple(terms))
-            g1 = canonicalize(f, direction_for(2))
-            g2 = canonicalize(g1, direction_for(2))
+            g1 = canonicalize(f)
+            assert g1.orientation == direction_for(2)
+            g2 = canonicalize(g1)
             t1 = oracle_expand(g1, LatticeBox((8, 8)))
             t2 = oracle_expand(g2, LatticeBox((8, 8)))
             assert t1.support_with_values() == t2.support_with_values()
@@ -259,6 +262,32 @@ class TestTermConstructors:
             _term(Fraction(1), (1, 2), ((0, 0),))
         with pytest.raises(ValueError, match="length mismatch"):
             _term(Fraction(1), (1, 2), ((1,),))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: GFTerm(1, (x,), ((1,),)),
+            lambda x: GFTerm(1, (0,), ((x,),)),
+            lambda x: LatticeBox((x, 3)),
+            lambda x: progression_gf((x,), ((1,),), (3,)),
+            lambda x: progression_gf((0,), ((x,),), (3,)),
+            lambda x: progression_gf((0,), ((1,),), (x,)),
+            lambda x: from_point_set([(1, x)], 2),
+            lambda x: semigroup_gf((3, x)),
+        ],
+        ids=[
+            "GFTerm_numer", "GFTerm_denoms", "LatticeBox", "progression_apex",
+            "progression_vecs", "progression_counts", "from_point_set",
+            "semigroup_gf",
+        ],
+    )
+    def test_exponents_are_never_truncated(self, build):
+        # integral values of any number type build the same object; a
+        # fractional one raises instead of being cut down to its int()
+        assert build(Fraction(2)) == build(2.0) == build(2)
+        for x in (Fraction(5, 2), 2.5, Fraction(7, 3)):
+            with pytest.raises(ValueError, match="non-integral"):
+                build(x)
 
 
 class TestLengthAndIndex:

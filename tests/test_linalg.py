@@ -385,7 +385,8 @@ class TestVerticesOf:
 
 
 def tangent_cone_rays(normals, n):
-    """The ray loop `vertex_cones` used before `extreme_rays` (n >= 2)."""
+    """Reference rays of {d : normals . d <= 0} (n >= 2), by a loop over
+    the (n-1)-subsets of the normals."""
     rays = []
     seen = set()
     for combo in combinations(range(len(normals)), n - 1):
