@@ -7,9 +7,17 @@ equality-constrained polytope), boolean set operations on box-supported GFs,
 coefficient extraction, norm by bisection, oracle-backed projection and
 Minkowski operations, and positional-base compression/decompression of
 finite supports.
+
+The polytope step is the costly one, and the same pair recurs: the
+intersect, union and minus calls on one pair of operands build the same
+Hadamard product.  So `_polytope_pair_terms` keeps the terms of the 64 most
+recently built pairs, keyed on every argument that defines the pair's
+polytope and its coefficient (the term data, the functional, the box when
+the pair is boxed, and the variable count).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from . import _linalg as la
@@ -25,6 +33,7 @@ from .gfcore import (
     GFTerm,
     LatticeBox,
     ShortGF,
+    _gf,
     _term,
     as_box,
     canonicalize,
@@ -240,6 +249,7 @@ def _separable_terms(coeff, aA, vecsA, aB, vecsB, box):
     return sorted(gf.terms, key=lambda t: [t.numer[c] for c in order])
 
 
+@lru_cache(maxsize=64)
 def _polytope_pair_terms(
     coeff, aA, vecsA, tau_a, aB, vecsB, tau_rows, boxed, box, out_nvars
 ):
@@ -248,6 +258,15 @@ def _polytope_pair_terms(
     Solutions (zeta, xi) >= 0 of tau(aA + sum zeta_i B_i) = aB + sum xi_j D_j,
     with aA + sum zeta_i B_i confined to the box when `boxed`, are mapped
     to exponents aA + sum zeta_i B_i.
+
+    The same pair recurs: the intersect, union and minus calls on one pair
+    of operands each build the same Hadamard product.  So the terms are
+    cached on every argument, as the tuple of frozen GFTerms every caller
+    shares: the coefficient, the tuples aA, vecsA, tau_a, aB, vecsB, the
+    tuple of tuples tau_rows, `boxed`, the box (None unless `boxed`) and
+    out_nvars.  The repeats come close together, so the least recently
+    used pair is evicted past 64 entries, which keeps the memory flat; a
+    pair that raises is not cached.  `cache_info()` counts the hits.
     """
     p, q = len(vecsA), len(vecsB)
     dB = len(aB)
@@ -310,7 +329,8 @@ def _pair_terms(
         if terms is not None:
             return terms
     return _polytope_pair_terms(
-        coeff, aA, vecsA, tau_a, aB, vecsB, tau_rows, boxed, box, out_nvars
+        coeff, aA, vecsA, tau_a, aB, vecsB, tau_rows, boxed,
+        box if boxed else None, out_nvars,
     )
 
 
@@ -348,8 +368,14 @@ def tau_hadamard(f, g, tau_rows, box=None):
     under the identity functional, one whose g-term is a monomial.  The
     box does not cut the f-term of such a pair, so f's support outside the
     box can reach the result.
+
+    The polytope path is memoized: `_polytope_pair_terms` caches a pair's
+    terms on all of its arguments, tau_rows as a tuple of tuples and the
+    box only when the pair is boxed, for the 64 most recent pairs.  A
+    pair's coefficient is cA * cB, taken as the other factor when one of
+    them is 1, as every coefficient of a point-set GF is.
     """
-    tau_rows = [tuple(r) for r in tau_rows]
+    tau_rows = tuple(tuple(r) for r in tau_rows)
     if box is not None:
         box = as_box(box)
     terms_f = _positive_terms(f)
@@ -357,10 +383,10 @@ def tau_hadamard(f, g, tau_rows, box=None):
     g_boxes = [
         _support_box(aB, vecsB) if vecsB else None for _, aB, vecsB in terms_g
     ]
-    ident = [
+    ident = tuple(
         tuple(1 if i == j else 0 for j in range(f.nvars))
         for i in range(len(tau_rows))
-    ]
+    )
     pinned = len(tau_rows) == f.nvars and tau_rows == ident
     collected = []
     for cA, aA, vecsA in terms_f:
@@ -383,13 +409,14 @@ def tau_hadamard(f, g, tau_rows, box=None):
             image = clipped if boxed else free
             if cB == 0 or image is None or not _meets(image, aB, g_box):
                 continue
+            coeff = cB if cA == 1 else cA if cB == 1 else cA * cB
             collected.extend(
                 _pair_terms(
-                    cA * cB, aA, vecsA, tau_a, aB, vecsB, tau_rows, pinned,
+                    coeff, aA, vecsA, tau_a, aB, vecsB, tau_rows, pinned,
                     boxed, box, f.nvars,
                 )
             )
-    out = canonicalize(ShortGF(f.nvars, tuple(collected)))
+    out = canonicalize(_gf(f.nvars, tuple(collected)))
     return normalized(out)
 
 

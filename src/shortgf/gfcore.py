@@ -134,7 +134,12 @@ def _term(coeff, numer, denoms=()):
 
 @dataclass(frozen=True)
 class ShortGF:
-    """A short GF: declared variable count, index bound and a list of terms."""
+    """A short GF: declared variable count, index bound and a list of terms.
+
+    The public constructor coerces each term to a GFTerm and checks its
+    arity and the index bound.  Internal producers whose terms are already
+    valid GFTerms build the GF with `_gf`, which skips those checks.
+    """
 
     nvars: int
     terms: tuple
@@ -156,6 +161,23 @@ class ShortGF:
             object.__setattr__(self, "index_bound", idx)
         elif idx > self.index_bound:
             raise ValueError("term exceeds the declared index bound")
+
+
+def _gf(nvars, terms, index_bound=None, orientation=None):
+    """ShortGF of a tuple of valid GFTerms, without re-checking them.
+
+    The caller guarantees what `ShortGF.__post_init__` would check: every
+    term is a GFTerm of arity `nvars`, and none has more denominators than
+    `index_bound`.  A `None` bound becomes the largest denominator count.
+    """
+    if index_bound is None:
+        index_bound = max((len(t.denoms) for t in terms), default=0)
+    f = object.__new__(ShortGF)
+    object.__setattr__(f, "nvars", nvars)
+    object.__setattr__(f, "terms", terms)
+    object.__setattr__(f, "index_bound", index_bound)
+    object.__setattr__(f, "orientation", orientation)
+    return f
 
 
 @dataclass(frozen=True)
@@ -254,7 +276,7 @@ def progression_gf(apex, vecs, counts, coeff=1):
     vecs = tuple(map(int_vector, vecs))
     # every term has the denominators of coeff * t^apex / prod (1 - t^v_j),
     # so orienting that one term orients them all
-    base = canonicalize(ShortGF(len(apex), (_term(coeff, apex, vecs),)))
+    base = canonicalize(_gf(len(apex), (_term(coeff, apex, vecs),)))
     (first,) = base.terms
     signs = (first.coeff, -first.coeff)
     steps = [tuple(c * x for x in v) for v, c in zip(vecs, int_vector(counts))]
@@ -265,7 +287,7 @@ def progression_gf(apex, vecs, counts, coeff=1):
             if mask >> j & 1:
                 numer = tuple(map(add, numer, step))
         terms.append(_term(signs[mask.bit_count() & 1], numer, first.denoms))
-    return ShortGF(len(apex), tuple(terms), base.index_bound, base.orientation)
+    return _gf(len(apex), tuple(terms), base.index_bound, base.orientation)
 
 
 def gf_index(f):
@@ -340,7 +362,7 @@ def canonicalize(f):
             else:
                 denoms.append(d)
         new_terms.append(_term(coeff, numer, tuple(denoms)))
-    return ShortGF(f.nvars, tuple(new_terms), f.index_bound, direction)
+    return _gf(f.nvars, tuple(new_terms), f.index_bound, direction)
 
 
 def term_positive_form(term):
@@ -438,7 +460,7 @@ def normalized(f):
         for key, (c, t) in acc.items()
         if c
     )
-    return ShortGF(f.nvars, terms, f.index_bound, f.orientation)
+    return _gf(f.nvars, terms, f.index_bound, f.orientation)
 
 
 def concat(f, g):

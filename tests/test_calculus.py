@@ -45,6 +45,7 @@ from shortgf import (
     polytope_gf,
     progression_gf,
     proj_member,
+    scale,
     semigroup_gf,
     specialize_vars,
     substitute_monomials,
@@ -702,7 +703,7 @@ class TestSeparablePairs:
         coefficient, each term's apex and vectors, whether it is boxed, and
         its terms by the separable and by the polytope path."""
         n = f.nvars
-        ident = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         for tf in f.terms:
             cA, aA, vecsA = term_positive_form(tf)
             for tg in g.terms:
@@ -766,6 +767,8 @@ class TestHadamardWork:
 
     @staticmethod
     def _count(monkeypatch, module, name):
+        # a pair polytope cached by an earlier test would not be rebuilt
+        _polytope_pair_terms.cache_clear()
         calls = []
         real = getattr(module, name)
 
@@ -847,6 +850,85 @@ class TestHadamardWork:
         assert _table(h1, (16,)) == _indicator([(3,), (9,)])
         for h in (h2, h3):
             assert _table(h, (8, 8)) == _indicator([(2, 3), (3, 0)])
+
+    def test_hadamard_builds_gfs_without_checks(self, monkeypatch):
+        # monomial, divisibility and separable pairs: canonicalize,
+        # normalized, progression_gf and tau_hadamard build their GFs
+        # from terms that are already valid
+        f1 = from_point_set([(3,), (9,), (12,)], 1)
+        g1 = box_range_gf([2], [10])
+        f2 = from_point_set([(0, 1), (2, 3), (3, 0), (5, 5)], 2)
+        g2 = box_range_gf([1, 0], [4, 6])
+        calls = self._count(monkeypatch, ShortGF, "__post_init__")
+        h1 = hadamard(f1, g1, box=(16,))
+        h2 = hadamard(g2, f2, box=(8, 8))
+        h3 = hadamard(g2, progression_gf((1, 0), ((2, 0),), (2,)), box=(8, 8))
+        assert calls == []
+        assert _table(h1, (16,)) == _indicator([(3,), (9,)])
+        assert _table(h2, (8, 8)) == _indicator([(2, 3), (3, 0)])
+        assert _table(h3, (8, 8)) == _indicator([(1, 0), (3, 0)])
+        assert all(h.index_bound >= gf_index(h) for h in (h1, h2, h3))
+        # the public constructor still checks every term
+        with pytest.raises(ValueError, match="arity"):
+            ShortGF(2, (GFTerm(1, (0,)),))
+        with pytest.raises(ValueError, match="index bound"):
+            ShortGF(1, (GFTerm(1, (0,), ((1,),)),), index_bound=0)
+        assert len(calls) == 2
+
+    @staticmethod
+    def _discs():
+        """Two 2-D polytope operands in the 8 x 8 box, with facets off the
+        unit directions, so their pairs take the polytope path."""
+        unit = ((1, 0), (-1, 0), (0, 1), (0, -1))
+        f = polytope_gf(Polyhedron(unit + ((1, 2),), (7, 0, 7, 0, 9), 2))
+        g = polytope_gf(Polyhedron(unit + ((2, 1),), (7, 0, 7, 0, 10), 2))
+        pf = {(x, y) for x in range(8) for y in range(8) if x + 2 * y <= 9}
+        pg = {(x, y) for x in range(8) for y in range(8) if 2 * x + y <= 10}
+        return f, g, pf, pg
+
+    def test_boolean_modes_share_the_pair_polytopes(self, monkeypatch):
+        f, g, pf, pg = self._discs()
+        box = LatticeBox((8, 8))
+        modes = (("intersect", pf & pg), ("union", pf | pg), ("minus", pf - pg))
+        calls = self._count(monkeypatch, shortgf.calculus, "lattice_gf_mapped")
+        warm, built = {}, []
+        for mode, want in modes:
+            before = len(calls)
+            warm[mode] = boolean_combine(f, g, box, mode, check=False)
+            built.append(len(calls) - before)
+            assert _table(warm[mode], box.sides) == _indicator(want), mode
+        # every pair polytope fits the cache, and only the first mode builds
+        assert 0 < _polytope_pair_terms.cache_info().currsize == built[0]
+        assert built[1:] == [0, 0]
+        for mode, _ in modes:
+            _polytope_pair_terms.cache_clear()
+            cold = boolean_combine(f, g, box, mode, check=False)
+            assert format_gf(cold) == format_gf(warm[mode]), mode
+
+    def test_coefficient_and_box_are_part_of_the_key(self):
+        f, g, pf, pg = self._discs()
+        _polytope_pair_terms.cache_clear()
+        for c in (2, 3, Fraction(-1, 2)):
+            h = hadamard(scale(f, c), g, box=(8, 8))
+            assert _table(h, (8, 8)) == {x: c for x in pf & pg}, c
+        for sides in ((8, 8), (10, 12)):
+            h = hadamard(f, g, box=sides)
+            assert _table(h, sides) == _indicator(pf & pg), sides
+        # one pair of cones, the box rows cutting it: x >= y >= 0 meets
+        # the positive quadrant in a triangle of the box
+        apex, vecsA, vecsB = (0, 0), ((1, 0), (1, 1)), ((1, 0), (0, 1))
+        ident = ((1, 0), (0, 1))
+        for coeff, sides in ((Fraction(1), (4, 4)), (Fraction(1), (6, 3)),
+                             (Fraction(5), (6, 3))):
+            terms = _polytope_pair_terms(
+                coeff, apex, vecsA, apex, apex, vecsB, ident, True,
+                LatticeBox(sides), 2,
+            )
+            want = {
+                (x, y): coeff for x in range(sides[0]) for y in range(sides[1])
+                if y <= x
+            }
+            assert _table(ShortGF(2, terms), sides) == want, (coeff, sides)
 
 
 @st.composite

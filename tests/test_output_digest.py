@@ -1,0 +1,41 @@
+"""Every benchmark output at seed 7 is byte-identical to the pinned digest.
+
+`scripts/output_digest.py` runs each benchmark workload's items and checker
+and prints one sha256 line per workload (see its docstring).  A change that
+alters any GF, count, encoding or error an item returns changes a line.
+When a change alters an output on purpose, repin the lines from the
+script's output and say why in CHANGES.md.
+"""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPT = os.path.join(ROOT, "scripts", "output_digest.py")
+
+PINNED = (
+    "circuit_accept seed=7 gfs=1 failed=0 "
+    "sha256=79e2d49ed2477a76fc8b3d6d979379732f07666d3d5e53b0b988ff2ec041aa03 "
+    "values_sha256=4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "circuit_encode seed=7 gfs=1 failed=0 "
+    "sha256=92cc16d3da284c2f3daa814120ab759c1b3c93a0bd4c37453cec0c2ef84988bd "
+    "values_sha256=17a73df3196571cf64b718b04ed2559e10e181e92ff139aad2260d2e9181dee0",
+    "calculus seed=7 gfs=1155 failed=0 "
+    "sha256=200ebf7cb509288a34ce5b4b14fcdf61e1d092b04ddf12c69b6c60c03b11f205 "
+    "values_sha256=03f4f4a87e7348cfd13ee527d86a8d800845387339d9f604ffb62c223e61f5e3",
+    "number_theory seed=7 gfs=28 failed=0 "
+    "sha256=cb99e33fb1deddaff8e0b6501fba594cbc2a2a37d010085523db79ea14fba7d3 "
+    "values_sha256=6ce30115718e612f68bcb8bbea639c8e73c8db051c2e4bbe288b26b9443abf94",
+)
+
+
+def test_seed_7_outputs_match_the_pinned_digest():
+    proc = subprocess.run(
+        [sys.executable, SCRIPT, "--seeds", "7"],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert tuple(proc.stdout.splitlines()) == PINNED
