@@ -8,6 +8,9 @@ are Gauss-Jordan over `fractions.Fraction`.  No program code calls
 `det_int`, `rank_int`, `solve`, `solve_square` or `matrix_inverse_fraction`:
 they are kept as the references the tests compare against.  Rows of
 inequality systems are (coeffs, rhs) pairs of ints meaning coeffs . x <= rhs.
+A rational point leaves as one reduced integer pair (nums, den), den > 0,
+meaning x = nums / den, and a parallelepiped coordinate lam as the integer
+residue det * lam; only `lll_reduce` computes in Fractions.
 
 `_first_vertex` is the one exact pivoting kernel: an active-set simplex
 with Bland's rule in integers (Bland 1977).  `vertices_of` walks the edge
@@ -132,12 +135,12 @@ def solve(rows, rhs):
 
 
 def kernel_basis(rows, n):
-    """Primitive integer basis of {h in Q^n : rows . h = 0}, rows of ints or Fractions.
+    """Primitive integer basis of {h in Q^n : rows . h = 0}, rows of ints.
 
     One vector per free column of the echelon form, in column order, with a
     positive entry in its free column.
     """
-    pivots, w, pivot, _ = echelon(integer_rows(rows), n)
+    pivots, w, pivot, _ = echelon(rows, n)
     s = 1 if pivot > 0 else -1
     basis = []
     for fc in range(n):
@@ -545,16 +548,17 @@ def _first_vertex(rows, basis):
 def vertices_of(rows, n):
     """Vertices of {x : rows hold} by a walk along the edges of the polyhedron.
 
-    Rows are integer (coeffs, rhs) pairs; returns (vertex as Fractions,
-    tight row indices), sorted for determinism, and [] when the system is
-    empty or its normals have rank < n.  `_first_vertex` finds one vertex;
+    Rows are integer (coeffs, rhs) pairs; returns ((nums, den), tight row
+    indices) per vertex, the vertex nums / den as a reduced integer pair
+    with den > 0, sorted by value for determinism, and [] when the system
+    is empty or its normals have rank < n.  `_first_vertex` finds one vertex;
     from each vertex found, every edge direction is followed to the first
     row it meets.  At a vertex tight on exactly n rows the directions are
     the columns of -W^-1 (W the tight normals); at a degenerate one they are
     the `extreme_rays` of the tight normals.  An edge that meets no row is
     an unbounded ray and leads nowhere.  The vertices and bounded edges of
     a polyhedron with a vertex form a connected graph, so the walk reaches
-    every vertex.  All arithmetic is integer until the final conversion.
+    every vertex.  All arithmetic is integer.
     """
     normals = [r[0] for r in rows]
     basis = _independent_rows(normals)
@@ -597,12 +601,11 @@ def vertices_of(rows, n):
             new_tight = tuple(i for i, s in enumerate(new_slacks) if not s)
             seen[key] = new_tight
             stack.append((*key, new_slacks, new_tight))
-    out = [
-        (tuple(Fraction(x, den) for x in nums), tight)
-        for (nums, den), tight in seen.items()
-    ]
-    out.sort(key=lambda t: t[0])
-    return out
+    common = lcm(*(den for _, den in seen))
+    return sorted(
+        seen.items(),
+        key=lambda item: [x * (common // item[0][1]) for x in item[0][0]],
+    )
 
 
 def extreme_rays(normals, n):
@@ -685,11 +688,12 @@ def enumerate_parallelepiped(gen_cols, inverse):
 
     gen_cols: list of d integer d-vectors (the generators, as columns), and
     inverse = (det, R), `scaled_inverse_int` of the matrix W they form.
-    Returns a sorted list of (point, lam) pairs, lam as Fractions; includes
-    the origin.  Each coset representative rep of Z^d / W Z^d is mapped into
-    the parallelepiped with integer arithmetic: R rep = det * lam_raw, so
-    divmod by det gives floor(lam_raw) and the fractional part.  Raises
-    ResourceLimitError when det exceeds `_PPD_CAP`.
+    Returns a sorted list of (point, rem) pairs, rem the integer residues
+    with lam = rem / det, 0 <= rem_i < det; includes the origin.  Each coset
+    representative rep of Z^d / W Z^d is mapped into the parallelepiped with
+    integer arithmetic: R rep = det * lam_raw, so divmod by det gives
+    floor(lam_raw) and the residue.  Distinct representatives give distinct
+    points.  Raises ResourceLimitError when det exceeds `_PPD_CAP`.
     """
     d = len(gen_cols)
     det, r_rows = inverse
@@ -704,17 +708,12 @@ def enumerate_parallelepiped(gen_cols, inverse):
     pts = []
 
     def visit(rep):
-        floors = []
-        frac = []
-        for row in r_rows:
-            q, rem = divmod(dot(row, rep), det)
-            floors.append(q)
-            frac.append(Fraction(rem, det))
+        floors, rems = zip(*(divmod(dot(row, rep), det) for row in r_rows))
         pt = tuple(
             rep[i] - sum(gen_cols[j][i] * floors[j] for j in range(d))
             for i in range(d)
         )
-        pts.append((pt, tuple(frac)))
+        pts.append((pt, rems))
 
     rep = [0] * d
 
@@ -728,11 +727,7 @@ def enumerate_parallelepiped(gen_cols, inverse):
         rep[i] = 0
 
     rec(0)
-    # dedupe (reps map bijectively, but keep safety) and sort for determinism
-    uniq = {}
-    for pt, frac in pts:
-        uniq[pt] = frac
-    return sorted(uniq.items())
+    return sorted(pts)
 
 
 _LLL_MAX_ROUNDS = 10_000

@@ -21,7 +21,7 @@ auxiliary polytopes of the Hadamard machinery.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, lcm
+from math import gcd
 
 from . import _linalg as la
 from ._subst import substitute
@@ -85,20 +85,21 @@ class Polyhedron:
 
 
 def _parallelepiped_point(gen_cols, inverse):
-    """Nonzero lattice point of the half-open parallelepiped, as (point, lam).
+    """Nonzero lattice point of the half-open parallelepiped, as (point, rem).
 
-    `inverse` is `scaled_inverse_int` of the matrix whose columns are
-    gen_cols.  Chooses the point minimizing max lam_i (ties broken
-    lexicographically); lam entries lie in [0,1).
+    `inverse` = (det, R) is `scaled_inverse_int` of the matrix whose columns
+    are gen_cols, and the point is sum_i (rem_i / det) g_i with 0 <= rem_i <
+    det.  Chooses the point minimizing max rem_i (ties broken
+    lexicographically).
     """
     pts = la.enumerate_parallelepiped(gen_cols, inverse)
     best = None
-    for pt, lam in pts:
+    for pt, rem in pts:
         if not any(pt):
             continue
-        key = (max(lam), pt)
+        key = (max(rem), pt)
         if best is None or key < best[0]:
-            best = (key, pt, lam)
+            best = (key, pt, rem)
     if best is None:
         raise ValueError("unimodular cone reached decomposition loop")
     return best[1], best[2]
@@ -107,8 +108,8 @@ def _parallelepiped_point(gen_cols, inverse):
 def _short_vector_lll(gen_cols, inverse):
     """Short nonzero vector w = W lam with all |lam_i| < 1, via basis reduction.
 
-    `inverse` is `scaled_inverse_int` of W, the matrix whose columns are
-    gen_cols.
+    `inverse` = (det, R) is `scaled_inverse_int` of W, the matrix whose
+    columns are gen_cols.  Returns (w, beta) with lam = beta / det, or None.
     """
     d = len(gen_cols)
     det, inv = inverse
@@ -123,23 +124,18 @@ def _short_vector_lll(gen_cols, inverse):
         if m >= det:
             continue
         if best is None or m < best[0]:
-            lam = tuple(Fraction(x, det) for x in beta)
-            w = tuple(
-                sum(gen_cols[j][i] * lam[j] for j in range(d)) for i in range(d)
-            )
-            if all(x.denominator == 1 for x in w) and any(
-                x.numerator for x in w
-            ):
-                best = (m, tuple(int(x) for x in w), lam)
+            w = [sum(gen_cols[j][i] * beta[j] for j in range(d)) for i in range(d)]
+            if any(w) and all(x % det == 0 for x in w):
+                best = (m, tuple(x // det for x in w), beta)
     if best is None:
         return None
-    _, w, lam = best
-    if all(x <= 0 for x in lam):
+    _, w, beta = best
+    if all(x <= 0 for x in beta):
         # w in -K: K and the child cones then cover the whole space, so the
         # signed children would leave a whole-space term, which polarizes to
         # a spurious point cone at the vertex.  -w has all lam >= 0.
-        return tuple(-x for x in w), tuple(-x for x in lam)
-    return w, lam
+        return tuple(-x for x in w), tuple(-x for x in beta)
+    return w, beta
 
 
 def decompose_unimodular_fulldim(gen_cols, sign):
@@ -147,7 +143,9 @@ def decompose_unimodular_fulldim(gen_cols, sign):
 
     Valid modulo lower-dimensional cones: replacing a generator with a short
     parallelepiped (or basis-reduced) vector w yields child cones signed by
-    the orientation of w's coefficient.  Returns a list of (sign, gen_cols).
+    the orientation of w's coefficient; only the signs of the coefficients
+    are read, so both steps return them scaled by det.  Returns a list of
+    (sign, gen_cols).
     """
     d = len(gen_cols)
     out = []
@@ -288,20 +286,14 @@ def _unimodular_cone_term(nums, den, gen_cols, dual_cols, sign):
     return Fraction(sign), tuple(apex), tuple(gen_cols)
 
 
-def _scaled_point(point):
-    """(nums, den) with point = nums / den, den the lcm of its denominators."""
-    den = lcm(*(x.denominator for x in point))
-    return [x.numerator * (den // x.denominator) for x in point], den
-
-
 def _brion_fulldim(rows, d, verts):
     """Positive-form term triples of the lattice-point GF of a full-dim polytope.
 
-    `verts` is `la.vertices_of(rows, d)`, as `_reduce_to_fulldim` returns it.
+    `verts` is `la.vertices_of(rows, d)`, as `_reduce_to_fulldim` returns
+    it: each vertex is the integer pair (nums, den) the cone terms round.
     """
     triples = []
-    for vertex, tight in verts:
-        nums, den = _scaled_point(vertex)
+    for (nums, den), tight in verts:
         normals = tuple(sorted({la.primitive(rows[i][0]) for i in tight}))
         for sign, polar_cols, ucols in _dual_cone_gf_terms(normals, d):
             triples.append(_unimodular_cone_term(nums, den, polar_cols, ucols, sign))
@@ -320,7 +312,10 @@ def _reduce_to_fulldim(ineq_rows, eq_rows, eq_rhs, m):
     the `la.vertices_of` list of the final rows (empty when K has no
     columns).  Raises _EmptyPolytope when there are no integer points
     (bounded inputs only).  Implicit equalities are found as opposite row
-    pairs and, failing that, from the affine hull of the vertex set.
+    pairs and, failing that, from the affine hull of the vertex set: its
+    normals h are the kernel of the integer differences
+    nums_i * d0 - n0 * den_i from the first vertex n0 / d0, each giving the
+    equation h * (d0 / g) . z = (h . n0) / g with g = gcd(h . n0, d0).
     """
     y0 = tuple(0 for _ in range(m))
     k_cols = [tuple(1 if i == j else 0 for i in range(m)) for j in range(m)]
@@ -382,16 +377,19 @@ def _reduce_to_fulldim(ineq_rows, eq_rows, eq_rhs, m):
         verts = la.vertices_of(rows, d)
         if not verts:
             raise _EmptyPolytope
-        v0 = verts[0][0]
-        diffs = [tuple(v[i] - v0[i] for i in range(d)) for v, _ in verts[1:]]
+        n0, d0 = verts[0][0]
+        diffs = [
+            [x * d0 - y * den for x, y in zip(nums, n0)]
+            for (nums, den), _ in verts[1:]
+        ]
         normals = la.kernel_basis(diffs, d)
         if not normals:
             return rows, y0, k_cols, verts
         eqs = []
         for h in normals:
-            rhs = sum(Fraction(h[i]) * v0[i] for i in range(d))
-            h = tuple(x * rhs.denominator for x in h)
-            eqs.append((h, int(rhs * rhs.denominator)))
+            rhs = la.dot(h, n0)
+            g = gcd(rhs, d0)
+            eqs.append((tuple(x * (d0 // g) for x in h), rhs // g))
     raise ResourceLimitError("affine-hull reduction did not converge")
 
 
@@ -432,7 +430,8 @@ def lattice_gf_mapped(
     ]
     if d == 1 and any(row[0] for row in vrows):
         v = tuple(row[0] for row in vrows)
-        lo, hi = ceil(verts[0][0][0]), floor(verts[-1][0][0])
+        ((lo_num,), lo_den), ((hi_num,), hi_den) = verts[0][0], verts[-1][0]
+        lo, hi = -(-lo_num // lo_den), hi_num // hi_den
         apex = la.vadd(offset, [lo * x for x in v])
         return normalized(progression_gf(apex, (v,), (hi - lo + 1,), coeff_factor))
     triples = _brion_fulldim(rows, d, verts)
@@ -458,14 +457,17 @@ def lattice_gf_mapped(
 
 
 def polytope_gf(polyhedron):
-    """Short GF of the polytope's lattice points via signed cone decomposition."""
+    """Short GF of the polytope's lattice points via signed cone decomposition.
+
+    A row 0 . x <= b with b < 0 gives the zero GF before boundedness is
+    checked.
+    """
     n = polyhedron.n
-    rows = polyhedron.scaled_int_rows()
-    if not la.is_bounded(rows, n):
-        raise UnboundedPolyhedronError("unbounded polyhedra are unsupported")
     lrows = polyhedron.lattice_rows()
     if lrows is None:
         return zero_gf(n)
+    if not la.is_bounded(lrows, n):
+        raise UnboundedPolyhedronError("unbounded polyhedra are unsupported")
     ident = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
     return lattice_gf_mapped(
         lrows, [], [], n, ident, tuple(0 for _ in range(n)), n
@@ -496,8 +498,13 @@ def enumerate_polytope_points(polyhedron, limit=None):
         verts = la.vertices_of(rows, n)
         if not verts:
             return []
-        coords = zip(*(v for v, _ in verts))
-        bounds = [[ceil(min(c)), floor(max(c))] for c in coords]
+        bounds = [
+            [
+                min(-(-nums[j] // den) for (nums, den), _ in verts),
+                max(nums[j] // den for (nums, den), _ in verts),
+            ]
+            for j in range(n)
+        ]
     return la.lattice_points(rows, bounds, limit=limit)
 
 

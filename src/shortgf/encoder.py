@@ -23,9 +23,10 @@ from .calculus import (
     evaluate_at_one,
     hadamard,
     minkowski_oracle,
+    oracle_project,
     support_points,
 )
-from .errors import FormatError, ResourceLimitError, SpecializationError
+from .errors import FormatError, ResourceLimitError
 from .gfcore import (
     GFTerm,
     LatticeBox,
@@ -390,24 +391,19 @@ def violation_projection_by_bits(cnf, box):
 def segment_gf(encoding):
     """Accepted-input GF: specialize the box complement of the projection.
 
-    Verifies the piece-union identity against the bit-semantics oracle and
-    the one-witness property of the complement before specializing to x.
+    Verifies the piece-union identity against the bit-semantics oracle, then
+    takes the complement with `oracle_project`'s 'anti' mode and specializes
+    it to x with its 'specialize' mode, which checks the one-witness
+    property of the complement.
     """
     proj = encoding.proj_points()
-    if proj != violation_projection_by_bits(encoding.cnf, encoding.box):
+    box = encoding.box
+    if proj != violation_projection_by_bits(encoding.cnf, box):
         raise ValueError(
             "piece union does not match the projection of the violation region"
         )
-    witness = {}
-    for x in range(encoding.box.sides[0]):
-        for y in range(encoding.box.sides[1]):
-            if (x, y) in proj:
-                continue
-            if x in witness:
-                raise SpecializationError((x,), (witness[x],), (y,))
-            witness[x] = y
-    accepted = sorted(witness)
-    return from_point_set([(x,) for x in accepted], 1)
+    complement = oracle_project(from_point_set(proj, 2), (0, 1), box, "anti")
+    return oracle_project(complement, (0,), box, "specialize")
 
 
 def compress_encoding(encoding):

@@ -9,7 +9,6 @@ the cells yields the short GF of the truth set.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import _linalg as la
 from .barvinok import Polyhedron, polytope_gf
@@ -289,8 +288,8 @@ def disjointify(body, box, var_order=None):
     out = []
     for rows in cells:
         all_rows = box_rows + rows
-        A = tuple(tuple(Fraction(c) for c in coeffs) for coeffs, _ in all_rows)
-        b = tuple(Fraction(rhs) for _, rhs in all_rows)
+        A = tuple(coeffs for coeffs, _ in all_rows)
+        b = tuple(rhs for _, rhs in all_rows)
         out.append(Polyhedron(A, b, n))
     return out
 

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +24,10 @@ from shortgf import (
     semigroup_gf,
     support_points,
     triangulate_cone,
+    zero_gf,
 )
 from shortgf import _linalg as la
-from shortgf.barvinok import decompose_unimodular_fulldim
+from shortgf.barvinok import _short_vector_lll, decompose_unimodular_fulldim
 
 
 @st.composite
@@ -58,6 +60,12 @@ def interval(lo_num, lo_den, hi_num, hi_den):
     )
 
 
+def as_pair(point):
+    """A point of Fractions as the reduced (nums, den) pair of `la.vertices_of`."""
+    den = lcm(*(x.denominator for x in point))
+    return tuple(int(x * den) for x in point), den
+
+
 def tangent_cones(p):
     """Vertices of p with the extreme rays of each vertex's tangent cone."""
     rows = p.scaled_int_rows()
@@ -71,16 +79,19 @@ class TestVertexCones:
     def test_interval(self):
         p = interval(0, 1, 3, 1)
         cones = tangent_cones(p)
-        assert [v for v, _ in cones] == [(Fraction(0),), (Fraction(3),)]
+        assert [v for v, _ in cones] == [((0,), 1), ((3,), 1)]
         assert cones[0][1] == ((1,),)
         assert cones[1][1] == ((-1,),)
+        # [1/2, 7/3]: the rows are 3x <= 7 and -2x <= -1
+        cones = tangent_cones(interval(1, 2, 7, 3))
+        assert cones == [(((1,), 2), ((1,),)), (((7,), 3), ((-1,),))]
 
     def test_triangle(self):
         p = Polyhedron(((-1, 0), (0, -1), (1, 1)), (0, 0, 2), 2)
         cones = tangent_cones(p)
         assert len(cones) == 3
-        verts = {tuple(int(x) for x in v) for v, _ in cones}
-        assert verts == {(0, 0), (2, 0), (0, 2)}
+        verts = {v for v, _ in cones}
+        assert verts == {((0, 0), 1), ((2, 0), 1), ((0, 2), 1)}
 
     def test_random_3d_vertices_match_basic_solution_oracle(self):
         rng = random.Random(5)
@@ -109,13 +120,13 @@ class TestVertexCones:
                     sum(Fraction(c) * x for c, x in zip(row, sol)) <= b
                     for row, b in zip(rows, rhs)
                 ):
-                    expect.add(sol)
+                    expect.add(as_pair(sol))
             assert got == expect
 
     def test_unbounded_rejected(self):
         # the half-line x >= 0 has the vertex 0, but polytope_gf refuses it
         p = Polyhedron(((-1,),), (0,), 1)
-        assert tangent_cones(p) == [((Fraction(0),), ((1,),))]
+        assert tangent_cones(p) == [(((0,), 1), ((1,),))]
         assert not la.is_bounded(p.scaled_int_rows(), 1)
         with pytest.raises(UnboundedPolyhedronError):
             polytope_gf(p)
@@ -127,9 +138,9 @@ class TestVertexCones:
     def test_point_has_the_zero_tangent_cone(self):
         # the tangent cone of a point is {0}: no rays, in 1-D as in 2-D
         point_1d = Polyhedron(((1,), (-1,)), (2, -2), 1)
-        assert tangent_cones(point_1d) == [((Fraction(2),), ())]
+        assert tangent_cones(point_1d) == [(((2,), 1), ())]
         point_2d = Polyhedron(((1, 0), (-1, 0), (0, 1), (0, -1)), (2, -2, 1, -1), 2)
-        assert tangent_cones(point_2d) == [((Fraction(2), Fraction(1)), ())]
+        assert tangent_cones(point_2d) == [(((2, 1), 1), ())]
 
     def test_no_constraints_rejected(self):
         p = Polyhedron((), (), 2)
@@ -174,6 +185,31 @@ def corner_count(gens):
     return count
 
 
+def short_vector_reference(gen_cols, inverse):
+    """`_short_vector_lll` as it was written over Fractions: (w, lam)."""
+    d = len(gen_cols)
+    det, inv = inverse
+    basis = [tuple(inv[i][j] for i in range(d)) for j in range(d)]
+    best = None
+    for beta in la.lll_reduce(basis):
+        if not any(beta):
+            continue
+        m = max(abs(x) for x in beta)
+        if m >= det:
+            continue
+        if best is None or m < best[0]:
+            lam = tuple(Fraction(x, det) for x in beta)
+            w = tuple(sum(gen_cols[j][i] * lam[j] for j in range(d)) for i in range(d))
+            if all(x.denominator == 1 for x in w) and any(x.numerator for x in w):
+                best = (m, tuple(int(x) for x in w), lam)
+    if best is None:
+        return None
+    _, w, lam = best
+    if all(x <= 0 for x in lam):
+        return tuple(-x for x in w), tuple(-x for x in lam)
+    return w, lam
+
+
 class TestDecomposeUnimodular:
     def test_one_inverse_per_popped_cone(self, monkeypatch):
         inverted = []
@@ -193,6 +229,30 @@ class TestDecomposeUnimodular:
         out = decompose_unimodular_fulldim([(1, 0, 0), (0, 1, 0), (3, 7, 40)], 1)
         assert len(inverted) == len(set(inverted)) > len(out) > 1
         assert all(abs(real([list(c) for c in cols])[0]) == 1 for _, cols in out)
+
+    def test_short_vector_matches_the_fraction_formula(self):
+        rng = random.Random(29)
+        checked = found = 0
+        while checked < 200:
+            d = rng.randint(2, 4)
+            cols = [tuple(rng.randint(-9, 9) for _ in range(d)) for _ in range(d)]
+            inverse = la.scaled_inverse_int(
+                [[c[i] for c in cols] for i in range(d)]
+            )
+            if inverse is None or inverse[0] <= 32:
+                continue
+            det = inverse[0]
+            got = _short_vector_lll(cols, inverse)
+            want = short_vector_reference(cols, inverse)
+            checked += 1
+            if want is None:
+                assert got is None
+                continue
+            found += 1
+            w, beta = got
+            assert w == want[0]
+            assert tuple(Fraction(x, det) for x in beta) == want[1]
+        assert found > 100
 
     def test_unimodular_identity(self):
         gens = ((1, 0), (0, 1))
@@ -296,6 +356,12 @@ class TestPolytopeGF:
     def test_unbounded_rejected(self):
         with pytest.raises(UnboundedPolyhedronError):
             polytope_gf(Polyhedron(((1,),), (3,), 1))
+
+    def test_constant_row_empty_set_is_the_zero_gf(self):
+        # 0 . x <= -1 holds nowhere: no row bounds x, yet the set is empty
+        p = Polyhedron(((0,),), (-1,), 1)
+        assert polytope_gf(p) == zero_gf(1)
+        assert enumerate_polytope_points(p) == []
 
     def test_single_vertex_fibres(self):
         # three rows through one vertex and nothing else: the fibre is that

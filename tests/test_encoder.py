@@ -17,6 +17,7 @@ from shortgf import (
     ResourceLimitError,
     SegmentEncoding,
     ShortGF,
+    SpecializationError,
     alternating_pipeline,
     and_gate,
     bit_atoms,
@@ -54,6 +55,7 @@ from shortgf import (
     xor_detector,
 )
 import shortgf._linalg
+import shortgf.encoder
 import shortgf.presburger
 from shortgf.encoder import _literal_value, segment_gf as _segment_gf
 
@@ -236,6 +238,36 @@ class TestEncodeSegment:
             pytest.fail("every piece is covered by the others")
         with pytest.raises(ValueError, match="piece union"):
             segment_gf(short)
+
+    def test_segment_gf_rejects_two_witnesses(self, monkeypatch):
+        # with the union check passed by a short oracle, a dropped piece can
+        # leave two y for some x in the complement: the first such x in
+        # (x, y) order is reported with its first two y
+        enc = encode_segment(xor_detector(2))
+        x_side, y_side = enc.box.sides
+        for i in range(len(enc.pieces)):
+            short = dataclasses.replace(
+                enc, pieces=enc.pieces[:i] + enc.pieces[i + 1:]
+            )
+            proj = short.proj_points()
+            doubles = [
+                (x, ys)
+                for x in range(x_side)
+                for ys in [[y for y in range(y_side) if (x, y) not in proj]]
+                if len(ys) > 1
+            ]
+            if doubles:
+                break
+        else:
+            pytest.fail("no dropped piece leaves two witnesses")
+        monkeypatch.setattr(
+            shortgf.encoder, "violation_projection_by_bits", lambda cnf, box: proj
+        )
+        x, ys = doubles[0]
+        with pytest.raises(SpecializationError) as info:
+            segment_gf(short)
+        err = info.value
+        assert (err.point, err.witness_a, err.witness_b) == ((x,), (ys[0],), (ys[1],))
 
     @pytest.mark.parametrize(
         "packed, old, new, error",

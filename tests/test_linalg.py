@@ -113,11 +113,10 @@ class TestEchelon:
     @settings(max_examples=100, deadline=None)
     @given(rect_matrices(st.fractions(-5, 5, max_denominator=6)))
     def test_fraction_rows_match_cleared_rows(self, system):
-        rows, n = system
+        rows, _ = system
         den = lcm(*(x.denominator for row in rows for x in row))
         cleared = [[int(x * den) for x in row] for row in rows]
         assert rank_int(rows) == rank_int(cleared)
-        assert kernel_basis(rows, n) == kernel_basis(cleared, n)
 
 
 def parallelepiped_reference(gen_cols):
@@ -176,8 +175,16 @@ class TestEnumerateParallelepiped:
         cols = [tuple(c) for c in cols]
         assume(det_int(cols) != 0)
         w_rows = [[c[i] for c in cols] for i in range(len(cols))]
-        got = enumerate_parallelepiped(cols, scaled_inverse_int(w_rows))
-        assert got == parallelepiped_reference(cols)
+        inverse = scaled_inverse_int(w_rows)
+        got = enumerate_parallelepiped(cols, inverse)
+        det = inverse[0]
+        # the residues are det * lam, all integers
+        want = [
+            (pt, tuple(det * x for x in lam))
+            for pt, lam in parallelepiped_reference(cols)
+        ]
+        assert got == want
+        assert all(isinstance(x, int) for _, rem in got for x in rem)
         assert len(got) == abs(det_int(cols))
 
     def test_class_cap_raises(self, monkeypatch):
@@ -237,7 +244,8 @@ class TestLatticePoints:
 def basic_feasible_solutions(rows, n):
     """Every vertex as a feasible solution of some n rows taken as equations.
 
-    The n-subset enumeration `vertices_of` replaced, kept as its reference.
+    The n-subset enumeration `vertices_of` replaced, kept as its reference:
+    ((nums, den), tight) per vertex, sorted by the value of the Fractions.
     """
     seen = {}
     for subset in combinations(range(len(rows)), n):
@@ -257,8 +265,13 @@ def basic_feasible_solutions(rows, n):
             for i, (coeffs, rhs) in enumerate(rows)
             if sum(c * x for c, x in zip(coeffs, nums)) == rhs * den
         )
-        out.append((tuple(Fraction(x, den) for x in nums), tight))
-    return sorted(out, key=lambda t: t[0])
+        out.append(((nums, den), tight))
+    return sorted(out, key=lambda t: as_fractions(t[0]))
+
+
+def as_fractions(pair):
+    nums, den = pair
+    return tuple(Fraction(x, den) for x in nums)
 
 
 def is_bounded_reference(rows, n):
@@ -328,12 +341,12 @@ class TestVerticesOf:
 
     def test_unit_square(self):
         got = [v for v, _ in vertices_of(self.SQUARE, 2)]
-        assert got == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert got == [((0, 0), 1), ((0, 1), 1), ((1, 0), 1), ((1, 1), 1)]
 
     def test_pyramid_and_octahedron(self):
         got = vertices_of(self.PYRAMID, 3)
         assert got == basic_feasible_solutions(self.PYRAMID, 3)
-        assert ((1, 1, 1), (1, 2, 3, 4)) in got and len(got) == 5
+        assert (((1, 1, 1), 1), (1, 2, 3, 4)) in got and len(got) == 5
         got = vertices_of(self.OCTAHEDRON, 3)
         assert got == basic_feasible_solutions(self.OCTAHEDRON, 3)
         assert len(got) == 6 and all(len(t) == 4 for _, t in got)
@@ -368,7 +381,8 @@ class TestVerticesOf:
                     seen.add("unbounded")
                 if any(len(t) > n for _, t in want):
                     seen.add("degenerate")
-                diffs = [[x - y for x, y in zip(v, want[0][0])] for v, _ in want]
+                pts = [as_fractions(v) for v, _ in want]
+                diffs = [[x - y for x, y in zip(v, pts[0])] for v in pts]
                 if want and rank_int(diffs) < n:
                     seen.add("lower-dimensional")
         assert seen == {
@@ -379,8 +393,28 @@ class TestVerticesOf:
             "lower-dimensional",
         }
 
+    @settings(max_examples=150, deadline=None)
+    @given(boxed_systems())
+    def test_pairs_are_reduced_and_sorted_by_value(self, system):
+        rows, bounds = system
+        n = len(bounds)
+        for j, (lo, hi) in enumerate(bounds):
+            unit = tuple(int(i == j) for i in range(n))
+            rows = rows + [(unit, hi), (tuple(-x for x in unit), -lo)]
+        got = vertices_of(rows, n)
+        for (nums, den), tight in got:
+            assert isinstance(nums, tuple) and len(nums) == n
+            assert den > 0 and gcd(den, *nums) == 1
+            slacks = [
+                b * den - sum(c * x for c, x in zip(a, nums)) for a, b in rows
+            ]
+            assert min(slacks) >= 0
+            assert tight == tuple(i for i, s in enumerate(slacks) if not s)
+        values = [as_fractions(v) for v, _ in got]
+        assert values == sorted(set(values))
+
     def test_zero_dimensional(self):
-        assert vertices_of([((), 0), ((), 2)], 0) == [((), (0,))]
+        assert vertices_of([((), 0), ((), 2)], 0) == [(((), 1), (0,))]
         assert vertices_of([((), -1)], 0) == []
 
 
