@@ -124,9 +124,13 @@ def _short_vector_lll(gen_cols, inverse):
         if m >= det:
             continue
         if best is None or m < best[0]:
-            w = [sum(gen_cols[j][i] * beta[j] for j in range(d)) for i in range(d)]
-            if any(w) and all(x % det == 0 for x in w):
-                best = (m, tuple(x // det for x in w), beta)
+            # beta is an integer combination of the columns of det * W^{-1},
+            # so W beta is det times a nonzero integer vector
+            w = tuple(
+                sum(gen_cols[j][i] * beta[j] for j in range(d)) // det
+                for i in range(d)
+            )
+            best = (m, w, beta)
     if best is None:
         return None
     _, w, beta = best
@@ -460,13 +464,18 @@ def polytope_gf(polyhedron):
     """Short GF of the polytope's lattice points via signed cone decomposition.
 
     A row 0 . x <= b with b < 0 gives the zero GF before boundedness is
-    checked.
+    checked.  Rows with a nontrivial recession cone give the zero GF when
+    interval propagation empties some variable's range, as in
+    `enumerate_polytope_points`, and raise UnboundedPolyhedronError
+    otherwise.
     """
     n = polyhedron.n
     lrows = polyhedron.lattice_rows()
     if lrows is None:
         return zero_gf(n)
     if not la.is_bounded(lrows, n):
+        if la.propagate_bounds(lrows, [[None, None]] * n, rounds=8) is None:
+            return zero_gf(n)
         raise UnboundedPolyhedronError("unbounded polyhedra are unsupported")
     ident = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
     return lattice_gf_mapped(

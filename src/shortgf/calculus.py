@@ -4,9 +4,9 @@ Exact evaluation at the all-ones point, monomial substitution, Hadamard and
 linear-functional Hadamard products (built per term pair: as a product of
 1-D progressions when the pair is separable, else through an auxiliary
 equality-constrained polytope), boolean set operations on box-supported GFs,
-coefficient extraction, norm by bisection, oracle-backed projection and
-Minkowski operations, and positional-base compression/decompression of
-finite supports.
+coefficient extraction, norm by one exact polynomial degree per coordinate,
+oracle-backed projection and Minkowski operations, and positional-base
+compression/decompression of finite supports.
 
 The polytope step is the costly one, and the same pair recurs: the
 intersect, union and minus calls on one pair of operands build the same
@@ -16,6 +16,7 @@ polytope and its coefficient (the term data, the functional, the box when
 the pair is boxed, and the variable count).
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -504,34 +505,65 @@ def coefficient(f, point):
     return evaluate_at_one(h)
 
 
+def _degree(p):
+    """Degree of a one-variable GF that is a polynomial; None when it is zero.
+
+    Each term is first written as c s^a / prod (1 - s^m) with every m > 0
+    (`term_positive_form`: a canonical factor 1 / (1 - s^b) has b < 0 and
+    is -s^m / (1 - s^m), m = -b).  Let Q = prod_m (1 - s^m)^k_m, k_m the
+    largest multiplicity of m in one term.  Each term times Q is c s^a
+    times the factors of Q its own denominator lacks, so N = P Q is a sum
+    of at most 2^k monomials per term, k the number of lacking factors.
+    As P is a polynomial, deg P = deg N - deg Q exactly, at a cost that
+    depends on neither the exponents nor the degree.
+    """
+    terms = []
+    mult = Counter()
+    for c, (a,), vecs in _positive_terms(p):
+        own = Counter(m for (m,) in vecs)
+        terms.append((c, a, own))
+        mult |= own
+    numer = Counter()
+    for c, a, own in terms:
+        poly = {a: c}
+        for m, k in mult.items():
+            for _ in range(k - own[m]):
+                times = dict(poly)
+                for e, v in poly.items():
+                    times[e + m] = times.get(e + m, 0) - v
+                poly = times
+        numer.update(poly)
+    top = max((e for e, v in numer.items() if v), default=None)
+    if top is None:
+        return None
+    return top - sum(m * k for m, k in mult.items())
+
+
 def norm(f, box):
     """Coordinatewise support maxima within the box (None when empty).
 
-    Found by bisection: intersect with half-box GFs and test nonemptiness via
-    evaluation at one.  The max-norm is the largest coordinate of the result.
+    h is f's Hadamard product with the box GF.  For each coordinate j,
+    specializing every other variable of h to one leaves the polynomial
+    P_j(s) = sum over the support of h of coeff * s^(x_j), whose degree
+    `_degree` finds exactly; P_j = 0 means an empty support.  In one
+    variable P_0 = h, so the result is exact for any coefficients.  In
+    more, each coefficient of P_j is a sum over a fibre of the support, so
+    the coefficients of f on the box must be nonnegative: with signs, a
+    fibre could sum to zero.  The max-norm is the largest coordinate of
+    the result.
     """
     box = as_box(box)
     n = f.nvars
-    if evaluate_at_one(hadamard(f, box_range_gf([0] * n, [u - 1 for u in box.sides]), box=box)) == 0:
-        return None
+    h = hadamard(f, box_range_gf([0] * n, [u - 1 for u in box.sides]), box=box)
+    if n == 0:
+        # a GF in no variables is the constant sum of its coefficients
+        return () if sum(t.coeff for t in h.terms) else None
     maxima = []
     for j in range(n):
-        lo, hi = 0, box.sides[j] - 1
-
-        def nonempty(m):
-            lows = [0] * n
-            highs = [u - 1 for u in box.sides]
-            lows[j] = m
-            half = box_range_gf(lows, highs)
-            return evaluate_at_one(hadamard(f, half, box=box)) != 0
-
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if nonempty(mid):
-                lo = mid
-            else:
-                hi = mid - 1
-        maxima.append(lo)
+        top = _degree(h if n == 1 else specialize_vars(h, [j]))
+        if top is None:
+            return None
+        maxima.append(top)
     return tuple(maxima)
 
 

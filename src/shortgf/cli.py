@@ -105,7 +105,11 @@ def build_parser():
     s.add_argument("gf")
     s.add_argument("--point", required=True, help="comma-separated exponent")
 
-    s = sub.add_parser("norm", help="coordinatewise support maxima")
+    s = sub.add_parser(
+        "norm",
+        help="coordinatewise support maxima in the box, one exact degree per "
+        "coordinate ('empty' for an empty support)",
+    )
     s.add_argument("gf")
     s.add_argument("--box", required=True)
 

@@ -363,6 +363,13 @@ class TestPolytopeGF:
         assert polytope_gf(p) == zero_gf(1)
         assert enumerate_polytope_points(p) == []
 
+    def test_empty_set_with_a_recession_cone_is_the_zero_gf(self):
+        # x <= -1 and -x <= 0 hold nowhere, and y is free in both rows: the
+        # rows alone are unbounded, but propagation empties x's range
+        p = Polyhedron(((1, 0), (-1, 0)), (-1, 0), 2)
+        assert enumerate_polytope_points(p) == []
+        assert polytope_gf(p) == zero_gf(2)
+
     def test_single_vertex_fibres(self):
         # three rows through one vertex and nothing else: the fibre is that
         # vertex, with no integer point when it is fractional

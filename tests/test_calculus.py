@@ -8,7 +8,7 @@ from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import shortgf
@@ -344,29 +344,6 @@ class TestCoefficient:
             assert coefficient(f, pt) == tab[pt]
 
 
-class TestNorm:
-    def test_two_points(self):
-        assert norm(from_point_set([(3,), (7,)], 1), (16,)) == (7,)
-
-    def test_interval_13(self):
-        p = Polyhedron(((1,), (-1,)), (13, 0), 1)
-        assert norm(polytope_gf(p), (16,)) == (13,)
-
-    def test_random_matches_oracle(self):
-        rng = random.Random(43)
-        for _ in range(5):
-            pts = {
-                (rng.randrange(12), rng.randrange(12))
-                for _ in range(rng.randint(1, 6))
-            }
-            f = from_point_set(sorted(pts), 2)
-            got = norm(f, (16, 16))
-            assert got == tuple(max(p[j] for p in pts) for j in range(2))
-
-    def test_empty(self):
-        assert norm(zero_gf(1), (8,)) is None
-
-
 class TestProjMember:
     def test_triangle(self):
         f = polytope_gf(
@@ -655,6 +632,78 @@ class TestHadamardOracle:
         n, side, ((f, pf), (g, pg)) = case
         want = Counter(tuple(a + b for a, b in zip(x, y)) for x in pf for y in pg)
         assert _table(multiply(f, g), (2 * side,) * n) == dict(want)
+
+
+NORM_SIDES = {1: 24, 2: 8, 3: 4}
+
+
+@st.composite
+def norm_operands(draw):
+    """(box, gf, points): a points, slab or polytope operand in a 1-3-D box,
+    joined half of the time by the box's far corner."""
+    n = draw(st.integers(1, 3))
+    side = NORM_SIDES[n]
+    f, pts = _operand(draw(st.sampled_from(("points", "slab", "polytope"))), n, side, draw)
+    corner = (side - 1,) * n
+    if corner not in pts and draw(st.booleans()):
+        f, pts = concat(f, monomial(n, corner)), pts | {corner}
+    return (side,) * n, f, pts
+
+
+class TestNorm:
+    def test_two_points(self):
+        assert norm(from_point_set([(3,), (7,)], 1), (16,)) == (7,)
+
+    def test_interval_13(self):
+        p = Polyhedron(((1,), (-1,)), (13, 0), 1)
+        assert norm(polytope_gf(p), (16,)) == (13,)
+
+    def test_random_matches_oracle(self):
+        rng = random.Random(43)
+        for _ in range(5):
+            pts = {
+                (rng.randrange(12), rng.randrange(12))
+                for _ in range(rng.randint(1, 6))
+            }
+            f = from_point_set(sorted(pts), 2)
+            got = norm(f, (16, 16))
+            assert got == tuple(max(p[j] for p in pts) for j in range(2))
+
+    def test_empty(self):
+        assert norm(zero_gf(1), (8,)) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(norm_operands())
+    @example(((4, 4, 4), zero_gf(3), set()))
+    @example(((8, 8), from_point_set([(2, 5)], 2), {(2, 5)}))
+    @example(((4, 4, 4), from_point_set([(3, 3, 3)], 3), {(3, 3, 3)}))
+    def test_matches_the_oracle_maxima(self, case):
+        box, f, pts = case
+        support = oracle_expand(canonicalize(f), LatticeBox(box)).support()
+        assert support == pts
+        want = (
+            tuple(max(p[j] for p in support) for j in range(len(box)))
+            if support
+            else None
+        )
+        assert norm(f, box) == want
+
+    def test_slab_in_a_huge_box(self):
+        side = 2**40
+        f = box_range_gf([3, 5], [side - 1, 2**39])
+        assert norm(f, (side, side)) == (side - 1, 2**39)
+
+    def test_progression_with_a_huge_step(self):
+        f = progression_gf((7,), ((2**30,),), (5,))
+        assert norm(f, (2**33,)) == (7 + 4 * 2**30,)
+
+    def test_signed_coefficients_in_one_variable(self):
+        # the support is {3, 5} and {3, 5, 6}, although the coefficients
+        # sum to 0 and 1
+        f = ShortGF(1, (GFTerm(1, (3,)), GFTerm(-1, (5,))))
+        assert norm(f, (8,)) == (5,)
+        g = ShortGF(1, (GFTerm(1, (3,)), GFTerm(1, (5,)), GFTerm(-1, (6,))))
+        assert norm(g, (8,)) == (6,)
 
 
 def _in_unit_cone(x, apex, vecs):

@@ -83,6 +83,15 @@ class TestBasicVerbs:
         assert code == 0
         assert out.strip() == "3"
 
+    def test_norm_in_a_huge_box(self, tmp_path, capsys):
+        path = tmp_path / "slab.gf"
+        write_gf(box_range_gf([3, 5], [2**40 - 1, 2**39]), str(path))
+        code, out, _ = run_cli(
+            ["norm", str(path), "--box", "1099511627776,1099511627776"], capsys
+        )
+        assert code == 0
+        assert out.strip() == f"{2**40 - 1},{2**39}"
+
     def test_intersect_then_count(
         self, interval_file, evens_file, tmp_path, capsys
     ):
