@@ -1,12 +1,12 @@
 """Exact integer/rational linear algebra helpers.
 
-No floating point.  Every exact solve, determinant, rank, inverse and kernel
-basis goes through one fraction-free (Bareiss) Gauss-Jordan routine,
-`echelon`: `det_int`, `rank_int`, `solve`, `kernel_basis` and
-`scaled_inverse_int` wrap it.  `solve_square` and `matrix_inverse_fraction`
-are Gauss-Jordan over `fractions.Fraction`.  No program code calls
-`det_int`, `rank_int`, `solve`, `solve_square` or `matrix_inverse_fraction`:
-they are kept as the references the tests compare against.  Rows of
+No floating point.  Every exact determinant, inverse and kernel basis goes
+through one fraction-free (Bareiss) Gauss-Jordan routine, `echelon`:
+`det_int`, `kernel_basis` and `scaled_inverse_int` wrap it.  `solve_square`
+and `matrix_inverse_fraction` are Gauss-Jordan over `fractions.Fraction`.
+No program code calls `det_int`, `solve_square` or
+`matrix_inverse_fraction`: they are kept as the references the tests
+compare against (the benchmark tracer also wraps the last).  Rows of
 inequality systems are (coeffs, rhs) pairs of ints meaning coeffs . x <= rhs.
 A rational point leaves as one reduced integer pair (nums, den), den > 0,
 meaning x = nums / den, and a parallelepiped coordinate lam as the integer
@@ -108,32 +108,6 @@ def det_int(rows):
     return sign * pivot if len(pivots) == len(rows) else 0
 
 
-def rank_int(rows):
-    """Rank of a matrix with integer or Fraction entries."""
-    return len(echelon(integer_rows(rows))[0])
-
-
-def solve(rows, rhs):
-    """Solve a nonsingular square integer system rows . x = rhs.
-
-    Returns (nums, den) with x_j = nums[j] / den, den > 0 and the gcd of den
-    and all nums 1, or None when the matrix is singular.
-    """
-    n = len(rows)
-    pivots, w, den, _ = echelon([list(r) + [b] for r, b in zip(rows, rhs)], n)
-    if len(pivots) < n:
-        return None
-    nums = [row[n] for row in w]
-    if den < 0:
-        den = -den
-        nums = [-x for x in nums]
-    g = gcd(den, *nums)
-    if g > 1:
-        den //= g
-        nums = [x // g for x in nums]
-    return nums, den
-
-
 def kernel_basis(rows, n):
     """Primitive integer basis of {h in Q^n : rows . h = 0}, rows of ints.
 
@@ -158,7 +132,7 @@ def solve_square(rows, rhs):
     """Solve an n x n integer (or Fraction) system exactly.
 
     Returns a tuple of Fractions, or None when the matrix is singular.  The
-    Fraction reference for `solve`.
+    Fraction reference for the integer solve the tests define.
     """
     n = len(rows)
     w = [[Fraction(x) for x in r] + [Fraction(rhs[i])] for i, r in enumerate(rows)]
@@ -687,7 +661,8 @@ def enumerate_parallelepiped(gen_cols, inverse):
     """Integer points of {sum_i lam_i g_i : lam in [0,1)^d} for a full-rank basis.
 
     gen_cols: list of d integer d-vectors (the generators, as columns), and
-    inverse = (det, R), `scaled_inverse_int` of the matrix W they form.
+    inverse = (det, R), `scaled_inverse_int` of the matrix W they form (the
+    unimodular decomposition carries it down from its root cone).
     Returns a sorted list of (point, rem) pairs, rem the integer residues
     with lam = rem / det, 0 <= rem_i < det; includes the origin.  Each coset
     representative rep of Z^d / W Z^d is mapped into the parallelepiped with

@@ -7,7 +7,10 @@ normals), triangulate it by pulling over its facets (`la.extreme_rays` of
 the dual of the cone being triangulated), decompose each simplicial piece
 into unimodular signed cones by repeated replacement with a short
 parallelepiped vector, dualize the unimodular pieces back, and sum the
-vertex-cone rational functions (Brion).  Lower-dimensional pieces are
+vertex-cone rational functions (Brion).  Only the root cone of each
+decomposition is inverted (`la.scaled_inverse_int`): each child carries its
+scaled inverse by an exact rank-one update, and each unimodular piece is
+dualized from the inverse it carries.  Lower-dimensional pieces are
 discarded in the dual, where they correspond to cones with lines and
 contribute zero.  `la.extreme_rays` is the only loop over subsets of tight
 rows, and `la.is_bounded` is the one boundedness test.
@@ -87,10 +90,10 @@ class Polyhedron:
 def _parallelepiped_point(gen_cols, inverse):
     """Nonzero lattice point of the half-open parallelepiped, as (point, rem).
 
-    `inverse` = (det, R) is `scaled_inverse_int` of the matrix whose columns
-    are gen_cols, and the point is sum_i (rem_i / det) g_i with 0 <= rem_i <
-    det.  Chooses the point minimizing max rem_i (ties broken
-    lexicographically).
+    `inverse` = (det, R) is `scaled_inverse_int` of W, the matrix whose
+    columns are gen_cols, as the decomposition carries it down from the
+    root cone; the point is sum_i (rem_i / det) g_i with 0 <= rem_i < det.
+    Chooses the point minimizing max rem_i (ties broken lexicographically).
     """
     pts = la.enumerate_parallelepiped(gen_cols, inverse)
     best = None
@@ -109,7 +112,8 @@ def _short_vector_lll(gen_cols, inverse):
     """Short nonzero vector w = W lam with all |lam_i| < 1, via basis reduction.
 
     `inverse` = (det, R) is `scaled_inverse_int` of W, the matrix whose
-    columns are gen_cols.  Returns (w, beta) with lam = beta / det, or None.
+    columns are gen_cols, as the decomposition carries it down from the
+    root cone.  Returns (w, beta) with lam = beta / det, or None.
     """
     d = len(gen_cols)
     det, inv = inverse
@@ -146,39 +150,49 @@ def decompose_unimodular_fulldim(gen_cols, sign):
     """Signed unimodular decomposition of a full-dimensional simplicial cone.
 
     Valid modulo lower-dimensional cones: replacing a generator with a short
-    parallelepiped (or basis-reduced) vector w yields child cones signed by
-    the orientation of w's coefficient; only the signs of the coefficients
-    are read, so both steps return them scaled by det.  Returns a list of
-    (sign, gen_cols).
+    parallelepiped (or basis-reduced) vector w = W beta / det yields child
+    cones signed by the orientation of w's coefficient beta_i.  Only the root
+    cone is inverted.  Each child carries its `scaled_inverse_int` (det', R')
+    by the exact rank-one update det' = |beta_i|, R'_i = s R_i and
+    R'_k = s (beta_i R_k - beta_k R_i) / det for k != i, s = sign(beta_i)
+    (Sherman-Morrison; R' is an integer matrix, so the division is exact).
+    Returns a list of (sign, gen_cols, inv), inv = W^-1 of the leaf (det 1)
+    as rows of ints.
     """
     d = len(gen_cols)
+    cols = tuple(gen_cols)
+    inverse = la.scaled_inverse_int([[cols[j][i] for j in range(d)] for i in range(d)])
+    if inverse is None:
+        raise ValueError("degenerate simplicial cone")
     out = []
-    stack = [(sign, tuple(gen_cols))]
+    stack = [(sign, cols, inverse)]
     guard = 0
     while stack:
         guard += 1
         if guard > 200_000:
             raise ResourceLimitError("cone decomposition did not converge")
-        s, cols = stack.pop()
-        inverse = la.scaled_inverse_int(
-            [[cols[j][i] for j in range(d)] for i in range(d)]
-        )
-        if inverse is None:
-            raise ValueError("degenerate simplicial cone")
-        det = inverse[0]
+        s, cols, inverse = stack.pop()
+        det, inv = inverse
         if det == 1:
-            out.append((s, cols))
+            out.append((s, cols, inv))
             continue
         found = _short_vector_lll(cols, inverse) if det > _LLL_THRESHOLD else None
         if found is None:
             found = _parallelepiped_point(cols, inverse)
-        w, lam = found
-        for i in range(d):
-            if lam[i] == 0:
+        w, beta = found
+        for i, b_i in enumerate(beta):
+            if b_i == 0:
                 continue
+            t = 1 if b_i > 0 else -1
+            r_i = inv[i]
+            child_inv = tuple(
+                tuple(t * y for y in r_i)
+                if k == i
+                else tuple(t * (b_i * x - b_k * y) // det for x, y in zip(r_k, r_i))
+                for k, (b_k, r_k) in enumerate(zip(beta, inv))
+            )
             child = tuple(w if j == i else cols[j] for j in range(d))
-            child_sign = s if lam[i] > 0 else -s
-            stack.append((child_sign, child))
+            stack.append((t * s, child, (abs(b_i), child_inv)))
     return out
 
 
@@ -247,25 +261,24 @@ def _triangulate_rec(coords, active, r):
 
 
 @lru_cache(maxsize=20_000)
-def _dual_cone_gf_terms(normals, d):
+def _dual_cone_gf_terms(normals):
     """Positive-form (sign, gen_cols, dual_cols) triples for one vertex's tangent cone.
 
     `normals` is the sorted tuple of the distinct primitive tight constraint
     normals, which span the dual of the tangent cone; triangulate and
     decompose there, then polarize each unimodular piece W (columns
-    dual_cols) back to gen_cols.  The same cone shape recurs across
-    vertices, so the results are cached on (normals, d) as tuples every
-    caller shares, the least recently used evicted past 20,000 entries;
-    `cache_info()` counts the hits.
+    dual_cols) back to gen_cols from the W^-1 the decomposition returns
+    with it.  The same cone shape recurs across vertices, so the results
+    are cached on `normals` as tuples every caller shares, the least
+    recently used evicted past 20,000 entries; `cache_info()` counts the
+    hits.
     """
     results = []
     for simplex in triangulate_cone(list(normals)):
         cols = tuple(tuple(g) for g in simplex)
-        for sign, ucols in decompose_unimodular_fulldim(cols, 1):
-            w_rows = [[ucols[j][i] for j in range(d)] for i in range(d)]
-            _, inv = la.scaled_inverse_int(w_rows)  # det 1: inv is W^{-1}
+        for sign, ucols, inv in decompose_unimodular_fulldim(cols, 1):
             # polar generators g_i solve W^T G = -I: columns of -(W^{-1})^T,
-            # i.e. the negated rows of W^{-1}
+            # i.e. the negated rows of the W^{-1} the decomposition carried
             polar_cols = tuple(tuple(-x for x in row) for row in inv)
             results.append((sign, polar_cols, ucols))
     return tuple(results)
@@ -290,7 +303,7 @@ def _unimodular_cone_term(nums, den, gen_cols, dual_cols, sign):
     return Fraction(sign), tuple(apex), tuple(gen_cols)
 
 
-def _brion_fulldim(rows, d, verts):
+def _brion_fulldim(rows, verts):
     """Positive-form term triples of the lattice-point GF of a full-dim polytope.
 
     `verts` is `la.vertices_of(rows, d)`, as `_reduce_to_fulldim` returns
@@ -299,7 +312,7 @@ def _brion_fulldim(rows, d, verts):
     triples = []
     for (nums, den), tight in verts:
         normals = tuple(sorted({la.primitive(rows[i][0]) for i in tight}))
-        for sign, polar_cols, ucols in _dual_cone_gf_terms(normals, d):
+        for sign, polar_cols, ucols in _dual_cone_gf_terms(normals):
             triples.append(_unimodular_cone_term(nums, den, polar_cols, ucols, sign))
     return triples
 
@@ -438,7 +451,7 @@ def lattice_gf_mapped(
         lo, hi = -(-lo_num // lo_den), hi_num // hi_den
         apex = la.vadd(offset, [lo * x for x in v])
         return normalized(progression_gf(apex, (v,), (hi - lo + 1,), coeff_factor))
-    triples = _brion_fulldim(rows, d, verts)
+    triples = _brion_fulldim(rows, verts)
     zgf = ShortGF(
         d,
         tuple(

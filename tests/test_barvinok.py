@@ -27,7 +27,13 @@ from shortgf import (
     zero_gf,
 )
 from shortgf import _linalg as la
-from shortgf.barvinok import _short_vector_lll, decompose_unimodular_fulldim
+from shortgf.barvinok import (
+    _LLL_THRESHOLD,
+    _dual_cone_gf_terms,
+    _parallelepiped_point,
+    _short_vector_lll,
+    decompose_unimodular_fulldim,
+)
 
 
 @st.composite
@@ -162,11 +168,22 @@ class TestTriangulateCone:
             triangulate_cone([(1, 0), (-1, 0), (0, 1)])
 
 
+def is_inverse(inv, cols):
+    """Whether the rows `inv` times the matrix with columns `cols` is I."""
+    d = len(cols)
+    return all(
+        la.dot(inv[i], cols[j]) == int(i == j) for i in range(d) for j in range(d)
+    )
+
+
 def unimodular_pieces(gens):
-    """The signed pieces of the cone on `gens`, each checked to have |det| 1."""
+    """The (sign, cols) pieces of the cone on `gens`, each checked to have
+    |det| 1 and to come with its inverse."""
     out = decompose_unimodular_fulldim(gens, 1)
-    assert all(abs(la.det_int([list(c) for c in cols])) == 1 for _, cols in out)
-    return out
+    for _, cols, inv in out:
+        assert abs(la.det_int([list(c) for c in cols])) == 1
+        assert is_inverse(inv, cols)
+    return [(sign, cols) for sign, cols, _ in out]
 
 
 def corner_polytope(gens):
@@ -210,8 +227,37 @@ def short_vector_reference(gen_cols, inverse):
     return w, lam
 
 
+def decompose_reference(gen_cols, sign):
+    """`decompose_unimodular_fulldim` as it was written before it carried
+    the inverse: a fresh `scaled_inverse_int` of every popped cone, the
+    unimodular leaves included."""
+    d = len(gen_cols)
+
+    out = []
+    stack = [(sign, tuple(gen_cols))]
+    while stack:
+        s, cols = stack.pop()
+        inverse = la.scaled_inverse_int(
+            [[cols[j][i] for j in range(d)] for i in range(d)]
+        )
+        det = inverse[0]
+        if det == 1:
+            out.append((s, cols, inverse[1]))
+            continue
+        found = _short_vector_lll(cols, inverse) if det > _LLL_THRESHOLD else None
+        if found is None:
+            found = _parallelepiped_point(cols, inverse)
+        w, lam = found
+        for i in range(d):
+            if lam[i] == 0:
+                continue
+            child = tuple(w if j == i else cols[j] for j in range(d))
+            stack.append((s if lam[i] > 0 else -s, child))
+    return out
+
+
 class TestDecomposeUnimodular:
-    def test_one_inverse_per_popped_cone(self, monkeypatch):
+    def test_only_the_root_cone_is_inverted(self, monkeypatch):
         inverted = []
         real = la.scaled_inverse_int
 
@@ -226,9 +272,56 @@ class TestDecomposeUnimodular:
         monkeypatch.setattr(la, "det_int", forbidden)
         # det 40 takes the basis-reduction step, its children the
         # parallelepiped enumeration
-        out = decompose_unimodular_fulldim([(1, 0, 0), (0, 1, 0), (3, 7, 40)], 1)
-        assert len(inverted) == len(set(inverted)) > len(out) > 1
-        assert all(abs(real([list(c) for c in cols])[0]) == 1 for _, cols in out)
+        gens = ((1, 0, 0), (0, 1, 0), (3, 7, 40))
+        out = decompose_unimodular_fulldim(gens, 1)
+        assert inverted == [((1, 0, 3), (0, 1, 7), (0, 0, 40))]
+        assert len(out) > 1
+        assert all(is_inverse(inv, cols) for _, cols, inv in out)
+
+    def test_polarization_inverts_nothing_itself(self, monkeypatch):
+        normals = ((-2, -1, 3), (-1, 2, 3), (1, -2, 3), (2, 1, 3))
+        simplices = triangulate_cone(list(normals))
+        calls = []
+        real = la.scaled_inverse_int
+
+        def counting(rows):
+            calls.append(rows)
+            return real(rows)
+
+        monkeypatch.setattr(la, "scaled_inverse_int", counting)
+        terms = _dual_cone_gf_terms.__wrapped__(normals)
+        # one root inverse per simplex of the triangulation, none per leaf
+        assert len(simplices) > 1 and len(calls) == len(simplices)
+        assert len(terms) > len(simplices)
+        for _, polar_cols, dual_cols in terms:
+            assert all(
+                la.dot(g, w) == -int(i == j)
+                for i, g in enumerate(polar_cols)
+                for j, w in enumerate(dual_cols)
+            )
+
+    def test_carried_inverses_match_the_reference(self):
+        rng = random.Random(31)
+        checked = lll_roots = 0
+        while checked < 200:
+            d = rng.randint(2, 4)
+            cols = tuple(
+                tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(d)
+            )
+            inverse = la.scaled_inverse_int([[c[i] for c in cols] for i in range(d)])
+            if inverse is None or inverse[0] > 48:
+                continue
+            checked += 1
+            lll_roots += inverse[0] > _LLL_THRESHOLD
+            sign = rng.choice((1, -1))
+            assert decompose_unimodular_fulldim(cols, sign) == decompose_reference(
+                cols, sign
+            )
+        assert lll_roots > 10
+
+    def test_degenerate_root_rejected(self):
+        with pytest.raises(ValueError, match="degenerate"):
+            decompose_unimodular_fulldim(((1, 2), (2, 4)), 1)
 
     def test_short_vector_matches_the_fraction_formula(self):
         rng = random.Random(29)
@@ -256,8 +349,10 @@ class TestDecomposeUnimodular:
 
     def test_unimodular_identity(self):
         gens = ((1, 0), (0, 1))
-        assert decompose_unimodular_fulldim(gens, 1) == [(1, gens)]
-        assert decompose_unimodular_fulldim(gens, -1) == [(-1, gens)]
+        assert decompose_unimodular_fulldim(gens, 1) == [(1, gens, gens)]
+        assert decompose_unimodular_fulldim(gens, -1) == [(-1, gens, gens)]
+        skew = ((1, 0), (3, 1))
+        assert decompose_unimodular_fulldim(skew, 1) == [(1, skew, ((1, -3), (0, 1)))]
 
     def test_index_two_cone_conserves_counts(self):
         gens = ((1, 0), (1, 2))

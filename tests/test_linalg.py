@@ -15,14 +15,13 @@ from shortgf._linalg import (
     echelon,
     enumerate_parallelepiped,
     extreme_rays,
+    integer_rows,
     is_bounded,
     kernel_basis,
     lattice_points,
     lll_reduce,
     matrix_inverse_fraction,
-    rank_int,
     scaled_inverse_int,
-    solve,
     solve_square,
     vertices_of,
 )
@@ -45,6 +44,32 @@ def rect_matrices(draw, entries=st.integers(-3, 3)):
     n = draw(st.integers(1, 6))
     rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=5))
     return rows, n
+
+
+def rank_int(rows):
+    """Rank of a matrix with integer or Fraction entries."""
+    return len(echelon(integer_rows(rows))[0])
+
+
+def solve(rows, rhs):
+    """Solve a nonsingular square integer system rows . x = rhs by `echelon`.
+
+    Returns (nums, den) with x_j = nums[j] / den, den > 0 and the gcd of den
+    and all nums 1, or None when the matrix is singular.
+    """
+    n = len(rows)
+    pivots, w, den, _ = echelon([list(r) + [b] for r, b in zip(rows, rhs)], n)
+    if len(pivots) < n:
+        return None
+    nums = [row[n] for row in w]
+    if den < 0:
+        den = -den
+        nums = [-x for x in nums]
+    g = gcd(den, *nums)
+    if g > 1:
+        den //= g
+        nums = [x // g for x in nums]
+    return nums, den
 
 
 def det_reference(w):
