@@ -11,6 +11,9 @@ inequality systems are (coeffs, rhs) pairs of ints meaning coeffs . x <= rhs.
 A rational point leaves as one reduced integer pair (nums, den), den > 0,
 meaning x = nums / den, and a parallelepiped coordinate lam as the integer
 residue det * lam; only `lll_reduce` computes in Fractions.
+`enumerate_parallelepiped` reduces no lattice of its own: it lists the
+residues as the subgroup of (Z/det)^d spanned by the columns of the scaled
+inverse det * W^-1 that the unimodular decomposition carries.
 
 `_first_vertex` is the one exact pivoting kernel: an active-set simplex
 with Bland's rule in integers (Bland 1977).  `vertices_of` walks the edge
@@ -664,45 +667,33 @@ def enumerate_parallelepiped(gen_cols, inverse):
     inverse = (det, R), `scaled_inverse_int` of the matrix W they form (the
     unimodular decomposition carries it down from its root cone).
     Returns a sorted list of (point, rem) pairs, rem the integer residues
-    with lam = rem / det, 0 <= rem_i < det; includes the origin.  Each coset
-    representative rep of Z^d / W Z^d is mapped into the parallelepiped with
-    integer arithmetic: R rep = det * lam_raw, so divmod by det gives
-    floor(lam_raw) and the residue.  Distinct representatives give distinct
-    points.  Raises ResourceLimitError when det exceeds `_PPD_CAP`.
+    with lam = rem / det, 0 <= rem_i < det; includes the origin.  x -> R x
+    mod det maps Z^d onto the residues with kernel W Z^d, so the residues
+    are the det elements of the subgroup of (Z/det)^d that the columns of
+    R mod det generate.  It is closed from 0 one column at a time, a coset
+    of the group so far per multiple of the column, and each residue gives
+    the point W rem / det, an exact division.  Raises ResourceLimitError
+    when det exceeds `_PPD_CAP`.
     """
     d = len(gen_cols)
     det, r_rows = inverse
     if det > _PPD_CAP:
         raise ResourceLimitError(f"parallelepiped has {det} lattice classes")
-    h, _, pivots = hnf_columns(
-        [[gen_cols[j][i] for j in range(d)] for i in range(d)], d
+    rems = [(0,) * d]
+    seen = set(rems)
+    for j in range(d):
+        g = tuple(row[j] % det for row in r_rows)
+        group = rems[:]
+        shift = g
+        while shift not in seen:
+            coset = [tuple((x + y) % det for x, y in zip(r, shift)) for r in group]
+            rems += coset
+            seen.update(coset)
+            shift = tuple((x + y) % det for x, y in zip(shift, g))
+    w_rows = tuple(zip(*gen_cols))
+    return sorted(
+        (tuple(dot(row, rem) // det for row in w_rows), rem) for rem in rems
     )
-    diag = [1] * d
-    for ri, ci in pivots:
-        diag[ri] = h[ri][ci]
-    pts = []
-
-    def visit(rep):
-        floors, rems = zip(*(divmod(dot(row, rep), det) for row in r_rows))
-        pt = tuple(
-            rep[i] - sum(gen_cols[j][i] * floors[j] for j in range(d))
-            for i in range(d)
-        )
-        pts.append((pt, rems))
-
-    rep = [0] * d
-
-    def rec(i):
-        if i == d:
-            visit(tuple(rep))
-            return
-        for v in range(diag[i]):
-            rep[i] = v
-            rec(i + 1)
-        rep[i] = 0
-
-    rec(0)
-    return sorted(pts)
 
 
 _LLL_MAX_ROUNDS = 10_000

@@ -16,26 +16,29 @@ surviving factors contribute series whose coefficients are m-th moment sums
 with A_i the classical Eulerian-style moment polynomials.  Expanding those
 numerators monomial by monomial yields short GF terms again, with index at
 most the original term's denominator count.
+
+`_substitute_positive` does the work on terms in positive form (c, apex,
+vecs), oriented as `canonicalize` orients them.  `substitute` canonicalizes
+a GF and hands over its terms' positive forms; `barvinok.lattice_gf_mapped`
+hands over Brion's cone triples directly, oriented by the same
+`direction_pairings`, so they never become a z-space GF.
 """
 
 from fractions import Fraction
 from math import factorial, gcd
+from operator import mul
 
 from . import _linalg as la
 from ._series import eulerian_polynomials, limit_series
 from .errors import InfiniteSupportError, ZeroImageError
 from .gfcore import (
-    ShortGF,
+    _gf,
     canonicalize,
     moment_vector,
     normalized,
     term_from_positive,
     term_positive_form,
 )
-
-
-def _map_vec(vrows, vec):
-    return tuple(sum(r[j] * vec[j] for j in range(len(vec))) for r in vrows)
 
 
 def substitute(
@@ -51,25 +54,48 @@ def substitute(
     vrows: out_nvars rows of length f.nvars.  With allow_collapse=False a
     denominator image of zero raises ZeroImageError; with True the input must
     have finite support and the exact limit is taken.  The result is
-    canonical and has its identical terms merged.
+    canonical and has its identical terms merged.  f is canonicalized and
+    its terms' positive forms go to `_substitute_positive`.
     """
     if shift is None:
         shift = tuple(0 for _ in range(out_nvars))
-    coeff_factor = Fraction(coeff_factor)
     g = canonicalize(f)
+    return _substitute_positive(
+        f.nvars,
+        [term_positive_form(t) for t in g.terms],
+        vrows,
+        out_nvars,
+        shift,
+        Fraction(coeff_factor),
+        allow_collapse,
+    )
 
+
+def _substitute_positive(
+    nvars, triples, vrows, out_nvars, shift, coeff_factor, allow_collapse
+):
+    """`substitute` of the GF whose terms have the positive forms `triples`.
+
+    Each triple (c, apex, vecs) stands for c * sum_{m >= 0} t^(apex + sum
+    m_j v_j) in `nvars` variables, with every v already oriented as
+    `canonicalize` orients the GF's denominators -v; the limit terms of
+    collapsed vectors depend on that orientation.  `shift` is a tuple and
+    `coeff_factor` a Fraction.  A zero image raises ZeroImageError with the
+    term's index and its canonical denominator -v.
+    """
     collapsed_vecs = []
     per_term = []
-    for ti, term in enumerate(g.terms):
-        c, apex, vecs = term_positive_form(term)
-        images = tuple(_map_vec(vrows, v) for v in vecs)
+    for ti, (c, apex, vecs) in enumerate(triples):
+        images = tuple(
+            tuple(sum(map(mul, row, v)) for row in vrows) for v in vecs
+        )
         dead = [j for j, im in enumerate(images) if not any(im)]
         if dead and not allow_collapse:
-            raise ZeroImageError(ti, term.denoms[dead[0]])
+            raise ZeroImageError(ti, tuple(-x for x in vecs[dead[0]]))
         per_term.append((c, apex, vecs, images, dead))
         collapsed_vecs.extend(vecs[j] for j in dead)
 
-    lam = moment_vector(f.nvars, collapsed_vecs, 1) if collapsed_vecs else None
+    lam = moment_vector(nvars, collapsed_vecs, 1) if collapsed_vecs else None
     max_d = max((len(dead) for _, _, _, _, dead in per_term), default=0)
     eulerian = eulerian_polynomials(max_d) if max_d else None
 
@@ -92,7 +118,7 @@ def substitute(
         if c == 0:
             continue
         base_shift = tuple(
-            s + x for s, x in zip(shift, _map_vec(vrows, apex))
+            s + sum(map(mul, row, apex)) for s, row in zip(shift, vrows)
         )
         scale = c * coeff_factor
         if not dead:
@@ -146,7 +172,7 @@ def substitute(
         term_from_positive(Fraction(num, den), apex, vecs)
         for (apex, vecs), (num, den) in acc.items()
     )
-    return normalized(canonicalize(ShortGF(out_nvars, out_terms)))
+    return normalized(canonicalize(_gf(out_nvars, out_terms)))
 
 
 def evaluate_at_one(f):

@@ -9,11 +9,15 @@ into unimodular signed cones by repeated replacement with a short
 parallelepiped vector, dualize the unimodular pieces back, and sum the
 vertex-cone rational functions (Brion).  Only the root cone of each
 decomposition is inverted (`la.scaled_inverse_int`): each child carries its
-scaled inverse by an exact rank-one update, and each unimodular piece is
-dualized from the inverse it carries.  Lower-dimensional pieces are
-discarded in the dual, where they correspond to cones with lines and
-contribute zero.  `la.extreme_rays` is the only loop over subsets of tight
-rows, and `la.is_bounded` is the one boundedness test.
+scaled inverse by an exact rank-one update, the parallelepiped step lists
+its lattice classes from it, and each unimodular piece is dualized from the
+inverse it carries.  Lower-dimensional pieces are discarded in the dual,
+where they correspond to cones with lines and contribute zero.  Brion's sum
+stays a list of positive-form cone triples: they are oriented as
+`canonicalize` would orient their GF and mapped straight into the output
+variables by `_subst._substitute_positive`.  `la.extreme_rays` is the only
+loop over subsets of tight rows, and `la.is_bounded` is the one
+boundedness test.
 
 Lower-dimensional and equality-constrained inputs are reduced to the
 full-dimensional case by an integer parameterization of their affine lattice
@@ -27,7 +31,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import _linalg as la
-from ._subst import substitute
+from ._subst import _substitute_positive
 from .errors import (
     FormatError,
     ResourceLimitError,
@@ -37,10 +41,10 @@ from .gfcore import (
     GFTerm,
     ShortGF,
     canonicalize,
+    direction_pairings,
     int_vector,
     normalized,
     progression_gf,
-    term_from_positive,
     zero_gf,
 )
 
@@ -317,6 +321,28 @@ def _brion_fulldim(rows, verts):
     return triples
 
 
+def _oriented(d, triples):
+    """The triples with their vectors oriented as `canonicalize` orients
+    the denominators of their GF in d variables.
+
+    The direction is `direction_pairings`' choice; each v with
+    <ell, v> < 0 becomes -v, negating the sign and moving the apex to
+    apex - v (1/(1-t^v) = -t^(-v)/(1-t^(-v))).
+    """
+    _, pairings = direction_pairings(d, [vecs for _, _, vecs in triples])
+    out = []
+    for (sign, apex, vecs), ps in zip(triples, pairings):
+        flipped = []
+        for v, p in zip(vecs, ps):
+            if p < 0:
+                sign = -sign
+                apex = tuple(a - x for a, x in zip(apex, v))
+                v = tuple(-x for x in v)
+            flipped.append(v)
+        out.append((sign, apex, tuple(flipped)))
+    return out
+
+
 class _EmptyPolytope(Exception):
     pass
 
@@ -427,8 +453,12 @@ def lattice_gf_mapped(
     to a full-dimensional fibre z: a point is one monomial; a segment
     lo <= z <= hi whose image vector v is nonzero is written directly as the
     progression t^(o + lo v) (1 - t^((hi-lo+1) v))/(1 - t^v), the two terms
-    that Brion's sum and `substitute` give for it; anything else takes
-    Brion's sum over the vertices of the fibre, substituted into out-space.
+    that Brion's sum mapped into out-space gives for it; anything else takes
+    Brion's sum over the vertices of the fibre.  Its positive-form cone
+    triples are oriented in z-space as `canonicalize` orients a GF
+    (`_oriented`; the limit terms of collapsed directions depend on it) and
+    go to `_substitute_positive` with no z-space GF built, which gives the
+    terms `substitute` would give for the GF of those triples.
     """
     try:
         rows, y0, k_cols, verts = _reduce_to_fulldim(
@@ -451,21 +481,14 @@ def lattice_gf_mapped(
         lo, hi = -(-lo_num // lo_den), hi_num // hi_den
         apex = la.vadd(offset, [lo * x for x in v])
         return normalized(progression_gf(apex, (v,), (hi - lo + 1,), coeff_factor))
-    triples = _brion_fulldim(rows, verts)
-    zgf = ShortGF(
+    return _substitute_positive(
         d,
-        tuple(
-            term_from_positive(sign, apex, tuple(cols))
-            for sign, apex, cols in triples
-        ),
-    )
-    return substitute(
-        zgf,
+        _oriented(d, _brion_fulldim(rows, verts)),
         vrows,
         out_nvars,
-        shift=offset,
-        coeff_factor=coeff_factor,
-        allow_collapse=True,
+        offset,
+        Fraction(coeff_factor),
+        True,
     )
 
 

@@ -324,25 +324,42 @@ def is_canonical(f):
     )
 
 
+def direction_pairings(nvars, vec_lists, direction=None):
+    """The expansion direction `canonicalize` orients by, and the pairings.
+
+    `vec_lists` holds one sequence of vectors per term.  The direction is
+    `direction`, else `direction_for(nvars)`; when some vector pairs to zero
+    with it, the moment-curve point `moment_vector(nvars, vecs, 2)` is taken
+    instead.  Returns (direction, pairings), with one list of <ell, v> per
+    term.  The fallback depends only on which pairings are zero, so
+    denominators b and positive-form vectors -b choose the same direction.
+    """
+    direction = direction or direction_for(nvars)
+    ell = direction.ell
+    pairings = [[sum(map(mul, ell, v)) for v in vs] for vs in vec_lists]
+    if not all(all(ps) for ps in pairings):
+        ell = moment_vector(nvars, (v for vs in vec_lists for v in vs), 2)
+        direction = ExpansionDirection(ell)
+        pairings = [[sum(map(mul, ell, v)) for v in vs] for vs in vec_lists]
+    return direction, pairings
+
+
 def canonicalize(f):
     """Flip denominator vectors until all pair negatively with the direction.
 
     The flip identity 1/(1-t^b) = -t^(-b)/(1-t^(-b)) preserves the rational
     function.  The direction is f's own orientation, else
     `direction_for(f.nvars)`; when some denominator pairs to zero with it,
-    the moment-curve point `moment_vector(n, denoms, 2)` is taken instead.
+    the moment-curve point `moment_vector(n, denoms, 2)` is taken instead
+    (`direction_pairings`, which `lattice_gf_mapped` also orients by).
     f is returned itself when it is already canonical under its
     orientation.  Each pairing <ell, b> is computed once per direction
     tried, and a term with no vector to flip is kept as the same object.
     To re-orient f, canonicalize a copy that carries the new orientation.
     """
-    direction = f.orientation or direction_for(f.nvars)
-    ell = direction.ell
-    pairings = [[sum(map(mul, ell, d)) for d in t.denoms] for t in f.terms]
-    if not all(all(ps) for ps in pairings):
-        ell = moment_vector(f.nvars, (d for t in f.terms for d in t.denoms), 2)
-        direction = ExpansionDirection(ell)
-        pairings = [[sum(map(mul, ell, d)) for d in t.denoms] for t in f.terms]
+    direction, pairings = direction_pairings(
+        f.nvars, [t.denoms for t in f.terms], f.orientation
+    )
     flips = [any(p > 0 for p in ps) for ps in pairings]
     if direction == f.orientation and not any(flips):
         return f

@@ -26,14 +26,21 @@ from shortgf import (
     triangulate_cone,
     zero_gf,
 )
+from shortgf import ShortGF
 from shortgf import _linalg as la
+from shortgf._subst import substitute
 from shortgf.barvinok import (
     _LLL_THRESHOLD,
+    _brion_fulldim,
     _dual_cone_gf_terms,
+    _EmptyPolytope,
     _parallelepiped_point,
+    _reduce_to_fulldim,
     _short_vector_lll,
     decompose_unimodular_fulldim,
+    lattice_gf_mapped,
 )
+from shortgf.gfcore import direction_for, direction_pairings, term_from_positive
 
 
 @st.composite
@@ -278,6 +285,26 @@ class TestDecomposeUnimodular:
         assert len(out) > 1
         assert all(is_inverse(inv, cols) for _, cols, inv in out)
 
+    def test_parallelepiped_steps_reduce_no_lattice(self, monkeypatch):
+        listed = []
+        real = la.enumerate_parallelepiped
+
+        def recording(gen_cols, inverse):
+            listed.append(inverse[0])
+            return real(gen_cols, inverse)
+
+        def forbidden(rows, m):
+            raise AssertionError("hnf_columns called")
+
+        monkeypatch.setattr(la, "enumerate_parallelepiped", recording)
+        monkeypatch.setattr(la, "hnf_columns", forbidden)
+        gens = ((1, 0, 0), (0, 1, 0), (3, 7, 40))
+        out = decompose_unimodular_fulldim(gens, 1)
+        # the det-40 root takes basis reduction; its children list classes
+        # from the inverse they carry
+        assert listed and all(1 < det <= _LLL_THRESHOLD for det in listed)
+        assert all(is_inverse(inv, cols) for _, cols, inv in out)
+
     def test_polarization_inverts_nothing_itself(self, monkeypatch):
         normals = ((-2, -1, 3), (-1, 2, 3), (1, -2, 3), (2, 1, 3))
         simplices = triangulate_cone(list(normals))
@@ -374,6 +401,81 @@ class TestDecomposeUnimodular:
             (1, (w, (1, 2, 0), (0, 0, 1))),
         }
         assert corner_count(gens) == 658
+
+
+def pair_polytope(rng):
+    """Random arguments of `lattice_gf_mapped` for one Hadamard term pair.
+
+    Built as `calculus._polytope_pair_terms` builds them under the identity
+    functional: y = (zeta, xi) >= 0 with aA + sum zeta_i A_i in the box and
+    equal to aB + sum xi_j B_j, mapped to aA + sum zeta_i A_i.  With more
+    vectors than variables the fibre has directions that map to zero.
+    """
+    n, p, q = rng.randint(1, 2), rng.randint(1, 3), rng.randint(1, 3)
+
+    def vec():
+        while True:
+            v = tuple(rng.randint(0, 3) for _ in range(n))
+            if any(v):
+                return v
+
+    vecs_a = [vec() for _ in range(p)]
+    vecs_b = [vec() for _ in range(q)]
+    a_a = tuple(rng.randint(0, 3) for _ in range(n))
+    a_b = tuple(rng.randint(0, 3) for _ in range(n))
+    m = p + q
+    ineqs = [(tuple(-int(i == j) for j in range(m)), 0) for i in range(m)]
+    for c in range(n):
+        up = tuple(v[c] for v in vecs_a) + (0,) * q
+        ineqs.append((up, rng.randint(4, 11) - a_a[c]))
+        ineqs.append((tuple(-x for x in up), a_a[c]))
+    eq_rows = [
+        tuple(v[r] for v in vecs_a) + tuple(-v[r] for v in vecs_b) for r in range(n)
+    ]
+    eq_rhs = [a_b[r] - a_a[r] for r in range(n)]
+    exp_rows = [tuple(v[c] for v in vecs_a) + (0,) * q for c in range(n)]
+    return ineqs, eq_rows, eq_rhs, m, exp_rows, a_a, n
+
+
+class TestLatticeGFMapped:
+    def test_matches_the_z_space_round_trip(self):
+        """Brion's triples oriented in z-space and mapped straight into
+        out-space give the terms of the checked z-space GF of those triples
+        pushed through `substitute`."""
+        rng = random.Random(3)
+        checked = collapsed = fallback = 0
+        while checked < 100:
+            args = pair_polytope(rng)
+            ineqs, eq_rows, eq_rhs, m, exp_rows, exp_offset, n = args
+            coeff = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))
+            try:
+                rows, y0, k_cols, verts = _reduce_to_fulldim(ineqs, eq_rows, eq_rhs, m)
+            except _EmptyPolytope:
+                continue
+            d = len(k_cols)
+            vrows = [tuple(la.dot(e, k) for k in k_cols) for e in exp_rows]
+            if d == 0 or (d == 1 and any(row[0] for row in vrows)):
+                continue  # a point or a segment: no Brion sum
+            checked += 1
+            triples = _brion_fulldim(rows, verts)
+            collapsed += any(
+                not any(la.dot(row, v) for row in vrows)
+                for _, _, vecs in triples
+                for v in vecs
+            )
+            direction, _ = direction_pairings(d, [vecs for _, _, vecs in triples])
+            fallback += direction != direction_for(d)
+            zgf = ShortGF(
+                d, tuple(term_from_positive(s, a, vecs) for s, a, vecs in triples)
+            )
+            offset = tuple(o + la.dot(e, y0) for o, e in zip(exp_offset, exp_rows))
+            want = substitute(
+                zgf, vrows, n, shift=offset, coeff_factor=coeff, allow_collapse=True
+            )
+            got = lattice_gf_mapped(*args, coeff_factor=coeff)
+            assert got.terms == want.terms
+            assert got.orientation == want.orientation
+        assert collapsed > 50 and fallback > 10
 
 
 class TestPolytopeGF:

@@ -138,9 +138,12 @@ class TestSubstituteMonomials:
     def test_zero_image_rules(self):
         f = ShortGF(2, (GFTerm(1, (0, 0), ((1, -4),)),))
         substitute_monomials(f, [(1, 4)], 1)  # image 1 - 16 = -15, fine
-        g = ShortGF(2, (GFTerm(1, (0, 0), ((4, -1),)),))
-        with pytest.raises(ZeroImageError):
+        g = ShortGF(2, (GFTerm(1, (0, 0)), GFTerm(1, (0, 0), ((4, -1),))))
+        with pytest.raises(ZeroImageError) as err:
             substitute_monomials(g, [(1, 4)], 1)
+        # the error names the canonical denominator: (4, -1) pairs positively
+        # with the default direction (2, 3), so the term carries (-4, 1)
+        assert (err.value.term_index, err.value.vector) == (1, (-4, 1))
 
 
 @st.composite
@@ -863,10 +866,13 @@ class TestHadamardWork:
         assert len(calls) == 1
 
     def test_segment_fibre_is_written_directly(self, monkeypatch):
-        calls = self._count(monkeypatch, shortgf.barvinok, "substitute")
+        calls = self._count(monkeypatch, shortgf.barvinok, "_substitute_positive")
         f = polytope_gf(Polyhedron(((1,), (-1,)), (9, -3), 1))
         assert _table(f, (16,)) == _indicator((x,) for x in range(3, 10))
         assert calls == []
+        # a triangle's Brion sum does go through the map
+        polytope_gf(Polyhedron(((-1, 0), (0, -1), (1, 1)), (0, 0, 4), 2))
+        assert calls == [1]
 
     def test_canonicalize_keeps_oriented_terms(self):
         # (-1, 0) pairs negatively with the default ell = (2, 3), (1, 0) not

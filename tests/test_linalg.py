@@ -6,7 +6,7 @@ from itertools import combinations, permutations, product
 from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import shortgf._linalg
@@ -196,6 +196,8 @@ class TestScaledInverse:
 class TestEnumerateParallelepiped:
     @settings(max_examples=150, deadline=None)
     @given(square_matrices(3, 4))
+    @example([[2, 0, 0], [0, 2, 0], [0, 0, 3]])  # classes Z/2 x Z/6, not cyclic
+    @example([[2, 1], [1, 1]])  # det 1: the origin alone
     def test_matches_fraction_reference(self, cols):
         cols = [tuple(c) for c in cols]
         assume(det_int(cols) != 0)
