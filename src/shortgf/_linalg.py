@@ -101,7 +101,7 @@ def integer_rows(rows):
     out = []
     for r in rows:
         den = lcm(*(x.denominator for x in r))
-        out.append([int(x * den) for x in r])
+        out.append([x.numerator * (den // x.denominator) for x in r])
     return out
 
 

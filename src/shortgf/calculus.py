@@ -585,17 +585,20 @@ def oracle_project(f, keep, box, mode="project", limit=None):
     complement within the kept sub-box; 'specialize' verifies that every
     projected point has exactly one witness before projecting.
     """
-    box = as_box(box)
     keep = list(keep)
-    dropped = [i for i in range(f.nvars) if i not in keep]
-    support = sorted(
-        support_points(f, box, limit=limit)
-    )
+    pts = _project_points(support_points(f, box, limit=limit), keep, box, mode, limit)
+    return from_point_set(pts, len(keep))
+
+
+def _project_points(points, keep, box, mode, limit=None):
+    """The point list behind `oracle_project`'s GF, from the support points."""
+    box = as_box(box)
+    support = sorted(points)
     if mode == "specialize":
         witness = {}
         for pt in support:
             key = tuple(pt[i] for i in keep)
-            w = tuple(pt[i] for i in dropped)
+            w = tuple(x for i, x in enumerate(pt) if i not in keep)
             if key in witness and witness[key] != w:
                 raise SpecializationError(key, witness[key], w)
             witness[key] = w
@@ -605,9 +608,8 @@ def oracle_project(f, keep, box, mode="project", limit=None):
         if limit is not None and sub.volume() > limit:
             raise ResourceLimitError("anti-projection box exceeds the point limit")
         proj_set = set(projected)
-        pts = [p for p in sub.points() if p not in proj_set]
-        return from_point_set(pts, len(keep))
-    return from_point_set(projected, len(keep))
+        return [p for p in sub.points() if p not in proj_set]
+    return projected
 
 
 def support_points(f, box, limit=None):

@@ -18,12 +18,12 @@ from math import prod
 from .barvinok import enumerate_polytope_points
 from .calculus import (
     TauMap,
+    _project_points,
     choose_tau,
     compress,
     evaluate_at_one,
     hadamard,
     minkowski_oracle,
-    oracle_project,
     support_points,
 )
 from .errors import FormatError, ResourceLimitError
@@ -394,7 +394,8 @@ def segment_gf(encoding):
     Verifies the piece-union identity against the bit-semantics oracle, then
     takes the complement with `oracle_project`'s 'anti' mode and specializes
     it to x with its 'specialize' mode, which checks the one-witness
-    property of the complement.
+    property of the complement.  Both steps run on point sets, so only the
+    final 1-D GF is built.
     """
     proj = encoding.proj_points()
     box = encoding.box
@@ -402,8 +403,8 @@ def segment_gf(encoding):
         raise ValueError(
             "piece union does not match the projection of the violation region"
         )
-    complement = oracle_project(from_point_set(proj, 2), (0, 1), box, "anti")
-    return oracle_project(complement, (0,), box, "specialize")
+    complement = _project_points(proj, (0, 1), box, "anti")
+    return from_point_set(_project_points(complement, (0,), box, "specialize"), 1)
 
 
 def compress_encoding(encoding):

@@ -4,8 +4,10 @@ Formulas are trees of linear atoms (canonicalized to <=) under not/and/or,
 optionally below a prefix of bounded quantifier blocks.  Quantifier-free
 formulas over a box are *disjointified*: rewritten as a disjoint list of
 polyhedra whose integer points partition the truth set, by a decision tree
-over the atoms with exact integer-point pruning.  Summing the polytope GFs of
-the cells yields the short GF of the truth set.
+over the atoms with exact integer-point pruning.  Each branch of the tree
+carries its residual formula and bounds on its integer points, so it pays
+only for the row it adds.  Summing the polytope GFs of the cells yields the
+short GF of the truth set.
 """
 
 from dataclasses import dataclass
@@ -194,39 +196,40 @@ def eval_formula(formula, assignment):
     return rec(list(formula.blocks))
 
 
-def _eval3(node, lookup):
-    """Three-valued evaluation; returns (value-or-None, first undecided atom)."""
+def _assume(node, atom, value):
+    """`node` with `atom` set to `value`, folded to True, False or a node.
+
+    `Not` flips a constant child; `And` drops True children and is False on a
+    False child, `Or` dually; an empty `And`/`Or` is True/False.  A folded
+    node holds no constant, and an unchanged subtree is returned as is.
+    """
     if isinstance(node, LinearAtom):
-        val = lookup.get(node)
-        return (val, None if val is not None else node)
+        return value if node == atom else node
     if isinstance(node, Not):
-        val, atom = _eval3(node.child, lookup)
-        return (None if val is None else not val, atom)
-    if isinstance(node, And):
-        first = None
-        decided = True
-        for c in node.children:
-            val, atom = _eval3(c, lookup)
-            if val is False:
-                return False, None
-            if val is None:
-                decided = False
-                if first is None:
-                    first = atom
-        return (True, None) if decided else (None, first)
-    if isinstance(node, Or):
-        first = None
-        decided = True
-        for c in node.children:
-            val, atom = _eval3(c, lookup)
-            if val is True:
-                return True, None
-            if val is None:
-                decided = False
-                if first is None:
-                    first = atom
-        return (False, None) if decided else (None, first)
-    raise TypeError(f"unexpected node: {node!r}")
+        child = _assume(node.child, atom, value)
+        if child is node.child:
+            return node
+        return not child if isinstance(child, bool) else Not(child)
+    stop = isinstance(node, Or)  # the constant that decides the node
+    kept = []
+    same = True
+    for c in node.children:
+        r = _assume(c, atom, value)
+        if r is stop:
+            return stop
+        same = same and r is c
+        if r is not (not stop):
+            kept.append(r)
+    if not kept:
+        return not stop
+    return node if same else type(node)(tuple(kept))
+
+
+def _first_atom(node):
+    """Leftmost atom of a folded node."""
+    while not isinstance(node, LinearAtom):
+        node = node.child if isinstance(node, Not) else node.children[0]
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +239,15 @@ def _eval3(node, lookup):
 def disjointify(body, box, var_order=None):
     """Disjoint polyhedra whose integer points partition the truth set in the box.
 
-    Decision tree over the atoms: the true branch adds the atom row, the false
-    branch its tightened negation; branches without an integer point are
-    pruned exactly.
+    Decision tree over the atoms: the false branch adds the atom's tightened
+    negation, the true branch its row, and a branch without an integer point
+    is pruned exactly.  A branch carries its residual formula (`_assume`): a
+    cell on True, else split on its leftmost atom.  It also carries bounds
+    that hold for all its integer points and its lexicographically first
+    point; a new row that point breaks is propagated from those bounds (the
+    box rows add nothing to them) and searched.  As the bounds drop no point,
+    pruning and first points are those of a search over the full box, so the
+    cells (box rows plus branch rows) do not depend on them.
     """
     box = as_box(box)
     if var_order is None:
@@ -254,36 +263,37 @@ def disjointify(body, box, var_order=None):
         row2 = [0] * n
         row2[j] = -1
         box_rows.append((tuple(row2), 0))
-    bounds = box.bounds()
 
+    atom_rows = {}  # atom -> (negated row, row)
     cells = []
-    stack = [({}, [], None)]
+    # no atom is None: this only folds empty and/or nodes
+    stack = [(_assume(body, None, None), [], box.bounds(), None)]
     while stack:
-        lookup, rows, witness = stack.pop()
-        val, atom = _eval3(body, lookup)
-        if val is False:
+        node, rows, bounds, witness = stack.pop()
+        if node is False:
             continue
-        if val is True:
+        if node is True:
             cells.append(rows)
             continue
-        for branch in (False, True):
-            row = (
-                atom.vector(var_order)
-                if branch
-                else atom.negated_vector(var_order)
+        atom = _first_atom(node)
+        pair = atom_rows.get(atom)
+        if pair is None:
+            pair = atom_rows[atom] = (
+                atom.negated_vector(var_order),
+                atom.vector(var_order),
             )
+        for branch, row in zip((False, True), pair):
             new_rows = rows + [row]
-            wit = witness
+            bnd, wit = bounds, witness
             if wit is None or la.dot(row[0], wit) > row[1]:
-                found = la.lattice_points(
-                    box_rows + new_rows, bounds, first_only=True
-                )
+                bnd = la.propagate_bounds(new_rows, bounds, rounds=8)
+                if bnd is None:
+                    continue
+                found = la.lattice_points(new_rows, bnd, first_only=True)
                 if not found:
                     continue
                 wit = found[0]
-            new_lookup = dict(lookup)
-            new_lookup[atom] = branch
-            stack.append((new_lookup, new_rows, wit))
+            stack.append((_assume(node, atom, branch), new_rows, bnd, wit))
 
     out = []
     for rows in cells:

@@ -21,6 +21,7 @@ from shortgf._linalg import (
     lattice_points,
     lll_reduce,
     matrix_inverse_fraction,
+    propagate_bounds,
     scaled_inverse_int,
     solve_square,
     vertices_of,
@@ -248,12 +249,20 @@ def lattice_points_reference(rows, bounds):
 
 class TestLatticePoints:
     @settings(max_examples=150, deadline=None)
-    @given(boxed_systems(), st.integers(0, 40))
-    def test_matches_brute_force(self, system, limit):
+    @given(boxed_systems(), st.integers(0, 40), st.integers(0, 5))
+    def test_matches_brute_force(self, system, limit, k):
         rows, bounds = system
         want = lattice_points_reference(rows, bounds)
         assert lattice_points(rows, bounds) == want
         assert lattice_points(rows, bounds, first_only=True) == want[:1]
+        # bounds propagated over some of the rows drop no point, so a search
+        # from them (as disjointify's carried bounds) finds the same points
+        tight = propagate_bounds(rows[:k], bounds, rounds=8)
+        if tight is None:
+            assert want == []
+        else:
+            assert lattice_points(rows, tight) == want
+            assert lattice_points(rows, tight, first_only=True) == want[:1]
         if len(want) > limit:
             with pytest.raises(ResourceLimitError):
                 lattice_points(rows, bounds, limit=limit)

@@ -1,20 +1,30 @@
 """Formula front end: parsing, evaluation, disjoint cells, truth-set GFs."""
 
 import random
+from operator import mul
 
 import pytest
 
+import shortgf._linalg as la
 from shortgf import (
+    And,
     FormatError,
     LatticeBox,
     LinearAtom,
+    Not,
+    Or,
     PAFormula,
+    Polyhedron,
     QuantBlock,
     alternating_pipeline,
+    circuit_to_3cnf,
+    cnf_to_pa,
     complement_in_box,
     conj,
+    constant_false,
     disj,
     disjointify,
+    encode_segment,
     enumerate_polytope_points,
     eval_formula,
     evaluate_at_one,
@@ -23,7 +33,9 @@ from shortgf import (
     negate,
     parse_pa,
     qf_to_gf,
+    square_tester,
     support_points,
+    xor_detector,
 )
 from shortgf.gfcore import GFTerm, ShortGF
 
@@ -141,6 +153,141 @@ class TestDisjointify:
                 assert not (pts & got), "cells overlap"
                 got |= pts
             assert got == truth
+
+
+def eval3(node, lookup):
+    """Three-valued evaluation: (value or None, first undecided atom)."""
+    if isinstance(node, LinearAtom):
+        val = lookup.get(node)
+        return (val, None if val is not None else node)
+    if isinstance(node, Not):
+        val, atom = eval3(node.child, lookup)
+        return (None if val is None else not val, atom)
+    stop = isinstance(node, Or)
+    first = None
+    for c in node.children:
+        val, atom = eval3(c, lookup)
+        if val is stop:
+            return stop, None
+        if val is None and first is None:
+            first = atom
+    return (not stop, None) if first is None else (None, first)
+
+
+def disjointify_reference(body, box, var_order):
+    """The decision tree with every branch evaluated from the root and every
+    witness searched over the full box: (cells, pruned branch count)."""
+    n = len(var_order)
+    box_rows = []
+    for j in range(n):
+        unit = tuple(int(i == j) for i in range(n))
+        box_rows.append((unit, box.sides[j] - 1))
+        box_rows.append((tuple(-c for c in unit), 0))
+    cells = []
+    pruned = 0
+    stack = [({}, [], None)]
+    while stack:
+        lookup, rows, witness = stack.pop()
+        val, atom = eval3(body, lookup)
+        if val is False:
+            continue
+        if val is True:
+            cells.append(rows)
+            continue
+        for branch in (False, True):
+            row = (
+                atom.vector(var_order)
+                if branch
+                else atom.negated_vector(var_order)
+            )
+            new_rows = rows + [row]
+            wit = witness
+            if wit is None or sum(map(mul, row[0], wit)) > row[1]:
+                found = la.lattice_points(
+                    box_rows + new_rows, box.bounds(), first_only=True
+                )
+                if not found:
+                    pruned += 1
+                    continue
+                wit = found[0]
+            stack.append(({**lookup, atom: branch}, new_rows, wit))
+    out = [
+        Polyhedron(
+            tuple(c for c, _ in box_rows + rows),
+            tuple(b for _, b in box_rows + rows),
+            n,
+        )
+        for rows in cells
+    ]
+    return out, pruned
+
+
+def random_formula(rng, atoms, depth):
+    """Nested not/and/or over a small atom pool, so atoms repeat across
+    subtrees; now and then an empty and/or, which is a constant."""
+    r = rng.random()
+    if depth == 0 or r < 0.2:
+        return rng.choice(atoms)
+    if r < 0.35:
+        return Not(random_formula(rng, atoms, depth - 1))
+    if r < 0.37:
+        return rng.choice((And(()), Or(())))
+    kind = And if r < 0.6 else Or
+    return kind(
+        tuple(
+            random_formula(rng, atoms, depth - 1)
+            for _ in range(rng.randint(2, 3))
+        )
+    )
+
+
+class TestDisjointifyReference:
+    """Carried residuals and bounds give the cells of the plain decision tree."""
+
+    @pytest.mark.parametrize(
+        "circuit",
+        (xor_detector(2), xor_detector(3), square_tester(3), constant_false(2)),
+        ids=("xor2", "xor3", "square3", "false2"),
+    )
+    def test_stock_circuits(self, circuit):
+        _, violation, _ = cnf_to_pa(circuit_to_3cnf(circuit))
+        q = max(circuit.r, circuit.p, 1)
+        box = LatticeBox((1 << circuit.r, 1 << circuit.p) + (1 << q,) * 3)
+        var_order = ("x", "y", "z1", "z2", "z3")
+        want, _ = disjointify_reference(violation, box, var_order)
+        assert disjointify(violation, box, var_order) == want
+
+    def test_random_formulas(self):
+        rng = random.Random(24)
+        pruning = splitting = 0
+        for _ in range(1000):
+            names = ("x", "y", "z")[: rng.randint(1, 3)]
+            atoms = [
+                LinearAtom.from_dict(
+                    {v: rng.randint(-3, 3) for v in names}, rng.randint(-4, 10)
+                )
+                for _ in range(rng.randint(2, 6))
+            ]
+            body = random_formula(rng, atoms, 5)
+            box = LatticeBox(tuple(rng.randint(1, 7) for _ in names))
+            want, pruned = disjointify_reference(body, box, names)
+            assert disjointify(body, box, names) == want
+            pruning += pruned > 0
+            splitting += len(want) > 1
+        # most inputs prune some branch, and some split into several cells
+        assert pruning >= 500 and splitting >= 150
+
+    def test_encode_segment_searches_few_branches(self, monkeypatch):
+        calls = []
+        real = la.lattice_points
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(la, "lattice_points", counting)
+        encode_segment(xor_detector(2))
+        assert len(calls) <= 200
 
 
 class TestQfToGF:
