@@ -20,8 +20,8 @@ with Bland's rule in integers (Bland 1977).  `vertices_of` walks the edge
 graph from the vertex it finds (the adjacency walk of Avis-Fukuda 1992),
 and `is_bounded` is one call of it on the recession cone.  `extreme_rays`
 ((n-1)-subsets of normals) is the only enumeration of row subsets; it
-serves cones of few rows: degenerate vertices, tangent cones and the
-facets of the triangulation.
+serves cones of few rows: the edge directions at every vertex, simple or
+degenerate, tangent cones and the facets of the triangulation.
 """
 
 from fractions import Fraction
@@ -209,10 +209,6 @@ def solve_affine_lattice(eq_rows, eq_rhs, m):
     basis of the kernel, in column-echelon form), or None when no integer
     solution exists.  For an empty equation list returns (0, identity).
     """
-    if not eq_rows:
-        y0 = tuple(0 for _ in range(m))
-        k_cols = [tuple(1 if i == j else 0 for i in range(m)) for j in range(m)]
-        return y0, k_cols
     h, u, pivots = hnf_columns(eq_rows, m)
     # particular solution: solve the staircase h . w = rhs with w supported on pivots
     w = [0] * m
@@ -294,7 +290,7 @@ def box_redundant(coeffs, rhs, bounds):
     return total <= rhs
 
 
-def propagate_bounds(rows, bounds, rounds=3):
+def propagate_bounds(rows, bounds, rounds):
     """Tighten per-variable integer bounds by interval propagation over the rows.
 
     bounds: list of [lo, hi] (entries may be None for unknown); returns a new
@@ -530,12 +526,12 @@ def vertices_of(rows, n):
     with den > 0, sorted by value for determinism, and [] when the system
     is empty or its normals have rank < n.  `_first_vertex` finds one vertex;
     from each vertex found, every edge direction is followed to the first
-    row it meets.  At a vertex tight on exactly n rows the directions are
-    the columns of -W^-1 (W the tight normals); at a degenerate one they are
-    the `extreme_rays` of the tight normals.  An edge that meets no row is
-    an unbounded ray and leads nowhere.  The vertices and bounded edges of
-    a polyhedron with a vertex form a connected graph, so the walk reaches
-    every vertex.  All arithmetic is integer.
+    row it meets.  The edge directions are the `extreme_rays` of the tight
+    normals, at a simple vertex and a degenerate one alike; the next vertex
+    does not depend on a direction's positive scale.  An edge that meets no
+    row is an unbounded ray and leads nowhere.  The vertices and bounded
+    edges of a polyhedron with a vertex form a connected graph, so the walk
+    reaches every vertex.  All arithmetic is integer.
     """
     normals = [r[0] for r in rows]
     basis = _independent_rows(normals)
@@ -551,12 +547,7 @@ def vertices_of(rows, n):
     stack = [(nums, den, slacks, tight)]
     while stack:
         nums, den, slacks, tight = stack.pop()
-        if len(tight) == n:
-            r_rows = scaled_inverse_int([normals[i] for i in tight])[1]
-            directions = [[-x for x in col] for col in zip(*r_rows)]
-        else:
-            directions = extreme_rays([normals[i] for i in tight], n)
-        for direction in directions:
+        for direction in extreme_rays([normals[i] for i in tight], n):
             ads = [dot(a, direction) for a in normals]
             step_slack = None
             for i, ad in enumerate(ads):

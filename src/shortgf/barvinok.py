@@ -1,13 +1,14 @@
 """Short GFs of lattice points of rational polyhedra in fixed low dimension.
 
 Pipeline: check boundedness (`la.is_bounded`, one exact LP), enumerate
-vertices by a pivoting walk along the edges (`la.vertices_of`), take the
-dual of each tangent cone (the cone spanned by the tight constraint
-normals), triangulate it by pulling over its facets (`la.extreme_rays` of
-the dual of the cone being triangulated), decompose each simplicial piece
-into unimodular signed cones by repeated replacement with a short
-parallelepiped vector, dualize the unimodular pieces back, and sum the
-vertex-cone rational functions (Brion).  Only the root cone of each
+vertices by a pivoting walk along the edges (`la.vertices_of`, whose edge
+directions at every vertex are the `la.extreme_rays` of its tight
+normals), take the dual of each tangent cone (the cone spanned by the
+tight constraint normals), triangulate it by pulling over its facets
+(`la.extreme_rays` of the dual of the cone being triangulated), decompose
+each simplicial piece into unimodular signed cones by repeated replacement
+with a short parallelepiped vector, dualize the unimodular pieces back, and
+sum the vertex-cone rational functions (Brion).  Only the root cone of each
 decomposition is inverted (`la.scaled_inverse_int`): each child carries its
 scaled inverse by an exact rank-one update, the parallelepiped step lists
 its lattice classes from it, and each unimodular piece is dualized from the
@@ -22,7 +23,8 @@ boundedness test.
 Lower-dimensional and equality-constrained inputs are reduced to the
 full-dimensional case by an integer parameterization of their affine lattice
 hull (column Hermite form), so the same core serves the equality-constrained
-auxiliary polytopes of the Hadamard machinery.
+auxiliary polytopes of the Hadamard machinery.  Every fibre of positive
+dimension, a segment included, takes Brion's sum.
 """
 
 from dataclasses import dataclass
@@ -43,7 +45,6 @@ from .gfcore import (
     canonicalize,
     direction_pairings,
     int_vector,
-    normalized,
     progression_gf,
     zero_gf,
 )
@@ -126,8 +127,6 @@ def _short_vector_lll(gen_cols, inverse):
     reduced = la.lll_reduce(basis)
     best = None
     for beta in reduced:
-        if not any(beta):
-            continue
         m = max(abs(x) for x in beta)
         if m >= det:
             continue
@@ -450,15 +449,13 @@ def lattice_gf_mapped(
 
     The solution set must be bounded.  This is the shared engine behind
     polytope GFs and the Hadamard auxiliary polytopes.  After the reduction
-    to a full-dimensional fibre z: a point is one monomial; a segment
-    lo <= z <= hi whose image vector v is nonzero is written directly as the
-    progression t^(o + lo v) (1 - t^((hi-lo+1) v))/(1 - t^v), the two terms
-    that Brion's sum mapped into out-space gives for it; anything else takes
-    Brion's sum over the vertices of the fibre.  Its positive-form cone
-    triples are oriented in z-space as `canonicalize` orients a GF
-    (`_oriented`; the limit terms of collapsed directions depend on it) and
-    go to `_substitute_positive` with no z-space GF built, which gives the
-    terms `substitute` would give for the GF of those triples.
+    to a full-dimensional fibre z, a point is one monomial, and a fibre of
+    any positive dimension, a segment included, takes Brion's sum over its
+    vertices.  Its positive-form cone triples are oriented in z-space as
+    `canonicalize` orients a GF (`_oriented`; the limit terms of collapsed
+    directions depend on it) and go to `_substitute_positive` with no
+    z-space GF built, which gives the terms `substitute` would give for the
+    GF of those triples.
     """
     try:
         rows, y0, k_cols, verts = _reduce_to_fulldim(
@@ -475,12 +472,6 @@ def lattice_gf_mapped(
     vrows = [
         tuple(la.dot(erow, k_cols[j]) for j in range(d)) for erow in exp_rows
     ]
-    if d == 1 and any(row[0] for row in vrows):
-        v = tuple(row[0] for row in vrows)
-        ((lo_num,), lo_den), ((hi_num,), hi_den) = verts[0][0], verts[-1][0]
-        lo, hi = -(-lo_num // lo_den), hi_num // hi_den
-        apex = la.vadd(offset, [lo * x for x in v])
-        return normalized(progression_gf(apex, (v,), (hi - lo + 1,), coeff_factor))
     return _substitute_positive(
         d,
         _oriented(d, _brion_fulldim(rows, verts)),

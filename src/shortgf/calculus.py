@@ -177,11 +177,9 @@ def _image_box(rows, bounds):
     return out
 
 
-def _meets(image, aB, g_box):
+def _meets(image, g_box):
     """Does the image box reach the support box of the g-term?  A monomial
-    g-term (g_box None) has its apex aB as its box."""
-    if g_box is None:
-        return all(lo <= b <= hi for (lo, hi), b in zip(image, aB))
+    g-term's box is its apex, [(b, b), ...]."""
     return all(
         lo <= ghi and glo <= hi for (lo, hi), (glo, ghi) in zip(image, g_box)
     )
@@ -304,15 +302,14 @@ def _pair_terms(
 ):
     """Terms of one term pair of a linear-functional Hadamard product.
 
-    The caller has checked that the supports can meet, which settles a pair
-    of monomials.  A monomial f-term against a 1-D g-term with one vector
-    is a divisibility test.  Under the identity functional (`pinned`) a
-    separable pair is a product of progressions (`_separable_terms`); every
-    other pair goes through its auxiliary polytope.
+    A monomial f-term against a 1-D g-term with one vector is a
+    divisibility test.  Under the identity functional (`pinned`) a
+    separable pair, a pair of monomials included, is a product of
+    progressions (`_separable_terms`); every other pair goes through its
+    auxiliary polytope, which for a pair of monomials is a point or empty.
+    A pair whose supports do not meet gives no term.
     """
     p, q = len(vecsA), len(vecsB)
-    if p == 0 and q == 0:
-        return (_term(coeff, aA),)
     if p == 0 and q == 1 and len(aB) == 1:
         diff = tau_a[0] - aB[0]
         d0 = vecsB[0][0]
@@ -350,7 +347,8 @@ def tau_hadamard(f, g, tau_rows, box=None):
     coordinate without building the polytope (`_separable_terms`).  Its
     index is then at most the number of coordinates both terms move.
     Every other pair, and every pair under any other functional, builds
-    its polytope unless a monomial shortcut of `_pair_terms` settles it.
+    its polytope, unless it is a monomial f-term against a 1-D g-term with
+    one vector, which `_pair_terms` settles by a divisibility test.
 
     A pair is skipped before its polytope is built when its supports cannot
     meet.  Each term apex + N vecs lies in its bounding box: per
@@ -381,9 +379,7 @@ def tau_hadamard(f, g, tau_rows, box=None):
         box = as_box(box)
     terms_f = _positive_terms(f)
     terms_g = _positive_terms(g)
-    g_boxes = [
-        _support_box(aB, vecsB) if vecsB else None for _, aB, vecsB in terms_g
-    ]
+    g_boxes = [_support_box(aB, vecsB) for _, aB, vecsB in terms_g]
     ident = tuple(
         tuple(1 if i == j else 0 for j in range(f.nvars))
         for i in range(len(tau_rows))
@@ -408,7 +404,7 @@ def tau_hadamard(f, g, tau_rows, box=None):
             # identity functional
             boxed = bool(vecsA) and (bool(vecsB) or not pinned)
             image = clipped if boxed else free
-            if cB == 0 or image is None or not _meets(image, aB, g_box):
+            if cB == 0 or image is None or not _meets(image, g_box):
                 continue
             coeff = cB if cA == 1 else cA if cB == 1 else cA * cB
             collected.extend(
@@ -475,11 +471,11 @@ def boolean_combine(f, g, box, mode, check=True):
         _check_zero_one(f, box)
         _check_zero_one(g, box)
     h = hadamard(f, g, box=box)
-    if mode in ("intersect", "&"):
+    if mode == "intersect":
         return h
-    if mode in ("union", "|"):
+    if mode == "union":
         return normalized(canonicalize(concat(concat(f, g), scale(h, -1))))
-    if mode in ("minus", "\\"):
+    if mode == "minus":
         return normalized(canonicalize(concat(f, scale(h, -1))))
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -251,28 +251,30 @@ def _negated_literal_atoms(lit, r, zvar):
     return bit_atoms(i, positive=(lit < 0), var=var, zvar=zvar)
 
 
-def _negate_atom(atom):
-    return LinearAtom(tuple((n, -c) for n, c in atom.coeffs), -atom.rhs - 1)
-
-
 def cnf_to_pa(cnf):
     """Quantified formula: exists y, for all z-triples, the big conjunction.
 
     Per clause, the violation region (all three literals false) is a
     conjunction of six inequalities over (x, y, z1, z2, z3); its negation is a
     six-way disjunction, and the conjunction over clauses characterizes
-    satisfaction.  Returns (formula, violation_body, q).
+    satisfaction.  Returns (formula, violation_body, q).  Both formulas
+    hold one object per distinct atom.
     """
     r, p = cnf.r, cnf.p
     q = max(r, p, 1)
+    atoms = {}
+
+    def shared(atom):
+        return atoms.setdefault(atom, atom)
+
     violations = []
     for clause in cnf.clauses:
-        atoms = []
+        body = []
         for slot, lit in enumerate(clause, start=1):
-            atoms.extend(_negated_literal_atoms(lit, r, f"z{slot}"))
-        violations.append(And(tuple(atoms)))
+            body.extend(map(shared, _negated_literal_atoms(lit, r, f"z{slot}")))
+        violations.append(And(tuple(body)))
     satisfied = And(
-        tuple(Or(tuple(_negate_atom(a) for a in v.children)) for v in violations)
+        tuple(Or(tuple(shared(a.negated()) for a in v.children)) for v in violations)
     )
     blocks = (
         QuantBlock("E", ("y",), 1 << p),

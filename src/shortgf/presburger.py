@@ -43,9 +43,12 @@ class LinearAtom:
             row[idx[n]] = c
         return tuple(row), self.rhs
 
+    def negated(self):
+        """The strict negation coeffs . x > rhs, as -coeffs . x <= -rhs - 1."""
+        return LinearAtom(tuple((n, -c) for n, c in self.coeffs), -self.rhs - 1)
+
     def negated_vector(self, var_order):
-        row, rhs = self.vector(var_order)
-        return tuple(-c for c in row), -rhs - 1
+        return self.negated().vector(var_order)
 
     def evaluate(self, assign):
         return sum(c * assign[n] for n, c in self.coeffs) <= self.rhs

@@ -14,13 +14,16 @@ from shortgf import (
     LatticeBox,
     Polyhedron,
     UnboundedPolyhedronError,
+    canonicalize,
     enumerate_polytope_points,
     evaluate_at_one,
     format_polyhedron,
     gf_index,
+    normalized,
     oracle_expand,
     parse_polyhedron,
     polytope_gf,
+    progression_gf,
     semigroup_gf,
     support_points,
     triangulate_cone,
@@ -437,7 +440,58 @@ def pair_polytope(rng):
     return ineqs, eq_rows, eq_rhs, m, exp_rows, a_a, n
 
 
+def segment_progression(ineqs, eq_rows, eq_rhs, m, exp_rows, exp_offset, coeff):
+    """GF of a 1-D fibre lo <= z <= hi whose image vector v is nonzero,
+    written out as the progression t^(o + lo v) (1 - t^((hi-lo+1) v))/(1 - t^v)
+    and merged by `normalized`; None for any other fibre."""
+    try:
+        _, y0, k_cols, verts = _reduce_to_fulldim(ineqs, eq_rows, eq_rhs, m)
+    except _EmptyPolytope:
+        return None
+    if len(k_cols) != 1:
+        return None
+    v = tuple(la.dot(e, k_cols[0]) for e in exp_rows)
+    if not any(v):
+        return None
+    offset = tuple(o + la.dot(e, y0) for o, e in zip(exp_offset, exp_rows))
+    ((lo_num,), lo_den), ((hi_num,), hi_den) = verts[0][0], verts[-1][0]
+    lo, hi = -(-lo_num // lo_den), hi_num // hi_den
+    apex = la.vadd(offset, [lo * x for x in v])
+    return normalized(progression_gf(apex, (v,), (hi - lo + 1,), coeff))
+
+
 class TestLatticeGFMapped:
+    def test_segment_fibre_matches_its_progression(self):
+        f = canonicalize(polytope_gf(Polyhedron(((1,), (-1,)), (9, -3), 1)))
+        table = oracle_expand(f, LatticeBox((16,))).support_with_values()
+        assert table == {(x,): 1 for x in range(3, 10)}
+        # Brion's sum over a segment's two endpoints gives the terms and the
+        # orientation of its written-out progression
+        rng = random.Random(7)
+        checked = 0
+        while checked < 1_000:
+            m = rng.randint(1, 3)
+            side = rng.randint(1, 9)
+            ineqs = []
+            for j in range(m):
+                e = tuple(int(i == j) for i in range(m))
+                ineqs += [(e, side), (tuple(-x for x in e), 0)]
+            eq_rows = [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(m - 1)]
+            eq_rhs = [rng.randint(-2, side) for _ in eq_rows]
+            out = rng.randint(1, 2)
+            exp_rows = [tuple(rng.randint(-2, 3) for _ in range(m)) for _ in range(out)]
+            offset = tuple(rng.randint(-3, 3) for _ in range(out))
+            coeff = rng.choice((Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 3)))
+            args = ineqs, eq_rows, eq_rhs, m, exp_rows, offset
+            want = segment_progression(*args, coeff)
+            if want is None:
+                continue
+            checked += 1
+            got = lattice_gf_mapped(*args, out, coeff_factor=coeff)
+            assert got.terms == want.terms
+            assert got.index_bound == want.index_bound == 1
+            assert got.orientation == want.orientation
+
     def test_matches_the_z_space_round_trip(self):
         """Brion's triples oriented in z-space and mapped straight into
         out-space give the terms of the checked z-space GF of those triples
@@ -454,8 +508,8 @@ class TestLatticeGFMapped:
                 continue
             d = len(k_cols)
             vrows = [tuple(la.dot(e, k) for k in k_cols) for e in exp_rows]
-            if d == 0 or (d == 1 and any(row[0] for row in vrows)):
-                continue  # a point or a segment: no Brion sum
+            if d == 0:
+                continue  # a point: no Brion sum
             checked += 1
             triples = _brion_fulldim(rows, verts)
             collapsed += any(

@@ -54,7 +54,7 @@ from shortgf import (
     zero_gf,
 )
 from shortgf.errors import SpecializationError
-from shortgf.calculus import _polytope_pair_terms, _separable_terms
+from shortgf.calculus import _pair_terms, _polytope_pair_terms, _separable_terms
 from shortgf.gfcore import format_gf, term_from_positive, term_positive_form
 
 
@@ -250,6 +250,17 @@ class TestTauHadamard:
             )
             assert tab[(k,)] == want
 
+    def test_monomial_pair_terms_need_the_pair_to_meet(self):
+        # t^7 against t^49 under the identity, and against t^48 under
+        # tau = 7x, give no term; against t^49 under tau = 7x it is t^7
+        ident, seven = ((1,),), ((7,),)
+        args = (Fraction(1), (7,), (), (7,), (49,), (), ident, True)
+        assert _pair_terms(*args, False, None, 1) == ()
+        args = (Fraction(1), (7,), (), (49,), (48,), (), seven, False)
+        assert _pair_terms(*args, False, None, 1) == ()
+        args = (Fraction(2), (7,), (), (49,), (49,), (), seven, False)
+        assert _pair_terms(*args, False, None, 1) == (GFTerm(2, (7,)),)
+
     def test_two_series_need_a_box(self):
         # neither term is a monomial, so the pair's polytope needs box rows
         f = ShortGF(1, (GFTerm(1, (0,), ((1,),)),))
@@ -297,6 +308,9 @@ class TestBooleanCombine:
         f = from_point_set([(1,)], 1)
         with pytest.raises(ValueError, match="unknown mode"):
             boolean_combine(f, f, (4,), "xor")
+        for alias in ("&", "|", "\\"):
+            with pytest.raises(ValueError, match="unknown mode"):
+                boolean_combine(f, f, (4,), alias)
 
 
 class TestComplement:
@@ -864,15 +878,6 @@ class TestHadamardWork:
         triangle = Polyhedron(((-1, 0), (0, -1), (1, 1)), (0, 0, 4), 2)
         assert evaluate_at_one(polytope_gf(triangle)) == 15
         assert len(calls) == 1
-
-    def test_segment_fibre_is_written_directly(self, monkeypatch):
-        calls = self._count(monkeypatch, shortgf.barvinok, "_substitute_positive")
-        f = polytope_gf(Polyhedron(((1,), (-1,)), (9, -3), 1))
-        assert _table(f, (16,)) == _indicator((x,) for x in range(3, 10))
-        assert calls == []
-        # a triangle's Brion sum does go through the map
-        polytope_gf(Polyhedron(((-1, 0), (0, -1), (1, 1)), (0, 0, 4), 2))
-        assert calls == [1]
 
     def test_canonicalize_keeps_oriented_terms(self):
         # (-1, 0) pairs negatively with the default ell = (2, 3), (1, 0) not

@@ -174,6 +174,22 @@ class TestCnfToPA:
         got = {x for x in range(4) if eval_formula(formula, (x,))}
         assert got == {0, 2}
 
+    def test_one_object_per_distinct_atom(self):
+        formula, violation, _ = cnf_to_pa(circuit_to_3cnf(xor_detector(2)))
+        atoms = []
+
+        def collect(node):
+            if isinstance(node, LinearAtom):
+                atoms.append(node)
+            else:
+                for child in node.children:
+                    collect(child)
+
+        collect(formula.body)
+        collect(violation)
+        assert len(atoms) == 168
+        assert len({id(a) for a in atoms}) == len(set(atoms)) == 102
+
     def test_length_grows_linearly_in_clauses(self):
         lengths = []
         for r in (2, 3):

@@ -488,6 +488,24 @@ class TestExtremeRays:
                 assert any(ray) and gcd(*ray) == 1
                 assert all(sum(a * b for a, b in zip(r, ray)) <= 0 for r in normals)
 
+    def test_simple_cone_rays_are_the_columns_of_minus_the_inverse(self):
+        # at a vertex tight on n independent rows W the edge directions
+        # are the columns of -W^-1, up to a positive scale
+        rng = random.Random(25)
+        checked = 0
+        while checked < 200:
+            n = rng.randint(2, 4)
+            w = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n)]
+            inverse = scaled_inverse_int(w)
+            if inverse is None:
+                continue
+            checked += 1
+            cols = {
+                tuple(-x // gcd(*col) for x in col) for col in zip(*inverse[1])
+            }
+            got = list(extreme_rays(w, n))
+            assert len(got) == n and set(got) == cols
+
     def test_one_dimensional(self):
         assert list(extreme_rays([(-2,)], 1)) == [(1,)]
         assert list(extreme_rays([(1,), (-1,)], 1)) == []

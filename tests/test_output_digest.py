@@ -1,4 +1,4 @@
-"""Benchmark outputs are byte-identical to the pinned digest.
+"""Outputs are byte-identical to pinned digests.
 
 Every workload is pinned at seed 7, and calculus also at seed 11, which
 takes the Barvinok path on other operands.
@@ -8,11 +8,33 @@ and prints one sha256 line per workload (see its docstring).  A change that
 alters any GF, count, encoding or error an item returns changes a line.
 When a change alters an output on purpose, repin the lines from the
 script's output and say why in CHANGES.md.
+
+`test_seeded_sweep_matches_the_pinned_digest` pins, in process, the bytes
+of inputs the benchmark does not make: monomial and point-set
+linear-functional Hadamard products under random functionals, random 2-4-D
+polytopes (GF, vertices, norm), signed 1-D norms, and `lattice_gf_mapped`
+on m - 1 random equations in an m-D box, mostly 1-D fibres.  A GF is pinned as `format_gf` and its orientation,
+any other result as its `repr`, and a raised `ShortGFError` as its type.
 """
 
+import hashlib
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
+
+import shortgf
+from shortgf import _linalg as la
+from shortgf.barvinok import Polyhedron, lattice_gf_mapped, polytope_gf
+from shortgf.calculus import box_range_gf, norm, tau_hadamard
+from shortgf.gfcore import (
+    ShortGF,
+    _term,
+    format_gf,
+    from_point_set,
+    progression_gf,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPT = os.path.join(ROOT, "scripts", "output_digest.py")
@@ -56,3 +78,117 @@ def test_seed_7_outputs_match_the_pinned_digest():
 
 def test_seed_11_calculus_matches_the_pinned_digest():
     assert digest_lines("--workload", "calculus", "--seeds", "11") == PINNED_CALCULUS_11
+
+
+PINNED_SWEEP = "8fc775ee277a0030c3baca6b7673e9e0f949ac8dd35c276412fb0e3f733e8956"
+
+COEFFS = (Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 3))
+
+
+def _gf_text(g):
+    return format_gf(g) + repr(g.orientation) + "\n"
+
+
+def _monomials(rng, n, lo, hi, k):
+    pts = {tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(k)}
+    return ShortGF(n, tuple(_term(rng.choice(COEFFS), p) for p in sorted(pts)))
+
+
+def _tau(rng, n, k):
+    if rng.random() < 0.3:
+        return [[int(i == j) for j in range(n)] for i in range(n)]
+    return [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+
+
+def _apply(tau, p):
+    return tuple(la.dot(r, p) for r in tau)
+
+
+def _call(fn, *args, **kw):
+    try:
+        out = fn(*args, **kw)
+    except shortgf.ShortGFError as exc:
+        return type(exc).__name__ + "\n"
+    return _gf_text(out) if isinstance(out, ShortGF) else repr(out) + "\n"
+
+
+def sweep(rng):
+    """Yield the text of every result of the seeded sweep, in order."""
+    # monomial tau-Hadamards: half of g's monomials are images of f's
+    for _ in range(300):
+        n, k = rng.randint(1, 3), rng.randint(1, 3)
+        tau = _tau(rng, n, k)
+        k = len(tau)
+        f = _monomials(rng, n, -3, 5, rng.randint(1, 3))
+        pts = {_apply(tau, t.numer) for t in f.terms if rng.random() < 0.5}
+        pts |= {tuple(rng.randint(-4, 6) for _ in range(k)) for _ in range(2)}
+        g = ShortGF(k, tuple(_term(rng.choice(COEFFS), p) for p in sorted(pts)))
+        yield _call(tau_hadamard, f, g, tau)
+    # point-set tau-Hadamards against boxes and progressions, both ways
+    for _ in range(150):
+        n, k = rng.randint(1, 2), rng.randint(1, 2)
+        tau = _tau(rng, n, k)
+        k = len(tau)
+        side = rng.randint(3, 6)
+        box = (side,) * n
+        pts = [tuple(rng.randrange(side) for _ in range(n)) for _ in range(4)]
+        f = from_point_set(pts, n)
+        lo = [rng.randint(-2, 3) for _ in range(k)]
+        step = [rng.randint(1, 3) for _ in range(k)]
+        vecs = [tuple(s if i == j else 0 for i in range(k)) for j, s in enumerate(step)]
+        g = progression_gf(lo, vecs, [rng.randint(1, 4) for _ in range(k)])
+        yield _call(tau_hadamard, f, g, tau, box=box)
+        gpts = [_apply(tau, p) for p in pts[:2]] + [
+            tuple(rng.randint(-3, 6) for _ in range(k))
+        ]
+        full = box_range_gf([0] * n, [side - 1] * n)
+        yield _call(tau_hadamard, full, from_point_set(gpts, k), tau, box=box)
+    # random 2-4-D polytopes: GF, vertices and norm
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        side = rng.randint(2, 4)
+        A, b = [], []
+        for j in range(n):
+            e = [int(i == j) for i in range(n)]
+            A += [e, [-x for x in e]]
+            b += [side, 0]
+        for _ in range(rng.randint(1, 3)):
+            A.append([rng.randint(-3, 3) for _ in range(n)])
+            b.append(rng.randint(0, 3 * side))
+        poly = Polyhedron(tuple(map(tuple, A)), tuple(b), n)
+        yield repr(la.vertices_of(poly.lattice_rows(), n)) + "\n"
+        g = polytope_gf(poly)
+        yield _gf_text(g)
+        yield _call(norm, g, (side + 1,) * n)
+    # 1-D norms with signed coefficients
+    for _ in range(300):
+        side = rng.randint(2, 12)
+        yield _call(norm, _monomials(rng, 1, 0, side - 1, 4), (side,))
+    # 1-D fibres: m - 1 random equations in a box
+    for _ in range(600):
+        m = rng.randint(2, 3)
+        side = rng.randint(2, 8)
+        ineqs = []
+        for j in range(m):
+            e = [int(i == j) for i in range(m)]
+            ineqs += [(tuple(e), side), (tuple(-x for x in e), 0)]
+        eqs = [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(m - 1)]
+        rhs = [rng.randint(-2, side) for _ in eqs]
+        out = rng.randint(1, 2)
+        exp_rows = [tuple(rng.randint(-2, 3) for _ in range(m)) for _ in range(out)]
+        offset = tuple(rng.randint(-3, 3) for _ in range(out))
+        yield _call(
+            lattice_gf_mapped, ineqs, eqs, rhs, m, exp_rows, offset, out,
+            coeff_factor=rng.choice(COEFFS),
+        )
+
+
+def sweep_digest():
+    h = hashlib.sha256()
+    for text in sweep(random.Random(25)):
+        h.update(text.encode())
+    return h.hexdigest()
+
+
+def test_seeded_sweep_matches_the_pinned_digest():
+    assert sweep_digest() == PINNED_SWEEP
