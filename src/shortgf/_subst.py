@@ -66,7 +66,7 @@ def substitute(
         vrows,
         out_nvars,
         shift,
-        Fraction(coeff_factor),
+        coeff_factor,
         allow_collapse,
     )
 
@@ -80,8 +80,8 @@ def _substitute_positive(
     m_j v_j) in `nvars` variables, with every v already oriented as
     `canonicalize` orients the GF's denominators -v; the limit terms of
     collapsed vectors depend on that orientation.  `shift` is a tuple and
-    `coeff_factor` a Fraction.  A zero image raises ZeroImageError with the
-    term's index and its canonical denominator -v.
+    `coeff_factor` an int or a Fraction.  A zero image raises
+    ZeroImageError with the term's index and its canonical denominator -v.
     """
     collapsed_vecs = []
     per_term = []

@@ -303,7 +303,7 @@ def _unimodular_cone_term(nums, den, gen_cols, dual_cols, sign):
         c = -(la.dot(dual_cols[j], nums) // den)
         for i in range(d):
             apex[i] += c * gen_cols[j][i]
-    return Fraction(sign), tuple(apex), tuple(gen_cols)
+    return sign, tuple(apex), tuple(gen_cols)
 
 
 def _brion_fulldim(rows, verts):
@@ -478,7 +478,7 @@ def lattice_gf_mapped(
         vrows,
         out_nvars,
         offset,
-        Fraction(coeff_factor),
+        coeff_factor,
         True,
     )
 
@@ -549,7 +549,7 @@ def semigroup_gf(b):
     bs = int_vector(b)
     if any(x < 1 for x in bs):
         raise ValueError("semigroup generators must be positive")
-    term = GFTerm(Fraction(1), (0,), tuple((x,) for x in bs))
+    term = GFTerm(1, (0,), tuple((x,) for x in bs))
     return canonicalize(ShortGF(1, (term,)))
 
 

@@ -370,9 +370,7 @@ def tau_hadamard(f, g, tau_rows, box=None):
 
     The polytope path is memoized: `_polytope_pair_terms` caches a pair's
     terms on all of its arguments, tau_rows as a tuple of tuples and the
-    box only when the pair is boxed, for the 64 most recent pairs.  A
-    pair's coefficient is cA * cB, taken as the other factor when one of
-    them is 1, as every coefficient of a point-set GF is.
+    box only when the pair is boxed, for the 64 most recent pairs.
     """
     tau_rows = tuple(tuple(r) for r in tau_rows)
     if box is not None:
@@ -406,7 +404,7 @@ def tau_hadamard(f, g, tau_rows, box=None):
             image = clipped if boxed else free
             if cB == 0 or image is None or not _meets(image, g_box):
                 continue
-            coeff = cB if cA == 1 else cA if cB == 1 else cA * cB
+            coeff = cA * cB
             collected.extend(
                 _pair_terms(
                     coeff, aA, vecsA, tau_a, aB, vecsB, tau_rows, pinned,

@@ -11,7 +11,6 @@ polynomial-time polytope-projection algorithm, which is out of scope here).
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 from math import prod
 
@@ -581,9 +580,7 @@ def minkowski_gadget(pieces, t_bound):
     out_box = LatticeBox((t_bound, 2 * k + 1))
     sum_gf = minkowski_oracle(a, b, in_box, out_box=out_box)
     # u^k slice via the Hadamard product with u^k / (1 - t)
-    comb = ShortGF(
-        2, (GFTerm(Fraction(1), (0, k), ((1, 0),)),)
-    )
+    comb = ShortGF(2, (GFTerm(1, (0, k), ((1, 0),)),))
     sliced = hadamard(sum_gf, comb, box=out_box)
     slice_points = tuple(
         sorted(pt[0] for pt in support_points(sliced, out_box))

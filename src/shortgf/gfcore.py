@@ -1,7 +1,8 @@
 """Data model for short rational generating functions and the expansion oracle.
 
 A short GF is a finite sum of terms  c * t^a / prod_j (1 - t^(b_j))  with
-exact rational c and integer exponent vectors a, b_j (b_j != 0).  The series
+integer exponent vectors a, b_j (b_j != 0) and an exact c: an int, or a
+Fraction only when it is not integral.  The series
 semantics of such an expression depends on a choice of Laurent region; we fix
 it with an *expansion direction* ell (strictly positive, pairwise-distinct
 entries).  A GF is canonical under ell when <ell, b> < 0 for every denominator
@@ -89,19 +90,20 @@ def int_vector(v):
 class GFTerm:
     """One summand c * t^numer / prod (1 - t^d) for d in denoms.
 
-    The public constructor coerces the coefficient to a Fraction and the
-    exponents to int tuples, rejecting a non-integral exponent, and
-    validates the denominator vectors.
-    Internal producers that already hold those types build terms with
-    `_term`, which keeps the validation and skips the coercion.
+    The coefficient is an int, or a Fraction whose denominator is > 1.  The
+    public constructor reads it through Fraction, coerces the exponents to
+    int tuples, rejecting a non-integral exponent, and validates the
+    denominator vectors.  Internal producers build terms with `_term`,
+    which keeps the coefficient rule and the validation, not the coercions.
     """
 
-    coeff: Fraction
+    coeff: int | Fraction
     numer: tuple
     denoms: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
+        c = Fraction(self.coeff)
+        object.__setattr__(self, "coeff", c.numerator if c.denominator == 1 else c)
         object.__setattr__(self, "numer", int_vector(self.numer))
         object.__setattr__(
             self, "denoms", tuple(int_vector(d) for d in self.denoms)
@@ -114,11 +116,14 @@ class GFTerm:
 
 
 def _term(coeff, numer, denoms=()):
-    """GFTerm from a Fraction and int tuples, without re-coercing them.
+    """GFTerm from an int or Fraction coefficient and int tuples.
 
-    The checks of `GFTerm.__post_init__` still hold: every denominator
-    vector is nonzero and as long as the numerator.
+    The rules of `GFTerm.__post_init__` still hold: an integral Fraction
+    becomes its int numerator, and every denominator vector is nonzero
+    and as long as the numerator.
     """
+    if type(coeff) is not int and coeff.denominator == 1:
+        coeff = coeff.numerator
     n = len(numer)
     for d in denoms:
         if not any(d):
@@ -221,7 +226,7 @@ class CoefficientTable:
     box: LatticeBox
 
     def __getitem__(self, point):
-        return self.table.get(tuple(point), Fraction(0))
+        return self.table.get(tuple(point), 0)
 
     def support(self):
         return {p for p, c in self.table.items() if c != 0}
@@ -243,9 +248,7 @@ def zero_gf(nvars):
 
 
 def monomial(nvars, point):
-    return ShortGF(
-        nvars, (GFTerm(Fraction(1), tuple(point)),), orientation=direction_for(nvars)
-    )
+    return ShortGF(nvars, (GFTerm(1, tuple(point)),), orientation=direction_for(nvars))
 
 
 def from_point_set(points, nvars):
@@ -254,8 +257,7 @@ def from_point_set(points, nvars):
     for p in pts:
         if len(p) != nvars:
             raise ValueError("point arity mismatch")
-    one = Fraction(1)
-    terms = tuple(_term(one, p) for p in pts)
+    terms = tuple(_term(1, p) for p in pts)
     return ShortGF(nvars, terms, orientation=direction_for(nvars))
 
 
@@ -267,11 +269,10 @@ def progression_gf(apex, vecs, counts, coeff=1):
     terms in mask order.  Dependent vectors count a point once per way of
     reaching it.  A count of 0 gives the zero series; a negative count, a
     non-integral entry, or a count list as long as `vecs` is not, raises
-    ValueError.
+    ValueError.  `coeff` is an int or a Fraction.
     """
     if len(counts) != len(vecs) or any(c < 0 for c in counts):
         raise ValueError("need one nonnegative count per vector")
-    coeff = Fraction(coeff)
     apex = int_vector(apex)
     vecs = tuple(map(int_vector, vecs))
     # every term has the denominators of coeff * t^apex / prod (1 - t^v_j),
@@ -399,9 +400,8 @@ def term_positive_form(term):
 
 
 def term_from_positive(coeff, apex, vecs):
-    """Inverse of `term_positive_form`: raw (*) data from expanded data."""
-    if type(coeff) is not Fraction:
-        coeff = Fraction(coeff)
+    """Inverse of `term_positive_form`: raw (*) data from expanded data,
+    with `coeff` an int or a Fraction."""
     numer = tuple(apex)
     for v in vecs:
         numer = tuple(a - x for a, x in zip(numer, v))
@@ -440,7 +440,7 @@ def oracle_expand(f, box, limit=None):
                 return
             if level == len(vecs):
                 if box.contains(point):
-                    table[point] = table.get(point, Fraction(0)) + coeff
+                    table[point] = table.get(point, 0) + coeff
                 return
             vec = vecs[level]
             w = weights[level]

@@ -8,10 +8,10 @@ for existential formulas.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 from .calculus import box_range_gf, evaluate_at_one, hadamard
+from .errors import ResourceLimitError
 from .gfcore import GFTerm, ShortGF, from_point_set
 
 # ---------------------------------------------------------------------------
@@ -138,16 +138,22 @@ def r4_by_tuples(k):
     return count
 
 
+_THETA_CAP = 1 << 18  # most terms signed_theta_gf lists
+
+
 def signed_theta_gf(r, K=None):
     """The signed square comb as an index-0 short power series (coefficient 2
-    at positive squares), truncated below min(2^r, K+1)."""
+    at positive squares), truncated below min(2^r, K+1).  Raises
+    ResourceLimitError, listing none, past `_THETA_CAP` terms."""
     bound = 1 << r
     if K is not None:
         bound = min(bound, K + 1)
-    terms = [GFTerm(Fraction(1), (0,))]
+    if bound > _THETA_CAP**2:  # isqrt(bound - 1) + 1 > _THETA_CAP
+        raise ResourceLimitError(f"signed theta has more than {_THETA_CAP} terms")
+    terms = [GFTerm(1, (0,))]
     k = 1
     while k * k < bound:
-        terms.append(GFTerm(Fraction(2), (k * k,)))
+        terms.append(GFTerm(2, (k * k,)))
         k += 1
     return ShortGF(1, tuple(terms))
 
@@ -208,7 +214,7 @@ def count_square_roots(alpha, beta, gamma):
         raise ValueError("alpha >= 0, beta >= 1, gamma >= 1 required")
     r = 2 * max(1, (gamma - 1).bit_length() + 1)  # squares up to gamma^2 < 2^r
     seg = segment_set("SQUARES", r)
-    cls = ShortGF(1, (GFTerm(Fraction(1), (alpha % beta,), ((beta,),)),))
+    cls = ShortGF(1, (GFTerm(1, (alpha % beta,), ((beta,),)),))
     trimmed = hadamard(seg.gf, box_range_gf([0], [gamma * gamma]))
     matched = hadamard(trimmed, cls)
     return int(evaluate_at_one(matched))

@@ -1,10 +1,13 @@
 """Operation calculus against the expansion oracle."""
 
 import hashlib
+import importlib.util
+import os
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -147,6 +150,24 @@ class TestSubstituteMonomials:
 
 
 @st.composite
+def raw_gfs(draw):
+    """A 1-3-D GF of 1-4 terms with numerators in [-3, 3] and 0-2 nonzero
+    denominator vectors in [-2, 2]^n, not canonicalized."""
+    n = draw(st.integers(1, 3))
+    coord = st.integers(-3, 3)
+    vec = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
+    terms = [
+        GFTerm(
+            Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))),
+            tuple(draw(coord) for _ in range(n)),
+            tuple(draw(st.lists(vec, max_size=2))),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return ShortGF(n, tuple(terms))
+
+
+@st.composite
 def small_polytopes(draw, min_dim=1):
     """A min_dim..3-D box [lo, hi] in the nonnegative orthant, maybe cut by
     sum(x) <= c, with its lattice points by brute force."""
@@ -195,6 +216,34 @@ class TestLambdaDraw:
         assert oracle_expand(canonicalize(g), box).support_with_values() == want
 
 
+@st.composite
+def single_term_pairs(draw):
+    """(f, g, tau, box): one term each, with 0-2 denominator vectors in
+    [-2, 2]^n, under the identity or a random 1-2-row functional with
+    entries in [-2, 2].  g's numerator is within 1 of the image of f's, so
+    that most pairs meet."""
+    n = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        tau = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    else:
+        row = st.tuples(*[st.integers(-2, 2)] * n)
+        tau = tuple(draw(st.lists(row, min_size=1, max_size=2)))
+
+    def single(numer):
+        vec = st.tuples(*[st.integers(-2, 2)] * len(numer)).filter(any)
+        term = GFTerm(
+            draw(st.sampled_from((1, -1, 2, Fraction(1, 3)))),
+            numer,
+            tuple(draw(st.lists(vec, max_size=2))),
+        )
+        return ShortGF(len(numer), (term,))
+
+    side = 6
+    a = tuple(draw(st.integers(0, side - 1)) for _ in range(n))
+    image = [sum(map(mul, r, a)) + draw(st.integers(-1, 1)) for r in tau]
+    return single(a), single(tuple(image)), tau, (side,) * n
+
+
 class TestTauHadamard:
     def test_plain_hadamard_intervals(self):
         f = interval_gf(0, 5)
@@ -229,13 +278,23 @@ class TestTauHadamard:
             want = {p for p in pts if (p[0] + p[1],) in set(tpts)}
             assert support_points(h, (8, 8)) == want
 
-    def test_index_bound_single_terms(self, monkeypatch):
-        f = ShortGF(1, (GFTerm(1, (0,), ((1,), (2,))),))  # p = 2
-        g = ShortGF(1, (GFTerm(1, (0,), ((3,),)),))  # q = 1
+    @settings(max_examples=60, deadline=None)
+    @given(single_term_pairs())
+    @example(
+        (
+            ShortGF(1, (GFTerm(1, (0,), ((1,), (2,))),)),  # p = 2
+            ShortGF(1, (GFTerm(1, (0,), ((3,),)),)),  # q = 1
+            ((1,),),
+            (16,),
+        )
+    )
+    def test_index_bound_single_terms(self, pair):
+        f, g, tau, box = pair
+        p, q = gf_index(f), gf_index(g)
         # the bound is per term pair: leave the pair terms unmerged
-        monkeypatch.setattr(shortgf.calculus, "normalized", lambda f: f)
-        h = hadamard(f, g, box=(16,))
-        assert gf_index(h) <= 3
+        with mock.patch.object(shortgf.calculus, "normalized", lambda f: f):
+            h = tau_hadamard(f, g, tau, box=box)
+        assert gf_index(h) <= p + q
 
     def test_power_series_multiplicities(self):
         sg = semigroup_gf((2, 3))
@@ -479,6 +538,18 @@ class TestCompression:
     def test_zero_gf(self):
         tau = TauMap(8, (2,))
         assert decompress(zero_gf(1), tau).terms == ()
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw_gfs(), st.data())
+    def test_compress_keeps_count_and_index(self, f, data):
+        # without a collapse each term maps to one term, and merging only
+        # removes terms
+        n = f.nvars
+        grouping = data.draw(st.sampled_from([(n,), (1,) * n]))
+        tau = choose_tau(f, grouping)
+        packed = compress(f, tau)
+        assert len(packed.terms) <= len(f.terms)
+        assert gf_index(packed) <= gf_index(f)
 
     def test_decompress_index_bound(self, monkeypatch):
         f = from_point_set([(9,)], 1)
@@ -991,32 +1062,29 @@ class TestHadamardWork:
             assert _table(ShortGF(2, terms), sides) == want, (coeff, sides)
 
 
-@st.composite
-def raw_gfs(draw):
-    """A 1-3-D GF of 1-4 terms with numerators in [-3, 3] and 0-2 nonzero
-    denominator vectors in [-2, 2]^n, not canonicalized."""
-    n = draw(st.integers(1, 3))
-    coord = st.integers(-3, 3)
-    vec = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
-    terms = [
-        GFTerm(
-            Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))),
-            tuple(draw(coord) for _ in range(n)),
-            tuple(draw(st.lists(vec, max_size=2))),
-        )
-        for _ in range(draw(st.integers(1, 4)))
-    ]
-    return ShortGF(n, tuple(terms))
+def _perfbench_module(name):
+    """A module of the benchmark's `perfbench/` directory, loaded by path."""
+    path = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "perfbench",
+        f"{name}.py",
+    )
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestInternalTerms:
     """Terms that the package builds without GFTerm's coercion are exact and
-    equal to the public constructor's."""
+    equal to the public constructor's.  Exact includes the coefficient rule:
+    an int, or a Fraction whose denominator is > 1."""
 
     @staticmethod
     def _assert_exact(terms):
         for t in terms:
-            assert type(t.coeff) is Fraction
+            c = t.coeff
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
             assert type(t.numer) is tuple
             assert all(type(x) is int for x in t.numer)
             assert type(t.denoms) is tuple
@@ -1068,6 +1136,20 @@ class TestInternalTerms:
         slab = box_range_gf([1, 0], [6, 5])
         self._assert_exact(hadamard(disc, slab, box=(8, 8)).terms)
         self._assert_exact(specialize_vars(disc, [1]).terms)
+
+    def test_benchmark_item_terms_are_exact(self):
+        # the benchmark's calculus item 0 (a polytope compressed and
+        # decompressed) and a square-root gadget of number_theory
+        inputs = _perfbench_module("inputs")
+        workloads = _perfbench_module("workloads")
+        (item,) = inputs.make_inputs("calculus", 7)[:1]
+        out = workloads.calculus_item(shortgf, item)
+        gfs = [v for v in out.values() if isinstance(v, ShortGF)]
+        sqrt = next(i for i in inputs.make_inputs("number_theory", 7) if i[0] == "sqrt")
+        gfs += workloads.gadget_products(shortgf, sqrt)
+        assert len(gfs) == 5 and all(g.terms for g in gfs)
+        for g in gfs:
+            self._assert_exact(g.terms)
 
 
 class TestHadamardBytes:

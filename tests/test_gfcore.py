@@ -250,10 +250,25 @@ class TestProgressionGF:
 
 class TestTermConstructors:
     def test_public_constructor_coerces(self):
-        t = GFTerm(1, [1.0], [[2]])
-        assert type(t.coeff) is Fraction and t.coeff == 1
+        # a coefficient is an int, or a Fraction whose denominator is > 1
+        for c in (1, 1.0, Fraction(1), Fraction(4, 4), "1"):
+            t = GFTerm(c, [1.0], [[2]])
+            assert type(t.coeff) is int and t.coeff == 1
         assert t.numer == (1,) and type(t.numer[0]) is int
         assert t.denoms == ((2,),) and type(t.denoms[0][0]) is int
+        for c in (Fraction(3, 2), 1.5, "3/2"):
+            t = GFTerm(c, (0,))
+            assert type(t.coeff) is Fraction and t.coeff == Fraction(3, 2)
+
+    def test_integral_results_are_ints(self):
+        half = Fraction(1, 2)
+        (t,) = normalized(ShortGF(1, ((half, (3,)), (half, (3,))))).terms
+        assert type(t.coeff) is int and t.coeff == 1
+        (t,) = parse_gf("gf nvars=1 index=0\nterm c=6/3 a=5 b=\n").terms
+        assert type(t.coeff) is int and t.coeff == 2
+        t = _term(Fraction(-8, 4), (0,))
+        assert type(t.coeff) is int and t.coeff == -2
+        assert type(_term(Fraction(3, 2), (0,)).coeff) is Fraction
 
     def test_internal_constructor_validates(self):
         t = _term(Fraction(3, 2), (1, 2), ((0, -1),))

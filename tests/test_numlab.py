@@ -6,6 +6,7 @@ from math import isqrt
 
 import pytest
 
+import shortgf
 from shortgf import (
     GFTerm,
     ShortGF,
@@ -27,6 +28,7 @@ from shortgf import (
     sigma_from_r4,
     signed_theta_gf,
 )
+from shortgf.errors import ResourceLimitError
 
 
 class TestSegments:
@@ -48,6 +50,33 @@ class TestSegments:
             1, (GFTerm(1, (0,), ((2,),)), GFTerm(-1, (8,), ((2,),)))
         )
         assert gf_equal_on_box(seg.gf, comb, (8,))
+
+
+class TestSignedTheta:
+    def test_terms(self):
+        # weight 1 at zero and 2 at each positive square below 2^16
+        f = signed_theta_gf(16)
+        want = (GFTerm(1, (0,)),) + tuple(GFTerm(2, (k * k,)) for k in range(1, 256))
+        assert f.terms == want and all(type(t.coeff) is int for t in f.terms)
+        assert hashlib.sha256(format_gf(f).encode()).hexdigest() == (
+            "dda5e66511cdde5515285b9f8c32d1503717011dc954f17816df794ca65a0342"
+        )
+        assert signed_theta_gf(16, K=100).terms == want[:11]
+
+    def test_too_many_terms_raise_before_listing(self):
+        # 2^50 terms: the count is known before the loop
+        with pytest.raises(ResourceLimitError, match="more than"):
+            signed_theta_gf(100)
+        assert len(signed_theta_gf(100, K=99).terms) == 10
+
+    def test_cap_counts_terms(self, monkeypatch):
+        monkeypatch.setattr(shortgf.numlab, "_THETA_CAP", 16)
+        assert len(signed_theta_gf(8).terms) == 16  # squares below 256
+        assert len(signed_theta_gf(100, K=255).terms) == 16
+        with pytest.raises(ResourceLimitError):
+            signed_theta_gf(100, K=256)
+        with pytest.raises(ResourceLimitError):
+            signed_theta_gf(9)
 
 
 class TestFourSquares:

@@ -1,7 +1,8 @@
 """Outputs are byte-identical to pinned digests.
 
-Every workload is pinned at seed 7, and calculus also at seed 11, which
-takes the Barvinok path on other operands.
+Every workload is pinned at seed 7.  Calculus is also pinned at seed 11,
+which takes the Barvinok path on other operands, and number_theory, whose
+seed-11 square-root items run other Hadamard products.
 
 `scripts/output_digest.py` runs each benchmark workload's items and checker
 and prints one sha256 line per workload (see its docstring).  A change that
@@ -60,6 +61,12 @@ PINNED_CALCULUS_11 = (
     "values_sha256=6fcbb467833821cc338e98e9100bb8e5d39c1a9f8ff64c914205fb045a956b4e",
 )
 
+PINNED_NUMBER_THEORY_11 = (
+    "number_theory seed=11 gfs=28 failed=0 "
+    "sha256=86c3df79572c63bf369254fbb42140b1502993543cf5bb04722a6f1e8e2a9216 "
+    "values_sha256=0c9d4fa9c07d01f02f773c2435d9aa47be7bb8bfdce85809ece97ffb6860e6f2",
+)
+
 
 def digest_lines(*args):
     proc = subprocess.run(
@@ -78,6 +85,13 @@ def test_seed_7_outputs_match_the_pinned_digest():
 
 def test_seed_11_calculus_matches_the_pinned_digest():
     assert digest_lines("--workload", "calculus", "--seeds", "11") == PINNED_CALCULUS_11
+
+
+def test_seed_11_number_theory_matches_the_pinned_digest():
+    assert (
+        digest_lines("--workload", "number_theory", "--seeds", "11")
+        == PINNED_NUMBER_THEORY_11
+    )
 
 
 PINNED_SWEEP = "8fc775ee277a0030c3baca6b7673e9e0f949ac8dd35c276412fb0e3f733e8956"
