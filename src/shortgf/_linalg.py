@@ -22,6 +22,11 @@ and `is_bounded` is one call of it on the recession cone.  `extreme_rays`
 ((n-1)-subsets of normals) is the only enumeration of row subsets; it
 serves cones of few rows: the edge directions at every vertex, simple or
 degenerate, tangent cones and the facets of the triangulation.
+
+`propagate_bounds`, `lattice_points`, `reduce_rows_boxsafe`, `box_rows` and
+`dedupe_rows` are the one integer-bounds kernel: a row is its nonzero (j, c)
+pairs, listed once per call, and its rhs, and a bound from c * x_j <= limit
+is the floor limit // c, or for c < 0 the ceiling -(limit // -c).
 """
 
 from fractions import Fraction
@@ -246,15 +251,11 @@ def normalize_row(coeffs, rhs):
 
 
 def dedupe_rows(rows):
-    """Keep the tightest rhs per normal direction; detect trivially infeasible pairs."""
+    """The least rhs per normal direction, in first-occurrence order."""
     best = {}
     for coeffs, rhs in rows:
-        if coeffs in best:
-            if rhs < best[coeffs]:
-                best[coeffs] = rhs
-        else:
-            best[coeffs] = rhs
-    return [(c, b) for c, b in best.items()]
+        best[coeffs] = min(rhs, best.get(coeffs, rhs))
+    return list(best.items())
 
 
 def extract_equalities(rows):
@@ -267,77 +268,63 @@ def extract_equalities(rows):
     eqs = []
     used = set()
     for coeffs, rhs in rows:
-        if coeffs in used:
-            continue
         neg = tuple(-c for c in coeffs)
-        if neg in by_normal and neg not in used:
-            if by_normal[neg] == -rhs:
-                eqs.append((coeffs, rhs))
-                used.add(coeffs)
-                used.add(neg)
-    ineqs = [(c, b) for c, b in rows if c not in used]
-    return eqs, ineqs
+        if coeffs not in used and by_normal.get(neg) == -rhs:
+            eqs.append((coeffs, rhs))
+            used.update((coeffs, neg))
+    return eqs, [(c, b) for c, b in rows if c not in used]
 
 
-def box_redundant(coeffs, rhs, bounds):
-    """True when the row holds over the whole bounding box."""
-    total = 0
-    for c, (lo, hi) in zip(coeffs, bounds):
-        if c > 0:
-            total += c * hi
-        elif c < 0:
-            total += c * lo
-    return total <= rhs
+def box_rows(bounds):
+    """The rows x_j <= hi, -x_j <= -lo of a finite box, in variable order."""
+    rows = []
+    for j, (lo, hi) in enumerate(bounds):
+        unit = [0] * len(bounds)
+        unit[j] = 1
+        rows.append((tuple(unit), hi))
+        unit[j] = -1
+        rows.append((tuple(unit), -lo))
+    return rows
 
 
 def propagate_bounds(rows, bounds, rounds):
     """Tighten per-variable integer bounds by interval propagation over the rows.
 
     bounds: list of [lo, hi] (entries may be None for unknown); returns a new
-    list, or None when some variable's range becomes empty.
+    list, or None when some variable's range becomes empty (checked after
+    each round).  A round visits the rows in order and each row's variables
+    in index order, skipping one while another lacks the bound it needs; a
+    new bound is seen at once by every later step.  At most `rounds` rounds
+    run, and the cap is part of the result: `reduce_rows_boxsafe` writes its
+    6-round bounds into rows whose GF reaches the output bytes, so a worklist
+    must stop where the rounds stop.
     """
     bnd = [list(b) for b in bounds]
+    rows = [([(j, c) for j, c in enumerate(a) if c], b) for a, b in rows]
     for _ in range(rounds):
         changed = False
-        for coeffs, rhs in rows:
-            support = [j for j, c in enumerate(coeffs) if c != 0]
-            for j in support:
-                c = coeffs[j]
-                rest_min = 0
-                ok = True
-                for k in support:
-                    if k == j:
-                        continue
-                    ck = coeffs[k]
-                    lo, hi = bnd[k]
-                    if ck > 0:
-                        if lo is None:
-                            ok = False
+        for pairs, rhs in rows:
+            for j, c in pairs:
+                limit = rhs  # c * x_j <= limit over the box
+                for k, ck in pairs:
+                    if k != j:
+                        b = bnd[k][ck < 0]  # the bound that minimises ck * x_k
+                        if b is None:
                             break
-                        rest_min += ck * lo
-                    else:
-                        if hi is None:
-                            ok = False
-                            break
-                        rest_min += ck * hi
-                if not ok:
-                    continue
-                limit = rhs - rest_min  # c * xj <= limit over the box
-                if c > 0:
-                    new_hi = limit // c
-                    if bnd[j][1] is None or new_hi < bnd[j][1]:
-                        bnd[j][1] = new_hi
-                        changed = True
+                        limit -= ck * b
                 else:
-                    q = limit // c
-                    if limit % c != 0:
-                        q += 1  # ceil for negative divisor
-                    if bnd[j][0] is None or q > bnd[j][0]:
-                        bnd[j][0] = q
-                        changed = True
-        for lo, hi in bnd:
-            if lo is not None and hi is not None and lo > hi:
-                return None
+                    if c > 0:
+                        hi = limit // c
+                        if bnd[j][1] is None or hi < bnd[j][1]:
+                            bnd[j][1] = hi
+                            changed = True
+                    else:
+                        lo = -(limit // -c)
+                        if bnd[j][0] is None or lo > bnd[j][0]:
+                            bnd[j][0] = lo
+                            changed = True
+        if any(lo is not None and hi is not None and lo > hi for lo, hi in bnd):
+            return None
         if not changed:
             break
     return bnd
@@ -351,26 +338,17 @@ def reduce_rows_boxsafe(rows, n):
     already holds over the resulting box.  Returns None when the box is
     detected empty, or the original rows when no finite box is derivable.
     """
-    bounds = propagate_bounds(rows, [[None, None] for _ in range(n)], rounds=6)
+    bounds = propagate_bounds(rows, [[None, None]] * n, rounds=6)
     if bounds is None:
         return None
     if any(lo is None or hi is None for lo, hi in bounds):
         return rows
-    out = []
-    for j in range(n):
-        lo, hi = bounds[j]
-        if lo > hi:
-            return None
-        unit = tuple(1 if i == j else 0 for i in range(n))
-        out.append((unit, hi))
-        out.append((tuple(-u for u in unit), -lo))
+    out = box_rows(bounds)
     for coeffs, rhs in rows:
-        nz = [c for c in coeffs if c]
-        if len(nz) == 1 and abs(nz[0]) == 1:
-            continue  # unit rows replaced by the propagated bounds
-        if box_redundant(coeffs, rhs, bounds):
-            continue
-        out.append((coeffs, rhs))
+        if [c for c in coeffs if c] in ([1], [-1]):
+            continue  # unit rows give way to the box rows
+        if sum(c * b[c > 0] for c, b in zip(coeffs, bounds)) > rhs:
+            out.append((coeffs, rhs))
     return dedupe_rows(out)
 
 
@@ -378,64 +356,47 @@ def lattice_points(rows, bounds, limit=None, first_only=False):
     """Integer points of {x : rows hold, bounds[j][0] <= x_j <= bounds[j][1]}.
 
     Depth-first with bound narrowing, so the points come in lexicographic
-    order; rows are checked at the depth of their last supported variable.
-    All bounds must be finite.  They are first tightened by interval
-    propagation over the rows, because the search alone would prove an
-    empty region of a large box empty point by point.  Propagation drops no
-    integer point, so the points, the `first_only` witness and the `limit`
-    error are those of the search on the given box.
+    order.  A row is checked at its last support variable, as the bound the
+    fixed earlier coordinates leave on it.  All bounds must be finite.  They
+    are first tightened by interval propagation over the rows, because the
+    search alone would prove an empty region of a large box empty point by
+    point.  Propagation drops no integer point, so the points, the
+    `first_only` witness and the `limit` error match a search of the box.
     """
     n = len(bounds)
-    for lo, hi in bounds:
-        if lo is None or hi is None:
-            raise ValueError("lattice_points requires finite bounds")
+    if any(lo is None or hi is None for lo, hi in bounds):
+        raise ValueError("lattice_points requires finite bounds")
     bounds = propagate_bounds(rows, bounds, rounds=8)
     if bounds is None:
         return []
-    by_depth = [[] for _ in range(n)]
+    at_depth = [[] for _ in range(n)]
     for coeffs, rhs in rows:
-        support = [j for j, c in enumerate(coeffs) if c != 0]
-        if not support:
-            if rhs < 0:
-                return []
-            continue
-        by_depth[max(support)].append((coeffs, rhs))
+        rest = [(j, c) for j, c in enumerate(coeffs) if c]
+        if rest:
+            j, c = rest.pop()
+            at_depth[j].append((rest, c, rhs))
+        elif rhs < 0:
+            return []
     out = []
     point = [0] * n
-    counter = [0]
 
     def rec(depth):
         if depth == n:
             out.append(tuple(point))
-            if limit is not None:
-                counter[0] += 1
-                if counter[0] > limit:
-                    raise ResourceLimitError(
-                        f"lattice enumeration exceeded {limit} points"
-                    )
+            if limit is not None and len(out) > limit:
+                raise ResourceLimitError(f"lattice enumeration exceeded {limit} points")
             return first_only
         lo, hi = bounds[depth]
-        # narrow with rows that become single-variable at this depth
-        for coeffs, rhs in by_depth[depth]:
-            c = coeffs[depth]
-            partial = sum(coeffs[j] * point[j] for j in range(depth) if coeffs[j])
-            limit_v = rhs - partial
+        for rest, c, rhs in at_depth[depth]:
+            room = rhs - sum(ck * point[k] for k, ck in rest)
             if c > 0:
-                v = limit_v // c
-                if v < hi:
-                    hi = v
+                hi = min(hi, room // c)
             else:
-                q = limit_v // c
-                if limit_v % c != 0:
-                    q += 1
-                if q > lo:
-                    lo = q
-        v = lo
-        while v <= hi:
+                lo = max(lo, -(room // -c))
+        for v in range(lo, hi + 1):
             point[depth] = v
             if rec(depth + 1):
                 return True
-            v += 1
         return False
 
     rec(0)

@@ -66,18 +66,25 @@ def sieve_primes(limit):
     return [i for i in range(limit) if flags[i]]
 
 
+_SEGMENT_CAP = 1 << 18  # most points (SQUARES, EVEN) or sieve bytes (PRIMES)
+
+
 def segment_set(kind, r):
-    """Point set and dense GF of a named segment below 2^r."""
+    """Point set and dense GF of a named segment below 2^r.  Raises
+    ResourceLimitError, listing none, past `_SEGMENT_CAP` points of SQUARES
+    or EVEN, or a PRIMES sieve longer than `_SEGMENT_CAP`."""
     bound = 1 << r
+    sizes = dict(SQUARES=isqrt(bound - 1) + 1, PRIMES=bound, EVEN=(bound + 1) // 2)
+    if kind not in sizes:
+        raise ValueError(f"unknown segment kind {kind!r}")
+    if sizes[kind] > _SEGMENT_CAP:
+        raise ResourceLimitError(f"{kind} segment has more than {_SEGMENT_CAP} entries")
     if kind == "SQUARES":
-        pts = [k * k for k in range(isqrt(bound - 1) + 1) if k * k < bound]
+        pts = [k * k for k in range(sizes[kind])]
     elif kind == "PRIMES":
         pts = sieve_primes(bound)
-    elif kind == "EVEN":
-        pts = list(range(0, bound, 2))
     else:
-        raise ValueError(f"unknown segment kind {kind!r}")
-    pts = sorted(set(pts))
+        pts = list(range(0, bound, 2))
     gf = from_point_set([(x,) for x in pts], 1)
     return Segment(r, kind, tuple(pts), gf)
 

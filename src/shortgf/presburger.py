@@ -258,15 +258,6 @@ def disjointify(body, box, var_order=None):
     n = len(var_order)
     if box.nvars != n:
         raise ValueError("box arity does not match the variable count")
-    box_rows = []
-    for j in range(n):
-        row = [0] * n
-        row[j] = 1
-        box_rows.append((tuple(row), box.sides[j] - 1))
-        row2 = [0] * n
-        row2[j] = -1
-        box_rows.append((tuple(row2), 0))
-
     atom_rows = {}  # atom -> (negated row, row)
     cells = []
     # no atom is None: this only folds empty and/or nodes
@@ -298,6 +289,7 @@ def disjointify(body, box, var_order=None):
                 wit = found[0]
             stack.append((_assume(node, atom, branch), new_rows, bnd, wit))
 
+    box_rows = la.box_rows(box.bounds())
     out = []
     for rows in cells:
         all_rows = box_rows + rows

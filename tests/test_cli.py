@@ -230,6 +230,10 @@ class TestDemos:
         assert code == 0
         assert "0 1 4 9 16 25 36 49" in out
 
+    def test_demo_squares_past_the_cap_exits_three(self, capsys):
+        code, out, err = run_cli(["demo", "squares", "--r", "200"], capsys)
+        assert code == 3 and out == "" and "more than" in err
+
     def test_demo_factor(self, capsys):
         code, out, _ = run_cli(
             ["demo", "factor", "--n", "77", "--sigma", "96"], capsys

@@ -11,9 +11,12 @@ from hypothesis import strategies as st
 
 import shortgf._linalg
 from shortgf._linalg import (
+    box_rows,
+    dedupe_rows,
     det_int,
     echelon,
     enumerate_parallelepiped,
+    extract_equalities,
     extreme_rays,
     integer_rows,
     is_bounded,
@@ -22,6 +25,7 @@ from shortgf._linalg import (
     lll_reduce,
     matrix_inverse_fraction,
     propagate_bounds,
+    reduce_rows_boxsafe,
     scaled_inverse_int,
     solve_square,
     vertices_of,
@@ -275,6 +279,125 @@ class TestLatticePoints:
         bounds = [[0, (1 << 20) - 1]] * 5
         rows = [((1, 0, 0, 0, 1), -1)]
         assert lattice_points(rows, bounds, first_only=True) == []
+
+
+# The form `propagate_bounds` replaced (each row's support rebuilt in every
+# round), kept verbatim as its reference: updates must be seen in its order.
+def propagate_bounds_reference(rows, bounds, rounds):
+    """Tighten per-variable integer bounds by interval propagation over the rows.
+
+    bounds: list of [lo, hi] (entries may be None for unknown); returns a new
+    list, or None when some variable's range becomes empty.
+    """
+    bnd = [list(b) for b in bounds]
+    for _ in range(rounds):
+        changed = False
+        for coeffs, rhs in rows:
+            support = [j for j, c in enumerate(coeffs) if c != 0]
+            for j in support:
+                c = coeffs[j]
+                rest_min = 0
+                ok = True
+                for k in support:
+                    if k == j:
+                        continue
+                    ck = coeffs[k]
+                    lo, hi = bnd[k]
+                    if ck > 0:
+                        if lo is None:
+                            ok = False
+                            break
+                        rest_min += ck * lo
+                    else:
+                        if hi is None:
+                            ok = False
+                            break
+                        rest_min += ck * hi
+                if not ok:
+                    continue
+                limit = rhs - rest_min  # c * xj <= limit over the box
+                if c > 0:
+                    new_hi = limit // c
+                    if bnd[j][1] is None or new_hi < bnd[j][1]:
+                        bnd[j][1] = new_hi
+                        changed = True
+                else:
+                    q = limit // c
+                    if limit % c != 0:
+                        q += 1  # ceil for negative divisor
+                    if bnd[j][0] is None or q > bnd[j][0]:
+                        bnd[j][0] = q
+                        changed = True
+        for lo, hi in bnd:
+            if lo is not None and hi is not None and lo > hi:
+                return None
+        if not changed:
+            break
+    return bnd
+
+
+@st.composite
+def open_systems(draw):
+    """1-4 variables, bounds within +-6 that may be None or empty, 0-6 rows
+    with coefficients in [-4, 4]."""
+    n = draw(st.integers(1, 4))
+    end = st.none() | st.integers(-6, 6)
+    bounds = [[draw(end), draw(end)] for _ in range(n)]
+    row = st.tuples(
+        st.tuples(*[st.integers(-4, 4)] * n), st.integers(-30, 30)
+    )
+    return draw(st.lists(row, max_size=6)), bounds
+
+
+class TestBoundsKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(open_systems(), st.integers(1, 8))
+    def test_propagation_matches_the_reference(self, system, rounds):
+        rows, bounds = system
+        want = propagate_bounds_reference(rows, bounds, rounds)
+        assert propagate_bounds(rows, bounds, rounds) == want
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+                st.integers(-5, 5),
+            ),
+            max_size=8,
+        )
+    )
+    def test_dedupe_keeps_the_least_rhs_in_first_occurrence_order(self, rows):
+        got = dedupe_rows(rows)
+        assert [c for c, _ in got] == list(dict.fromkeys(c for c, _ in rows))
+        for coeffs, rhs in got:
+            assert rhs == min(b for c, b in rows if c == coeffs)
+
+    def test_box_rows_in_variable_order(self):
+        assert box_rows([[0, 3], [-2, 5]]) == [
+            ((1, 0), 3),
+            ((-1, 0), 0),
+            ((0, 1), 5),
+            ((0, -1), 2),
+        ]
+
+    def test_equalities_pair_opposite_rows_once(self):
+        # x0 = 3 from an opposite pair; the pair on x1 is an empty slab and
+        # stays as two inequalities, as does the repeated row
+        rows = [((1, 0), 3), ((0, 1), 2), ((-1, 0), -3), ((0, -1), -3), ((1, 0), 3)]
+        assert extract_equalities(rows) == (
+            [((1, 0), 3)],
+            [((0, 1), 2), ((0, -1), -3)],
+        )
+
+    def test_boxsafe_reduction_leads_with_the_box_rows(self):
+        # x, y >= 0 and x + y <= 4 give the box [0, 4]^2; the unit rows go
+        # and the diagonal row, broken at the box corner (4, 4), stays last
+        rows = [((1, 1), 4), ((-1, 0), 0), ((0, -1), 0)]
+        assert reduce_rows_boxsafe(rows, 2) == box_rows([[0, 4], [0, 4]]) + [
+            ((1, 1), 4)
+        ]
+        assert reduce_rows_boxsafe(rows + [((1, 0), -1)], 2) is None
+        assert reduce_rows_boxsafe(rows[:1], 2) == rows[:1]
 
 
 def basic_feasible_solutions(rows, n):

@@ -51,6 +51,21 @@ class TestSegments:
         )
         assert gf_equal_on_box(seg.gf, comb, (8,))
 
+    def test_too_many_entries_raise_before_listing(self):
+        # 2^100 squares, 2^199 evens, a sieve of 2^200 bytes: sizes known first
+        for kind in ("SQUARES", "PRIMES", "EVEN"):
+            with pytest.raises(ResourceLimitError, match="more than"):
+                segment_set(kind, 200)
+
+    def test_cap_counts_points_or_sieve_bytes(self, monkeypatch):
+        monkeypatch.setattr(shortgf.numlab, "_SEGMENT_CAP", 16)
+        assert len(segment_set("SQUARES", 8).points) == 16  # squares below 256
+        assert len(segment_set("EVEN", 5).points) == 16
+        assert segment_set("PRIMES", 4).points == (2, 3, 5, 7, 11, 13)
+        for kind, r in (("SQUARES", 9), ("EVEN", 6), ("PRIMES", 5)):
+            with pytest.raises(ResourceLimitError):
+                segment_set(kind, r)
+
 
 class TestSignedTheta:
     def test_terms(self):
