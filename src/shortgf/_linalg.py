@@ -25,8 +25,9 @@ degenerate, tangent cones and the facets of the triangulation.
 
 `propagate_bounds`, `lattice_points`, `reduce_rows_boxsafe`, `box_rows` and
 `dedupe_rows` are the one integer-bounds kernel: a row is its nonzero (j, c)
-pairs, listed once per call, and its rhs, and a bound from c * x_j <= limit
-is the floor limit // c, or for c < 0 the ceiling -(limit // -c).
+pairs, listed at most once per call, and its rhs, and a bound from
+c * x_j <= limit is the floor limit // c, or for c < 0 the ceiling
+-(limit // -c).
 """
 
 from fractions import Fraction
@@ -287,7 +288,7 @@ def box_rows(bounds):
     return rows
 
 
-def propagate_bounds(rows, bounds, rounds):
+def propagate_bounds(rows, bounds, rounds, settled=0):
     """Tighten per-variable integer bounds by interval propagation over the rows.
 
     bounds: list of [lo, hi] (entries may be None for unknown); returns a new
@@ -298,12 +299,19 @@ def propagate_bounds(rows, bounds, rounds):
     run, and the cap is part of the result: `reduce_rows_boxsafe` writes its
     6-round bounds into rows whose GF reaches the output bytes, so a worklist
     must stop where the rounds stop.
+
+    `rows[:settled]` are taken as already propagated into `bounds`: round 1
+    visits only `rows[settled:]`, and every later round visits all rows (their
+    pairs are listed only then).  When `bounds` is a fixpoint of
+    `rows[:settled]` those rows would change nothing in round 1, so the
+    result is exactly that of `settled=0`; for any `settled` it drops no
+    integer point of the rows.
     """
     bnd = [list(b) for b in bounds]
-    rows = [([(j, c) for j, c in enumerate(a) if c], b) for a, b in rows]
+    sweep = _row_pairs(rows[settled:])
     for _ in range(rounds):
         changed = False
-        for pairs, rhs in rows:
+        for pairs, rhs in sweep:
             for j, c in pairs:
                 limit = rhs  # c * x_j <= limit over the box
                 for k, ck in pairs:
@@ -327,7 +335,15 @@ def propagate_bounds(rows, bounds, rounds):
             return None
         if not changed:
             break
+        if settled:
+            sweep = _row_pairs(rows[:settled]) + sweep
+            settled = 0
     return bnd
+
+
+def _row_pairs(rows):
+    """Each row as (its nonzero (j, c) pairs, rhs)."""
+    return [([(j, c) for j, c in enumerate(a) if c], b) for a, b in rows]
 
 
 def reduce_rows_boxsafe(rows, n):
@@ -370,8 +386,7 @@ def lattice_points(rows, bounds, limit=None, first_only=False):
     if bounds is None:
         return []
     at_depth = [[] for _ in range(n)]
-    for coeffs, rhs in rows:
-        rest = [(j, c) for j, c in enumerate(coeffs) if c]
+    for rest, rhs in _row_pairs(rows):
         if rest:
             j, c = rest.pop()
             at_depth[j].append((rest, c, rhs))

@@ -167,9 +167,12 @@ def _substitute_positive(
         emit(0, d, 1, 1, tuple(0 for _ in range(out_nvars)), [])
 
     # a key whose sum is zero stays for `normalized` to drop: it may share
-    # its canonical form with a later key, whose place it then sets
+    # its canonical form with a later key, whose place it then sets; an
+    # integral sum leaves as an int, with no Fraction built for it
     out_terms = tuple(
-        term_from_positive(Fraction(num, den), apex, vecs)
+        term_from_positive(
+            num // den if num % den == 0 else Fraction(num, den), apex, vecs
+        )
         for (apex, vecs), (num, den) in acc.items()
     )
     return normalized(canonicalize(_gf(out_nvars, out_terms)))

@@ -4,13 +4,16 @@ Formulas are trees of linear atoms (canonicalized to <=) under not/and/or,
 optionally below a prefix of bounded quantifier blocks.  Quantifier-free
 formulas over a box are *disjointified*: rewritten as a disjoint list of
 polyhedra whose integer points partition the truth set, by a decision tree
-over the atoms with exact integer-point pruning.  Each branch of the tree
-carries its residual formula and bounds on its integer points, so it pays
-only for the row it adds.  Summing the polytope GFs of the cells yields the
+over the atoms with exact integer-point pruning.  Equal atoms are first
+made one object, so a branch folds its residual formula by identity.  Each
+branch of the tree carries that residual formula, bounds on its integer
+points and how many of its rows those bounds already propagate, so it pays
+only for the rows it adds.  Summing the polytope GFs of the cells yields the
 short GF of the truth set.
 """
 
 from dataclasses import dataclass
+from operator import is_
 
 from . import _linalg as la
 from .barvinok import Polyhedron, polytope_gf
@@ -202,12 +205,16 @@ def eval_formula(formula, assignment):
 def _assume(node, atom, value):
     """`node` with `atom` set to `value`, folded to True, False or a node.
 
-    `Not` flips a constant child; `And` drops True children and is False on a
-    False child, `Or` dually; an empty `And`/`Or` is True/False.  A folded
-    node holds no constant, and an unchanged subtree is returned as is.
+    Atoms are compared by identity, so equal atoms must be one object
+    (`_interned`).  `Not` flips a constant child; `And` drops True children
+    and is False on a False child, `Or` dually; an empty `And`/`Or` is
+    True/False.  A folded node holds no constant, and an unchanged subtree is
+    returned as is.
     """
+    if node is atom:
+        return value
     if isinstance(node, LinearAtom):
-        return value if node == atom else node
+        return node
     if isinstance(node, Not):
         child = _assume(node.child, atom, value)
         if child is node.child:
@@ -217,7 +224,12 @@ def _assume(node, atom, value):
     kept = []
     same = True
     for c in node.children:
-        r = _assume(c, atom, value)
+        if c is atom:
+            if value is stop:
+                return stop
+            same = False
+            continue  # value is the neutral constant
+        r = c if isinstance(c, LinearAtom) else _assume(c, atom, value)
         if r is stop:
             return stop
         same = same and r is c
@@ -226,6 +238,24 @@ def _assume(node, atom, value):
     if not kept:
         return not stop
     return node if same else type(node)(tuple(kept))
+
+
+def _interned(node, seen, names, missing):
+    """`node` with each atom replaced by the first equal atom in `seen`.
+
+    Only nodes whose children changed are rebuilt.  The names of an atom
+    that are not in `names` are added to `missing`.
+    """
+    if isinstance(node, LinearAtom):
+        missing.update(n for n, _ in node.coeffs if n not in names)
+        return seen.setdefault(node, node)
+    if isinstance(node, Not):
+        child = _interned(node.child, seen, names, missing)
+        return node if child is node.child else Not(child)
+    children = tuple(_interned(c, seen, names, missing) for c in node.children)
+    if all(map(is_, children, node.children)):
+        return node
+    return type(node)(children)
 
 
 def _first_atom(node):
@@ -244,13 +274,18 @@ def disjointify(body, box, var_order=None):
 
     Decision tree over the atoms: the false branch adds the atom's tightened
     negation, the true branch its row, and a branch without an integer point
-    is pruned exactly.  A branch carries its residual formula (`_assume`): a
+    is pruned exactly.  Equal atoms of `body` are made one object first
+    (`_interned`), and a branch carries its residual formula (`_assume`): a
     cell on True, else split on its leftmost atom.  It also carries bounds
-    that hold for all its integer points and its lexicographically first
-    point; a new row that point breaks is propagated from those bounds (the
-    box rows add nothing to them) and searched.  As the bounds drop no point,
-    pruning and first points are those of a search over the full box, so the
-    cells (box rows plus branch rows) do not depend on them.
+    that hold for all its integer points, the count `settled` of its rows
+    already propagated into them, and its lexicographically first point.  A
+    new row that point breaks is propagated from those bounds with that
+    `settled` prefix (the box rows add nothing to them) and searched, and the
+    child then counts all its rows settled; a row the point satisfies leaves
+    bounds and count as they are.  As the bounds drop no point, pruning and
+    first points are those of a search over the full box, so the cells (box
+    rows plus branch rows) do not depend on them.  A name of `body` missing
+    from `var_order` raises ValueError.
     """
     box = as_box(box)
     if var_order is None:
@@ -258,12 +293,16 @@ def disjointify(body, box, var_order=None):
     n = len(var_order)
     if box.nvars != n:
         raise ValueError("box arity does not match the variable count")
+    missing = set()
+    body = _interned(body, {}, set(var_order), missing)
+    if missing:
+        raise ValueError(f"var_order lacks the formula variables {sorted(missing)}")
     atom_rows = {}  # atom -> (negated row, row)
     cells = []
     # no atom is None: this only folds empty and/or nodes
-    stack = [(_assume(body, None, None), [], box.bounds(), None)]
+    stack = [(_assume(body, None, None), [], box.bounds(), 0, None)]
     while stack:
-        node, rows, bounds, witness = stack.pop()
+        node, rows, bounds, settled, witness = stack.pop()
         if node is False:
             continue
         if node is True:
@@ -278,16 +317,18 @@ def disjointify(body, box, var_order=None):
             )
         for branch, row in zip((False, True), pair):
             new_rows = rows + [row]
-            bnd, wit = bounds, witness
+            bnd, done, wit = bounds, settled, witness
             if wit is None or la.dot(row[0], wit) > row[1]:
-                bnd = la.propagate_bounds(new_rows, bounds, rounds=8)
+                bnd = la.propagate_bounds(
+                    new_rows, bounds, rounds=8, settled=settled
+                )
                 if bnd is None:
                     continue
                 found = la.lattice_points(new_rows, bnd, first_only=True)
                 if not found:
                     continue
-                wit = found[0]
-            stack.append((_assume(node, atom, branch), new_rows, bnd, wit))
+                done, wit = len(new_rows), found[0]
+            stack.append((_assume(node, atom, branch), new_rows, bnd, done, wit))
 
     box_rows = la.box_rows(box.bounds())
     out = []

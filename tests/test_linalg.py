@@ -357,6 +357,32 @@ class TestBoundsKernel:
         want = propagate_bounds_reference(rows, bounds, rounds)
         assert propagate_bounds(rows, bounds, rounds) == want
 
+    @settings(max_examples=300, deadline=None)
+    @given(open_systems(), st.integers(1, 8), st.integers(0, 6))
+    def test_settled_prefix_at_a_fixpoint_is_exact(self, system, rounds, k):
+        # bounds already propagated to a fixpoint of rows[:k], as disjointify
+        # carries them, give the full sweep's result without revisiting them
+        rows, bounds = system
+        k = min(k, len(rows))
+        fix = propagate_bounds_reference(rows[:k], bounds, 64)
+        assume(fix is not None)
+        assume(propagate_bounds_reference(rows[:k], fix, 1) == fix)
+        want = propagate_bounds_reference(rows, fix, rounds)
+        assert propagate_bounds(rows, fix, rounds, settled=k) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(boxed_systems(), st.integers(1, 8), st.integers(0, 5))
+    def test_settled_prefix_drops_no_point(self, system, rounds, k):
+        # any settled count, fixpoint or not, keeps every integer point
+        rows, bounds = system
+        want = lattice_points_reference(rows, bounds)
+        got = propagate_bounds(rows, bounds, rounds, settled=min(k, len(rows)))
+        if got is None:
+            assert want == []
+        else:
+            for pt in want:
+                assert all(lo <= x <= hi for x, (lo, hi) in zip(pt, got))
+
     @given(
         st.lists(
             st.tuples(

@@ -222,6 +222,15 @@ def disjointify_reference(body, box, var_order):
     return out, pruned
 
 
+def copy_atoms(node):
+    """`node` with a new object for every occurrence of every atom."""
+    if isinstance(node, LinearAtom):
+        return LinearAtom(node.coeffs, node.rhs)
+    if isinstance(node, Not):
+        return Not(copy_atoms(node.child))
+    return type(node)(tuple(map(copy_atoms, node.children)))
+
+
 def random_formula(rng, atoms, depth):
     """Nested not/and/or over a small atom pool, so atoms repeat across
     subtrees; now and then an empty and/or, which is a constant."""
@@ -289,6 +298,37 @@ class TestDisjointifyReference:
         encode_segment(xor_detector(2))
         assert len(calls) <= 200
 
+    def test_branches_propagate_only_their_new_rows(self, monkeypatch):
+        # a branch's bounds already hold the propagation of its older rows,
+        # so most calls name a settled prefix and sweep only the rows after it
+        prefixed = []
+        real = la.propagate_bounds
+
+        def recording(rows, bounds, rounds, settled=0):
+            prefixed.append(0 < settled < len(rows))
+            return real(rows, bounds, rounds, settled)
+
+        monkeypatch.setattr(la, "propagate_bounds", recording)
+        encode_segment(xor_detector(2))
+        assert sum(prefixed) >= 1000
+
+    def test_equal_atoms_built_apart(self):
+        # every occurrence of an atom is its own object, as a parser or an
+        # encoder may build them; equal atoms still fold together
+        rng = random.Random(28)
+        for _ in range(300):
+            names = ("x", "y", "z")[: rng.randint(1, 3)]
+            atoms = [
+                LinearAtom.from_dict(
+                    {v: rng.randint(-2, 2) for v in names}, rng.randint(-3, 6)
+                )
+                for _ in range(rng.randint(1, 4))
+            ]
+            body = copy_atoms(random_formula(rng, atoms, 4))
+            box = LatticeBox(tuple(rng.randint(1, 6) for _ in names))
+            want, _ = disjointify_reference(body, box, names)
+            assert disjointify(body, box, names) == want
+
 
 class TestQfToGF:
     def test_even_segment_matches_product_form(self):
@@ -303,6 +343,13 @@ class TestQfToGF:
         )
         want = {p[0] for p in support_points(comb, (1 << r,))}
         assert proj == want
+
+    def test_var_order_missing_a_variable(self):
+        body = parse_pa("x <= 5 & y <= 2 & w >= 1").body
+        with pytest.raises(ValueError, match=r"\['w', 'y'\]"):
+            qf_to_gf(body, (8,), var_order=("x",))
+        with pytest.raises(ValueError, match="y"):
+            disjointify(body, (8, 8), var_order=("x", "w"))
 
     def test_contradiction_is_zero(self):
         f = parse_pa("x <= 1 & x >= 3")
