@@ -1,12 +1,13 @@
 """Operation suite over short GFs.
 
 Exact evaluation at the all-ones point, monomial substitution, Hadamard and
-linear-functional Hadamard products (built per term pair: as a product of
-1-D progressions when the pair is separable, else through an auxiliary
-equality-constrained polytope), boolean set operations on box-supported GFs,
-coefficient extraction, norm by one exact polynomial degree per coordinate,
-oracle-backed projection and Minkowski operations, and positional-base
-compression/decompression of finite supports.
+linear-functional Hadamard products (built per term pair: by a membership
+test when the f-term is a monomial and the g-term has at most one vector, as
+a product of 1-D progressions when the pair is separable, else through an
+auxiliary equality-constrained polytope), boolean set operations on
+box-supported GFs, coefficient extraction, norm by one exact polynomial
+degree per coordinate, oracle-backed projection and Minkowski operations,
+and positional-base compression/decompression of finite supports.
 
 The polytope step is the costly one, and the same pair recurs: the
 intersect, union and minus calls on one pair of operands build the same
@@ -302,20 +303,13 @@ def _pair_terms(
 ):
     """Terms of one term pair of a linear-functional Hadamard product.
 
-    A monomial f-term against a 1-D g-term with one vector is a
-    divisibility test.  Under the identity functional (`pinned`) a
-    separable pair, a pair of monomials included, is a product of
-    progressions (`_separable_terms`); every other pair goes through its
-    auxiliary polytope, which for a pair of monomials is a point or empty.
-    A pair whose supports do not meet gives no term.
+    Under the identity functional (`pinned`) a separable pair, a pair of
+    monomials included, is a product of progressions (`_separable_terms`);
+    every other pair goes through its auxiliary polytope, which for a
+    monomial f-term is the point t^aA or empty.  `tau_hadamard` settles a
+    monomial f-term against a g-term with at most one vector itself, and
+    calls this only for pairs whose supports may meet.
     """
-    p, q = len(vecsA), len(vecsB)
-    if p == 0 and q == 1 and len(aB) == 1:
-        diff = tau_a[0] - aB[0]
-        d0 = vecsB[0][0]
-        if diff % d0 == 0 and diff // d0 >= 0:
-            return (_term(coeff, aA),)
-        return ()
     if boxed and box is None:
         raise UnboundedPolyhedronError(
             "a support box is required for this Hadamard product"
@@ -337,29 +331,41 @@ def tau_hadamard(f, g, tau_rows, box=None):
 
     f ranges over the output variables; g over the functional's target
     coordinates; tau_rows is the (g.nvars x f.nvars) integer matrix of the
-    functional.  Bilinear over term pairs; a pair's terms count the points
+    functional, and `box`, when given, has f.nvars sides; other shapes raise
+    ValueError.  Bilinear over term pairs; a pair's terms count the points
     of a bounded auxiliary polytope, so the result's index is at most p + q
-    for single terms with p and q denominators.
+    for single terms with p and q denominators.  Each pair takes one of
+    three rules.
 
-    Under the identity functional a pair whose vectors are all positive
-    multiples of unit vectors, no two of one term on the same coordinate,
-    is separable: its set is a product of 1-D progressions, found per
-    coordinate without building the polytope (`_separable_terms`).  Its
-    index is then at most the number of coordinates both terms move.
-    Every other pair, and every pair under any other functional, builds
-    its polytope, unless it is a monomial f-term against a 1-D g-term with
-    one vector, which `_pair_terms` settles by a divisibility test.
+    Monomial membership.  An f-term with no vector maps to the one point
+    tau(aA), so each of its pairs is cA * cB * t^aA or nothing.  Against a
+    g-term with no vector it hits when tau(aA) = aB; against one with one
+    vector v, when tau(aA) - aB = k v for an integer k >= 0, read off v's
+    first nonzero coordinate by `divmod`.  A hit implies that the supports
+    meet, so no box is built.  The hits of an f-term are summed into one
+    term cA * (sum of their cB) * t^aA, written out, even when the sum is
+    zero, once the run of hits ends: at a g-term with two or more vectors,
+    or at the f-term's end.  The result is the same as one term per pair:
+    `normalized` merges terms by key in the order keys first occur, and
+    sums exactly.  A g-term with two or more vectors goes to `_pair_terms`
+    when tau(aA) lies in its support box.
 
-    A pair is skipped before its polytope is built when its supports cannot
-    meet.  Each term apex + N vecs lies in its bounding box: per
-    coordinate, the apex bounds it from below unless some vector decreases
-    that coordinate, and from above unless some vector increases it.  The
-    f-term's box, cut to the support box when the pair's system carries
-    the box rows, is mapped through tau by interval arithmetic; every tau(x)
-    for a point x the pair counts lies in that image, and every point of the
-    g-term lies in its own box.  So when the two boxes miss, no integer
-    point, indeed no real one, solves the pair's system, and its polytope
-    would give the zero GF.
+    Separable.  Under the identity functional a pair whose vectors are all
+    positive multiples of unit vectors, no two of one term on the same
+    coordinate, is a product of 1-D progressions, found per coordinate
+    without building the polytope (`_separable_terms`).  Its index is then
+    at most the number of coordinates both terms move.
+
+    Polytope.  Every other pair builds its auxiliary polytope, unless its
+    supports cannot meet.  Each term apex + N vecs lies in its bounding
+    box: per coordinate, the apex bounds it from below unless some vector
+    decreases that coordinate, and from above unless some vector increases
+    it.  The f-term's box, cut to the support box when the pair's system
+    carries the box rows, is mapped through tau by interval arithmetic;
+    every tau(x) for a point x the pair counts lies in that image, and every
+    point of the g-term lies in its own box.  So when the two boxes miss,
+    no integer point, indeed no real one, solves the pair's system, and its
+    polytope would give the zero GF.
 
     `box` is a precondition on both operands' supports, not a filter: it
     adds the box rows that keep a pair's polytope bounded.  A pair bounded
@@ -373,36 +379,84 @@ def tau_hadamard(f, g, tau_rows, box=None):
     box only when the pair is boxed, for the 64 most recent pairs.
     """
     tau_rows = tuple(tuple(r) for r in tau_rows)
+    if len(tau_rows) != g.nvars or any(len(r) != f.nvars for r in tau_rows):
+        raise ValueError(
+            f"the functional must have {g.nvars} rows of {f.nvars} entries"
+        )
     if box is not None:
         box = as_box(box)
+        if box.nvars != f.nvars:
+            raise ValueError("box arity does not match nvars")
     terms_f = _positive_terms(f)
-    terms_g = _positive_terms(g)
-    g_boxes = [_support_box(aB, vecsB) for _, aB, vecsB in terms_g]
+    # per nonzero g-term: its data, its support box, and for one vector the
+    # vector's first nonzero coordinate (None for any other count)
+    g_rows = [
+        (
+            cB, aB, vecsB, _support_box(aB, vecsB),
+            next(c for c, x in enumerate(vecsB[0]) if x)
+            if len(vecsB) == 1 else None,
+        )
+        for cB, aB, vecsB in _positive_terms(g)
+        if cB
+    ]
+    several = g.nvars > 1
     ident = tuple(
         tuple(1 if i == j else 0 for j in range(f.nvars))
-        for i in range(len(tau_rows))
+        for i in range(g.nvars)
     )
-    pinned = len(tau_rows) == f.nvars and tau_rows == ident
+    pinned = g.nvars == f.nvars and tau_rows == ident
     collected = []
     for cA, aA, vecsA in terms_f:
         if cA == 0:
             continue
         tau_a = aA if pinned else tuple(la.dot(r, aA) for r in tau_rows)
+        if not vecsA:
+            total, hit = 0, False
+            for cB, aB, vecsB, g_box, lead in g_rows:
+                if lead is not None:
+                    v = vecsB[0]
+                    k, r = divmod(tau_a[lead] - aB[lead], v[lead])
+                    if r or k < 0 or (several and any(
+                        t - b != k * x for t, b, x in zip(tau_a, aB, v)
+                    )):
+                        continue
+                elif not vecsB:
+                    if tau_a != aB:
+                        continue
+                else:
+                    if not all(
+                        lo <= x <= hi for x, (lo, hi) in zip(tau_a, g_box)
+                    ):
+                        continue
+                    if hit:
+                        collected.append(_term(cA * total, aA))
+                        total, hit = 0, False
+                    collected.extend(
+                        _pair_terms(
+                            cA * cB, aA, vecsA, tau_a, aB, vecsB, tau_rows,
+                            pinned, False, box, f.nvars,
+                        )
+                    )
+                    continue
+                total += cB
+                hit = True
+            if hit:
+                collected.append(_term(cA * total, aA))
+            continue
         f_box = _support_box(aA, vecsA)
         free = clipped = _image_box(tau_rows, f_box)
-        if vecsA and box is not None:
+        if box is not None:
             cut = [
                 (max(lo, 0), min(hi, u - 1)) for (lo, hi), u in zip(f_box, box.sides)
             ]
             empty = any(lo > hi for lo, hi in cut)
             clipped = None if empty else _image_box(tau_rows, cut)
-        for (cB, aB, vecsB), g_box in zip(terms_g, g_boxes):
+        for cB, aB, vecsB, g_box, _ in g_rows:
             # the system carries the box rows unless the pair is bounded
-            # without them: a monomial f-term, or a monomial g-term under the
-            # identity functional
-            boxed = bool(vecsA) and (bool(vecsB) or not pinned)
+            # without them: a monomial g-term under the identity functional
+            boxed = bool(vecsB) or not pinned
             image = clipped if boxed else free
-            if cB == 0 or image is None or not _meets(image, g_box):
+            if image is None or not _meets(image, g_box):
                 continue
             coeff = cA * cB
             collected.extend(

@@ -252,13 +252,19 @@ def monomial(nvars, point):
 
 
 def from_point_set(points, nvars):
-    """Dense GF of a finite point set: one monomial term per point, index 0."""
+    """Dense GF of a finite point set: one monomial term per point, index 0.
+
+    Every point is checked against `nvars` here, so the GF is built with
+    `_gf`, which does not check the terms again.
+    """
+    if nvars < 0:
+        raise ValueError("nvars must be nonnegative")
     pts = sorted(set(map(int_vector, points)))
     for p in pts:
         if len(p) != nvars:
             raise ValueError("point arity mismatch")
     terms = tuple(_term(1, p) for p in pts)
-    return ShortGF(nvars, terms, orientation=direction_for(nvars))
+    return _gf(nvars, terms, 0, direction_for(nvars))
 
 
 def progression_gf(apex, vecs, counts, coeff=1):

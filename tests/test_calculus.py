@@ -34,6 +34,7 @@ from shortgf import (
     compress,
     concat,
     decompress,
+    direction_for,
     evaluate_at_one,
     from_point_set,
     gf_index,
@@ -46,9 +47,11 @@ from shortgf import (
     oracle_expand,
     oracle_project,
     polytope_gf,
+    prime_pi,
     progression_gf,
     proj_member,
     scale,
+    segment_set,
     semigroup_gf,
     specialize_vars,
     substitute_monomials,
@@ -326,6 +329,28 @@ class TestTauHadamard:
         g = ShortGF(1, (GFTerm(1, (0,), ((2,),)),))
         with pytest.raises(UnboundedPolyhedronError):
             hadamard(f, g)
+
+    def test_box_of_the_wrong_arity_raises(self):
+        # zipped against a 1-D box the pairs' box rows would miss a side,
+        # and the 6-point intersection would come out as the zero GF
+        f, g = box_range_gf([0, 0], [2, 3]), box_range_gf([1, 1], [4, 4])
+        assert evaluate_at_one(hadamard(f, g, box=(8, 8))) == 6
+        for sides in ((8,), (8, 8, 8)):
+            with pytest.raises(ValueError, match="box arity does not match nvars"):
+                hadamard(f, g, box=sides)
+
+    def test_functional_of_the_wrong_shape_raises(self):
+        f = from_point_set([(1, 1), (2, 5)], 2)
+        # a 1 x 1 functional would be read as x_0
+        with pytest.raises(ValueError, match="1 rows of 2 entries"):
+            tau_hadamard(f, box_range_gf([0], [2]), [(1,)], box=(8, 8))
+        # a third row against a 2-D g would be dropped
+        g = box_range_gf([0, 0], [7, 7])
+        rows = [(1, 0), (0, 1), (1, 1)]
+        with pytest.raises(ValueError, match="2 rows of 2 entries"):
+            tau_hadamard(f, g, rows, box=(8, 8))
+        with pytest.raises(ValueError, match="2 rows of 2 entries"):
+            tau_hadamard(f, g, rows[:1], box=(8, 8))
 
 
 class TestBooleanCombine:
@@ -1060,6 +1085,199 @@ class TestHadamardWork:
                 if y <= x
             }
             assert _table(ShortGF(2, terms), sides) == want, (coeff, sides)
+
+
+def _in_support_box(y, apex, vecs):
+    """Is y in the bounding box of apex + N vecs?  Per coordinate the apex
+    bounds it from below unless a vector decreases that coordinate, and
+    from above unless one increases it."""
+    return all(
+        (a <= x or any(v[c] < 0 for v in vecs))
+        and (x <= a or any(v[c] > 0 for v in vecs))
+        for c, (x, a) in enumerate(zip(y, apex))
+    )
+
+
+def _reference_tau_hadamard(f, g, tau):
+    """tau_hadamard of a dense f by the general rule: every pair whose
+    boxes meet goes through its auxiliary polytope, then the collected
+    terms are canonicalized and normalized.  Unboxed: each pair has a
+    monomial f-term."""
+    tau = tuple(tuple(r) for r in tau)
+    terms_g = [term_positive_form(t) for t in canonicalize(g).terms]
+    collected = []
+    for tf in canonicalize(f).terms:
+        cA, aA, vecsA = term_positive_form(tf)
+        assert vecsA == ()
+        image = tuple(sum(map(mul, r, aA)) for r in tau)
+        for cB, aB, vecsB in terms_g:
+            if cA and cB and _in_support_box(image, aB, vecsB):
+                collected += _polytope_pair_terms(
+                    cA * cB, aA, (), image, aB, vecsB, tau, False, None, f.nvars
+                )
+    return normalized(canonicalize(ShortGF(f.nvars, tuple(collected))))
+
+
+def _series_coefficient(g, y):
+    """Coefficient of t^y in g's expansion: each term's multipliers
+    k >= 0 with apex + sum k_j v_j = y, counted by brute force.  Every
+    vector pairs positively with the orientation's ell, which bounds k."""
+    gc = canonicalize(g)
+    ell = gc.orientation.ell
+    total = 0
+    for t in gc.terms:
+        coeff, apex, vecs = term_positive_form(t)
+        diff = tuple(a - b for a, b in zip(y, apex))
+        reach = sum(map(mul, ell, diff))
+        if reach < 0:
+            continue
+        ranges = [range(reach // sum(map(mul, ell, v)) + 1) for v in vecs]
+        for ks in product(*ranges):
+            step = [sum(k * v[c] for k, v in zip(ks, vecs)) for c in range(len(y))]
+            if tuple(step) == diff:
+                total += coeff
+    return total
+
+
+COEFFS = st.integers(-3, 3) | st.builds(Fraction, st.integers(-3, 3), st.integers(2, 3))
+
+
+@st.composite
+def dense_operand_pairs(draw):
+    """(f, g, tau): f a dense GF of 1-6 monomials in 1-3 variables, with
+    signed int or Fraction coefficients, zero included, and repeated
+    exponents; tau the identity or a random 1-3-row functional with entries
+    in [-2, 2]; g a GF of 1-4 terms with 0, 1 or 2 vectors in [-3, 3]^d.
+    Each g-term's apex steps back from the image of a point of f by -1..2
+    multiples of each vector, then moves off it by -1..1 on a coin flip, so
+    pairs hit, miss by a remainder and miss by a negative multiple."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        tau = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    else:
+        row = st.tuples(*[st.integers(-2, 2)] * n)
+        tau = tuple(draw(st.lists(row, min_size=1, max_size=3)))
+    d = len(tau)
+    pool = draw(st.lists(st.tuples(*[st.integers(-2, 4)] * n), min_size=1, max_size=3))
+    points = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    f = ShortGF(n, tuple(GFTerm(draw(COEFFS), p) for p in points))
+    ell = direction_for(d).ell
+    vec = st.tuples(*[st.integers(-3, 3)] * d).filter(any)
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        x = draw(st.sampled_from(pool))
+        apex = [sum(map(mul, r, x)) for r in tau]
+        vecs = draw(st.lists(vec, max_size=2))
+        # mostly along ell, so that the vectors stay as drawn
+        vecs = [
+            v if sum(map(mul, ell, v)) > 0 or draw(st.booleans())
+            else tuple(-a for a in v)
+            for v in vecs
+        ]
+        for v in vecs:
+            k = draw(st.integers(-1, 2))
+            apex = [a - k * b for a, b in zip(apex, v)]
+        if draw(st.booleans()):
+            apex = [a + draw(st.integers(-1, 1)) for a in apex]
+        terms.append(term_from_positive(draw(COEFFS), tuple(apex), tuple(vecs)))
+    return f, ShortGF(d, tuple(terms)), tau
+
+
+class TestMonomialMembership:
+    """A monomial f-term's pairs settled by one membership test per g-term."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(dense_operand_pairs())
+    @example(
+        (
+            ShortGF(1, (GFTerm(1, (2,)),)),
+            ShortGF(1, (term_from_positive(1, (4,), ((1,),)),)),  # k = -2
+            ((1,),),
+        )
+    )
+    def test_bytes_match_the_polytope_reference(self, case):
+        f, g, tau = case
+        h = tau_hadamard(f, g, tau)
+        ref = _reference_tau_hadamard(f, g, tau)
+        assert format_gf(h) == format_gf(ref)
+        assert h.orientation == ref.orientation
+
+    @settings(max_examples=100, deadline=None)
+    @given(dense_operand_pairs())
+    def test_coefficients_match_brute_force(self, case):
+        f, g, tau = case
+        h = tau_hadamard(f, g, tau)
+        assert all(t.denoms == () for t in h.terms)
+        got = {t.numer: t.coeff for t in h.terms}
+        assert len(got) == len(h.terms)
+        alpha = Counter()
+        for t in f.terms:
+            alpha[t.numer] += t.coeff
+        want = {}
+        for x, a in alpha.items():
+            c = a * _series_coefficient(g, tuple(sum(map(mul, r, x)) for r in tau))
+            if c:
+                want[x] = c
+        assert got == want
+
+    def test_prime_pi_interval_terms_cancel_past_n(self, monkeypatch):
+        seg = segment_set("PRIMES", 7)
+        g = box_range_gf([0], [100])
+        # +1/(1 - t) and -t^101/(1 - t): both reach every p > 100
+        assert [term_positive_form(t) for t in canonicalize(g).terms] == [
+            (1, (0,), ((1,),)),
+            (-1, (101,), ((1,),)),
+        ]
+        h = hadamard(seg.gf, g)
+        assert [(t.numer, t.coeff) for t in h.terms] == [
+            ((p,), 1) for p in seg.points if p <= 100
+        ]
+        assert prime_pi(100) == 25
+        # unmerged: one term per f-term some pair hits, a zero sum included,
+        # and none for a prime below 50, which no pair hits
+        monkeypatch.setattr(shortgf.calculus, "normalized", lambda f: f)
+        for lo in (0, 50):
+            raw = hadamard(seg.gf, box_range_gf([lo], [100]))
+            assert [(t.numer, t.coeff) for t in raw.terms] == [
+                ((p,), int(p <= 100)) for p in seg.points if p >= lo
+            ]
+
+    def test_a_two_vector_g_term_breaks_the_run(self, monkeypatch):
+        # t^6 against 1/(1 - t), 1/((1 - t^2)(1 - t^3)) and -t^4/(1 - t^2):
+        # 6 = 2 * 3 = 3 * 2, so the middle pair counts 2 through its polytope
+        f = ShortGF(1, (GFTerm(3, (6,)),))
+        g = ShortGF(1, (
+            term_from_positive(1, (0,), ((1,),)),
+            term_from_positive(1, (0,), ((2,), (3,))),
+            term_from_positive(-1, (4,), ((2,),)),
+        ))
+        assert format_gf(hadamard(f, g)) == format_gf(ShortGF(1, (GFTerm(6, (6,)),)))
+        monkeypatch.setattr(shortgf.calculus, "normalized", lambda f: f)
+        raw = hadamard(f, g).terms
+        assert raw[0] == GFTerm(3, (6,)) and raw[-1] == GFTerm(-3, (6,))
+        assert {t.numer for t in raw[1:-1]} == {(6,)}
+        assert sum(t.coeff for t in raw[1:-1]) == 6
+
+    def test_first_occurrence_keeps_a_zero_run(self):
+        # f: t^3, then t^5, then t^3 + t^4 + ...; g: t^3 - t^3/(1 - t).
+        # t^3's run sums to zero and t^5's to -1; the ray's pair with t^3
+        # gives t^3 again, so t^3 keeps the first place its zero run took
+        f = ShortGF(1, (
+            GFTerm(1, (3,)),
+            GFTerm(1, (5,)),
+            term_from_positive(1, (3,), ((1,),)),
+        ))
+        g = ShortGF(1, (
+            GFTerm(1, (3,)),
+            term_from_positive(-1, (3,), ((1,),)),
+        ))
+        h = hadamard(f, g, box=(8,))
+        assert [(t.numer, t.coeff, t.denoms) for t in h.terms][:2] == [
+            ((3,), 1, ()),
+            ((5,), -1, ()),
+        ]
+        # f is 2, 1, 2, 1, 1 and g is 0, -1, -1, -1, -1 on 3..7
+        assert _table(h, (8,)) == {(4,): -1, (5,): -2, (6,): -1, (7,): -1}
 
 
 def _perfbench_module(name):

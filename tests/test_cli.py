@@ -167,6 +167,17 @@ class TestErrors:
         assert out == ""
         assert "box arity does not match nvars" in err
 
+    def test_hadamard_box_of_wrong_arity_exits_two(
+        self, interval_file, evens_file, capsys
+    ):
+        code, out, err = run_cli(
+            ["op", "hadamard", interval_file, evens_file, "--box", "8,8"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "box arity does not match nvars" in err
+
     def test_count_infinite_support_exits_two(self, tmp_path, capsys):
         path = tmp_path / "geom.gf"
         path.write_text("gf nvars=1 index=1\nterm c=1/1 a=0 b=1\n")

@@ -201,6 +201,21 @@ class TestFromPointSet:
         f = from_point_set(sorted(pts), 2)
         assert expand(f, (4, 4)).support() == pts
 
+    def test_builds_the_gf_without_rechecking_its_terms(self, monkeypatch):
+        calls = []
+        real = ShortGF.__post_init__
+        monkeypatch.setattr(
+            ShortGF, "__post_init__", lambda f: calls.append(1) or real(f)
+        )
+        f = from_point_set([(3, 1), (0, 2), (3, 1)], 2)
+        assert calls == []
+        assert [t.numer for t in f.terms] == [(0, 2), (3, 1)]
+        assert f.index_bound == 0 and f.orientation == direction_for(2)
+        with pytest.raises(ValueError, match="point arity mismatch"):
+            from_point_set([(1, 2), (3,)], 2)
+        with pytest.raises(ValueError, match="nvars must be nonnegative"):
+            from_point_set([], -1)
+
 
 @st.composite
 def progressions(draw):
