@@ -114,7 +114,7 @@ def main(argv=None):
         ap.error("--pairs must be at least 1")
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     header = {
-        side: dict(zip(("dir", "commit", "dirty"), (root, *commit_of(root))))
+        side: dict(zip(("commit", "dirty"), commit_of(root)))
         for side, root in roots.items()
     }
     doc = {"parent": header["parent"], "change": header["change"], "workloads": {}}
