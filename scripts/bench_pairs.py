@@ -1,18 +1,21 @@
 """Alternating parent/change runs of the benchmark, written to a BENCH file.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR \\
-        --workload number_theory --pairs 10 --seconds 25 --out BENCH_29.json
+        --workload calculus number_theory --pairs 10 --seconds 25 --out BENCH_30.json
 
-Each pair runs ``perfbench/run.py --workload W --seed S --seconds T --trace X``
-once in each checkout, one run at a time, parent first in even pairs and
-change first in odd ones, and reads the JSON result on the run's last stdout
-line.  The file gets, per workload (``W`` or ``W traced``), every run's
-metrics, ``failed`` and ``attempted``, and per metric each side's median and
-quartiles, the pairs the change wins and loses (ties count for neither), and
-``gain``: whether the change wins at least nine tenths of the pairs and its
-median is better than the parent's by more than the parent's quartile
-spread.  Which way is better comes from the change's ``BENCHMARK.json``.
-A traced entry keeps the per-layer metrics that are nonzero on either side.
+For each workload ``W`` given, in turn, each pair runs ``perfbench/run.py
+--workload W --seed S --seconds T --trace X`` once in each checkout, one run
+at a time, parent first in even pairs and change first in odd ones, and
+reads the JSON result on the run's last stdout line.  The file gets, per
+workload (``W`` or ``W traced``), every run's metrics, ``failed`` and
+``attempted``, and per metric each side's median and quartiles, the pairs
+the change wins and loses (ties count for neither), and ``gain``: whether
+the change wins at least nine tenths of the pairs and its median is better
+than the parent's by more than the parent's quartile spread.  An end-to-end
+metric also gets ``bound`` and ``regression`` (see `regression`).  Which way
+is better and the bounds come from the change's ``BENCHMARK.json``.  A
+traced entry keeps the per-layer metrics that are nonzero on either side.
+The file is written after each workload, and the verdicts are printed.
 
 When ``--out`` exists its other workloads are kept, so one file collects
 runs of several workloads; it must name the same two commits.  The file
@@ -70,13 +73,38 @@ def quartiles(values):
     return q1, med, q3
 
 
-def summarize(parent, change, better):
-    """Medians, quartiles, wins and the gain rule for one metric."""
+def regression(parent, change, better, bound):
+    """The verdict on one end-to-end metric whose median may worsen by at
+    most `bound` times the parent's median.
+
+    ``worse`` when the change's median is worse than the parent's by more
+    than that; else ``unresolved`` when the parent's quartile spread exceeds
+    it too, unless every change run beats every parent run; else ``ok``.
+    """
+    sign = -1 if better == "lower" else 1
+    pq1, pmed, pq3 = quartiles(parent)
+    cmed = quartiles(change)[1]
+    allowed = bound * abs(pmed)
+    if sign * (pmed - cmed) > allowed:
+        return "worse"
+    if pq3 - pq1 > allowed and not all(
+        sign * (c - p) > 0 for c in change for p in parent
+    ):
+        return "unresolved"
+    return "ok"
+
+
+def summarize(parent, change, better, bound=None):
+    """Medians, quartiles, wins and the gain rule for one metric, and the
+    regression verdict when it has a bound."""
     sign = -1 if better == "lower" else 1
     wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
     losses = sum(1 for p, c in zip(parent, change) if sign * (c - p) < 0)
     pq1, pmed, pq3 = quartiles(parent)
     cq1, cmed, cq3 = quartiles(change)
+    verdict = {}
+    if bound is not None:
+        verdict = {"bound": bound, "regression": regression(parent, change, better, bound)}
     return {
         "better": better,
         "parent": parent,
@@ -89,21 +117,68 @@ def summarize(parent, change, better):
         "wins": wins,
         "losses": losses,
         "gain": wins * 10 >= 9 * len(parent) and sign * (cmed - pmed) > pq3 - pq1,
+        **verdict,
     }
 
 
 def directions(root):
-    """Metric name -> 'lower' or 'higher', from the checkout's BENCHMARK.json."""
+    """Metric name -> ('lower' or 'higher', its bound or None), from the
+    checkout's BENCHMARK.json; only end-to-end metrics have a bound."""
     with open(os.path.join(root, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    return {
+        m["name"]: (m["better"], m.get("bound"))
+        for m in spec["end_to_end"] + spec["per_layer"]
+    }
+
+
+def run_pairs(roots, workload, args):
+    """`args.pairs` alternating runs of `workload` per side, printed as they end."""
+    wall = "trace.wall_s" if args.trace else "wall_s"
+    runs = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(
+                run_once(roots[side], workload, args.seed, args.seconds, args.trace)
+            )
+        line = " ".join(
+            f"{side}={runs[side][-1]['metrics'][wall]:.4f}" for side in ("parent", "change")
+        )
+        print(f"{workload} pair {i + 1}/{args.pairs} ({order[0]} first): {wall} {line}", flush=True)
+    return runs
+
+
+def entry(runs, specs, args):
+    """The BENCH file's entry for one workload's runs."""
+    names = list(runs["change"][0]["metrics"])
+    if args.trace:
+        names = [
+            k for k in names
+            if any(r["metrics"][k] for side in runs for r in runs[side])
+        ]
+    return {
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "pairs": args.pairs,
+        "failed": {side: [r["failed"] for r in runs[side]] for side in runs},
+        "attempted": {side: [r["attempted"] for r in runs[side]] for side in runs},
+        "metrics": {
+            k: summarize(
+                [r["metrics"][k] for r in runs["parent"]],
+                [r["metrics"][k] for r in runs["change"]],
+                *specs.get(k, ("lower", None)),
+            )
+            for k in names
+        },
+    }
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", required=True)
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, nargs="+")
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--seed", type=int, default=7)
@@ -126,52 +201,20 @@ def main(argv=None):
                 sys.exit(f"{args.out} holds runs of another {side} commit")
     doc["python"] = platform.python_version()
 
-    wall = "trace.wall_s" if args.trace else "wall_s"
-    runs = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(
-                run_once(roots[side], args.workload, args.seed, args.seconds, args.trace)
-            )
-        line = " ".join(
-            f"{side}={runs[side][-1]['metrics'][wall]:.4f}" for side in ("parent", "change")
-        )
-        print(f"pair {i + 1}/{args.pairs} ({order[0]} first): {wall} {line}", flush=True)
-
-    better = directions(roots["change"])
-    names = list(runs["change"][0]["metrics"])
-    if args.trace:
-        names = [
-            k for k in names
-            if any(r["metrics"][k] for side in runs for r in runs[side])
-        ]
-    key = f"{args.workload} traced" if args.trace else args.workload
-    doc["workloads"][key] = {
-        "seed": args.seed,
-        "seconds": args.seconds,
-        "pairs": args.pairs,
-        "failed": {side: [r["failed"] for r in runs[side]] for side in runs},
-        "attempted": {side: [r["attempted"] for r in runs[side]] for side in runs},
-        "metrics": {
-            k: summarize(
-                [r["metrics"][k] for r in runs["parent"]],
-                [r["metrics"][k] for r in runs["change"]],
-                better.get(k, "lower"),
-            )
-            for k in names
-        },
-    }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    for k in ("wall_s", "cpu_s", "peak_rss_mb", "trace.wall_s", "calculus.tau_hadamard.total_s"):
-        m = doc["workloads"][key]["metrics"].get(k)
-        if m:
-            print(
-                f"{key} {k}: parent {m['parent_median']:.4g} change {m['change_median']:.4g} "
-                f"wins {m['wins']}/{args.pairs} gain {m['gain']}"
-            )
+    specs = directions(roots["change"])
+    for workload in args.workload:
+        key = f"{workload} traced" if args.trace else workload
+        doc["workloads"][key] = entry(run_pairs(roots, workload, args), specs, args)
+        with open(args.out, "w") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+        for k, m in doc["workloads"][key]["metrics"].items():
+            if "regression" in m or k in ("trace.wall_s", "calculus.tau_hadamard.total_s"):
+                print(
+                    f"{key} {k}: parent {m['parent_median']:.4g} change {m['change_median']:.4g} "
+                    f"wins {m['wins']}/{args.pairs} gain {m['gain']} "
+                    f"regression {m.get('regression', '-')}"
+                )
     return 0
 
 

@@ -18,10 +18,10 @@ numerators monomial by monomial yields short GF terms again, with index at
 most the original term's denominator count.
 
 `_substitute_positive` does the work on terms in positive form (c, apex,
-vecs), oriented as `canonicalize` orients them.  `substitute` canonicalizes
-a GF and hands over its terms' positive forms; `barvinok.lattice_gf_mapped`
-hands over Brion's cone triples directly, oriented by the same
-`direction_pairings`, so they never become a z-space GF.
+vecs), oriented as `canonicalize` orients them: `substitute` hands over a
+GF's `positive_terms`, `barvinok.lattice_gf_mapped` Brion's cone triples in
+that orientation (`gfcore.oriented`), so they never become a z-space GF.
+Its output triples are `oriented` too, and each becomes a term once.
 """
 
 from fractions import Fraction
@@ -33,11 +33,11 @@ from ._series import eulerian_polynomials, limit_series
 from .errors import InfiniteSupportError, ZeroImageError
 from .gfcore import (
     _gf,
-    canonicalize,
     moment_vector,
     normalized,
+    oriented,
+    positive_terms,
     term_from_positive,
-    term_positive_form,
 )
 
 
@@ -51,18 +51,24 @@ def substitute(
 ):
     """Apply the exponent map x -> V x + shift to a short GF.
 
-    vrows: out_nvars rows of length f.nvars.  With allow_collapse=False a
+    vrows: out_nvars rows of length f.nvars, and shift out_nvars entries;
+    ValueError otherwise.  With allow_collapse=False a
     denominator image of zero raises ZeroImageError; with True the input must
     have finite support and the exact limit is taken.  The result is
-    canonical and has its identical terms merged.  f is canonicalized and
-    its terms' positive forms go to `_substitute_positive`.
+    canonical and has its identical terms merged.  The positive forms of
+    f's canonical terms (`positive_terms`) go to `_substitute_positive`.
     """
+    if len(vrows) != out_nvars or any(len(r) != f.nvars for r in vrows):
+        raise ValueError(
+            f"the exponent map must have {out_nvars} rows of {f.nvars} entries"
+        )
     if shift is None:
         shift = tuple(0 for _ in range(out_nvars))
-    g = canonicalize(f)
+    elif len(shift) != out_nvars:
+        raise ValueError(f"the shift must have {out_nvars} entries")
     return _substitute_positive(
         f.nvars,
-        [term_positive_form(t) for t in g.terms],
+        positive_terms(f),
         vrows,
         out_nvars,
         shift,
@@ -169,13 +175,15 @@ def _substitute_positive(
     # a key whose sum is zero stays for `normalized` to drop: it may share
     # its canonical form with a later key, whose place it then sets; an
     # integral sum leaves as an int, with no Fraction built for it
-    out_terms = tuple(
-        term_from_positive(
-            num // den if num % den == 0 else Fraction(num, den), apex, vecs
-        )
-        for (apex, vecs), (num, den) in acc.items()
+    direction, triples = oriented(
+        out_nvars,
+        [
+            (num // den if num % den == 0 else Fraction(num, den), apex, vecs)
+            for (apex, vecs), (num, den) in acc.items()
+        ],
     )
-    return normalized(canonicalize(_gf(out_nvars, out_terms)))
+    terms = tuple(term_from_positive(*t) for t in triples)
+    return normalized(_gf(out_nvars, terms, None, direction))
 
 
 def evaluate_at_one(f):

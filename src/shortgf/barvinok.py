@@ -14,11 +14,11 @@ scaled inverse by an exact rank-one update, the parallelepiped step lists
 its lattice classes from it, and each unimodular piece is dualized from the
 inverse it carries.  Lower-dimensional pieces are discarded in the dual,
 where they correspond to cones with lines and contribute zero.  Brion's sum
-stays a list of positive-form cone triples: they are oriented as
-`canonicalize` would orient their GF and mapped straight into the output
-variables by `_subst._substitute_positive`.  `la.extreme_rays` is the only
-loop over subsets of tight rows, and `la.is_bounded` is the one
-boundedness test.
+stays a list of positive-form cone triples: `gfcore.oriented` orients them
+as `canonicalize` would orient their GF (giving its `positive_terms`), and
+`_subst._substitute_positive` maps them straight into the output variables.
+`la.extreme_rays` is the only loop over subsets of tight rows, and
+`la.is_bounded` is the one boundedness test.
 
 Lower-dimensional and equality-constrained inputs are reduced to the
 full-dimensional case by an integer parameterization of their affine lattice
@@ -43,8 +43,8 @@ from .gfcore import (
     GFTerm,
     ShortGF,
     canonicalize,
-    direction_pairings,
     int_vector,
+    oriented,
     progression_gf,
     zero_gf,
 )
@@ -320,28 +320,6 @@ def _brion_fulldim(rows, verts):
     return triples
 
 
-def _oriented(d, triples):
-    """The triples with their vectors oriented as `canonicalize` orients
-    the denominators of their GF in d variables.
-
-    The direction is `direction_pairings`' choice; each v with
-    <ell, v> < 0 becomes -v, negating the sign and moving the apex to
-    apex - v (1/(1-t^v) = -t^(-v)/(1-t^(-v))).
-    """
-    _, pairings = direction_pairings(d, [vecs for _, _, vecs in triples])
-    out = []
-    for (sign, apex, vecs), ps in zip(triples, pairings):
-        flipped = []
-        for v, p in zip(vecs, ps):
-            if p < 0:
-                sign = -sign
-                apex = tuple(a - x for a, x in zip(apex, v))
-                v = tuple(-x for x in v)
-            flipped.append(v)
-        out.append((sign, apex, tuple(flipped)))
-    return out
-
-
 class _EmptyPolytope(Exception):
     pass
 
@@ -452,7 +430,7 @@ def lattice_gf_mapped(
     to a full-dimensional fibre z, a point is one monomial, and a fibre of
     any positive dimension, a segment included, takes Brion's sum over its
     vertices.  Its positive-form cone triples are oriented in z-space as
-    `canonicalize` orients a GF (`_oriented`; the limit terms of collapsed
+    `canonicalize` orients a GF (`oriented`; the limit terms of collapsed
     directions depend on it) and go to `_substitute_positive` with no
     z-space GF built, which gives the terms `substitute` would give for the
     GF of those triples.
@@ -474,7 +452,7 @@ def lattice_gf_mapped(
     ]
     return _substitute_positive(
         d,
-        _oriented(d, _brion_fulldim(rows, verts)),
+        oriented(d, _brion_fulldim(rows, verts))[1],
         vrows,
         out_nvars,
         offset,

@@ -44,9 +44,9 @@ from .gfcore import (
     monomial,
     normalized,
     oracle_expand,
+    positive_terms,
     progression_gf,
     scale,
-    term_positive_form,
 )
 
 __all__ = [
@@ -123,13 +123,25 @@ def substitute_monomials(f, vrows, out_nvars):
     return substitute(f, [tuple(r) for r in vrows], out_nvars)
 
 
+def _coordinates(keep, nvars):
+    """`keep` as a list; ValueError unless it holds distinct indices of
+    range(nvars)."""
+    keep = list(keep)
+    if len(set(keep)) != len(keep) or not all(i in range(nvars) for i in keep):
+        raise ValueError(
+            f"keep must hold distinct coordinates of range({nvars}), not {keep}"
+        )
+    return keep
+
+
 def specialize_vars(f, keep):
     """Set all variables outside `keep` to one; requires finite support.
 
     Collapsed denominator factors are resolved by the exact perturbation
     limit, so the result is a faithful short GF of the specialized series.
+    `keep` holds distinct coordinates of f, else ValueError.
     """
-    keep = list(keep)
+    keep = _coordinates(keep, f.nvars)
     vrows = [
         tuple(1 if j == k else 0 for j in range(f.nvars)) for k in keep
     ]
@@ -141,10 +153,6 @@ def specialize_vars(f, keep):
 
 
 _INF = float("inf")
-
-
-def _positive_terms(f):
-    return [term_positive_form(t) for t in canonicalize(f).terms]
 
 
 def _support_box(apex, vecs):
@@ -387,7 +395,7 @@ def tau_hadamard(f, g, tau_rows, box=None):
         box = as_box(box)
         if box.nvars != f.nvars:
             raise ValueError("box arity does not match nvars")
-    terms_f = _positive_terms(f)
+    terms_f = positive_terms(f)
     # per nonzero g-term: its data, its support box, and for one vector the
     # vector's first nonzero coordinate (None for any other count)
     g_rows = [
@@ -396,7 +404,7 @@ def tau_hadamard(f, g, tau_rows, box=None):
             next(c for c, x in enumerate(vecsB[0]) if x)
             if len(vecsB) == 1 else None,
         )
-        for cB, aB, vecsB in _positive_terms(g)
+        for cB, aB, vecsB in positive_terms(g)
         if cB
     ]
     several = g.nvars > 1
@@ -557,8 +565,8 @@ def _degree(p):
     """Degree of a one-variable GF that is a polynomial; None when it is zero.
 
     Each term is first written as c s^a / prod (1 - s^m) with every m > 0
-    (`term_positive_form`: a canonical factor 1 / (1 - s^b) has b < 0 and
-    is -s^m / (1 - s^m), m = -b).  Let Q = prod_m (1 - s^m)^k_m, k_m the
+    (`positive_terms`: a factor 1 / (1 - s^b) with b < 0 is
+    -s^m / (1 - s^m), m = -b).  Let Q = prod_m (1 - s^m)^k_m, k_m the
     largest multiplicity of m in one term.  Each term times Q is c s^a
     times the factors of Q its own denominator lacks, so N = P Q is a sum
     of at most 2^k monomials per term, k the number of lacking factors.
@@ -567,7 +575,7 @@ def _degree(p):
     """
     terms = []
     mult = Counter()
-    for c, (a,), vecs in _positive_terms(p):
+    for c, (a,), vecs in positive_terms(p):
         own = Counter(m for (m,) in vecs)
         terms.append((c, a, own))
         mult |= own
@@ -639,8 +647,10 @@ def oracle_project(f, keep, box, mode="project", limit=None):
 
 
 def _project_points(points, keep, box, mode, limit=None):
-    """The point list behind `oracle_project`'s GF, from the support points."""
+    """The point list behind `oracle_project`'s GF, from the support points;
+    `keep` holds distinct coordinates of the box, else ValueError."""
     box = as_box(box)
+    keep = _coordinates(keep, box.nvars)
     support = sorted(points)
     if mode == "specialize":
         witness = {}
@@ -666,9 +676,14 @@ def support_points(f, box, limit=None):
 
 
 def minkowski_oracle(f, g, box, out_box=None, limit=None):
-    """Pointwise-sum support of two box-supported GFs, as a dense GF."""
+    """Pointwise-sum support of two box-supported GFs, as a dense GF.
+
+    g and `out_box` must have f's variable count, else ValueError.
+    """
     box = as_box(box)
     out_box = box if out_box is None else as_box(out_box)
+    if g.nvars != f.nvars or out_box.nvars != f.nvars:
+        raise ValueError("g and the output box must have f's variable count")
     sa = support_points(f, box, limit=limit)
     sb = support_points(g, box, limit=limit)
     sums = {la.vadd(a, b) for a in sa for b in sb}

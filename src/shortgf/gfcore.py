@@ -5,8 +5,15 @@ integer exponent vectors a, b_j (b_j != 0) and an exact c: an int, or a
 Fraction only when it is not integral.  The series
 semantics of such an expression depends on a choice of Laurent region; we fix
 it with an *expansion direction* ell (strictly positive, pairwise-distinct
-entries).  A GF is canonical under ell when <ell, b> < 0 for every denominator
-vector b; the flip identity  1/(1-t^b) = -t^(-b)/(1-t^(-b))  converts any term.
+entries).
+
+One rule, `_flip`, orients a term: 1/(1-t^v) = -t^(-v)/(1-t^(-v)).  A term
+is canonical under ell when <ell, b> < 0 for every denominator b, and in
+positive form (c, apex, vecs) when every vector pairs positively; it then
+reads c * sum_{m >= 0} t^(apex + sum_j m_j v_j).  `canonicalize` flips the
+vectors that pair positively, `oriented` and `positive_terms` those that
+pair negatively, and `term_positive_form` and `term_from_positive` all of
+them.  No other module chooses a direction (`direction_pairings`).
 
 In canonical form each term expands as
 
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
-from operator import add, mul
+from operator import add, mul, neg, sub
 
 from .errors import (
     FormatError,
@@ -281,20 +288,23 @@ def progression_gf(apex, vecs, counts, coeff=1):
         raise ValueError("need one nonnegative count per vector")
     apex = int_vector(apex)
     vecs = tuple(map(int_vector, vecs))
+    n = len(apex)
+    if any(len(v) != n or not any(v) for v in vecs):
+        raise ValueError("need nonzero vectors as long as the apex")
     # every term has the denominators of coeff * t^apex / prod (1 - t^v_j),
-    # so orienting that one term orients them all
-    base = canonicalize(_gf(len(apex), (_term(coeff, apex, vecs),)))
-    (first,) = base.terms
+    # so orienting that one term, the first in mask order, orients them all
+    direction, (triple,) = oriented(n, [(coeff, apex, vecs)])
+    first = term_from_positive(*triple)
     signs = (first.coeff, -first.coeff)
     steps = [tuple(c * x for x in v) for v, c in zip(vecs, int_vector(counts))]
-    terms = []
-    for mask in range(1 << len(vecs)):
+    terms = [first]
+    for mask in range(1, 1 << len(vecs)):
         numer = first.numer
         for j, step in enumerate(steps):
             if mask >> j & 1:
                 numer = tuple(map(add, numer, step))
         terms.append(_term(signs[mask.bit_count() & 1], numer, first.denoms))
-    return _gf(len(apex), tuple(terms), base.index_bound, base.orientation)
+    return _gf(n, tuple(terms), len(vecs), direction)
 
 
 def gf_index(f):
@@ -332,7 +342,7 @@ def is_canonical(f):
 
 
 def direction_pairings(nvars, vec_lists, direction=None):
-    """The expansion direction `canonicalize` orients by, and the pairings.
+    """The expansion direction a term list is oriented by, and the pairings.
 
     `vec_lists` holds one sequence of vectors per term.  The direction is
     `direction`, else `direction_for(nvars)`; when some vector pairs to zero
@@ -351,18 +361,54 @@ def direction_pairings(nvars, vec_lists, direction=None):
     return direction, pairings
 
 
+def _flip(c, point, vecs, pairings):
+    """(c, point, vecs), the term c * t^point / prod (1 - t^v), with each
+    v whose pairing is negative flipped to -v, which negates c and moves
+    the point to point - v.  The package's one orientation rule."""
+    out = []
+    for v, p in zip(vecs, pairings):
+        if p < 0:
+            c = -c
+            point = tuple(map(sub, point, v))
+            v = tuple(map(neg, v))
+        out.append(v)
+    return c, point, tuple(out)
+
+
+def oriented(nvars, triples, direction=None):
+    """(direction, triples), each `_flip` triple with every v that has
+    <ell, v> < 0 flipped, ell being `direction_pairings`' choice: the
+    positive forms of the terms `canonicalize` would make of the triples.
+    A triple with nothing to flip is kept as the same object."""
+    direction, pairings = direction_pairings(
+        nvars, [vecs for _, _, vecs in triples], direction
+    )
+    return direction, [
+        _flip(*t, ps) if ps and min(ps) < 0 else t
+        for t, ps in zip(triples, pairings)
+    ]
+
+
+def positive_terms(f):
+    """`[term_positive_form(t) for t in canonicalize(f).terms]` without
+    building that GF: each term is the triple (c, a, b's), `oriented` under
+    f's orientation."""
+    return oriented(
+        f.nvars, [(t.coeff, t.numer, t.denoms) for t in f.terms], f.orientation
+    )[1]
+
+
 def canonicalize(f):
     """Flip denominator vectors until all pair negatively with the direction.
 
     The flip identity 1/(1-t^b) = -t^(-b)/(1-t^(-b)) preserves the rational
-    function.  The direction is f's own orientation, else
+    function (`_flip`).  The direction is f's own orientation, else
     `direction_for(f.nvars)`; when some denominator pairs to zero with it,
     the moment-curve point `moment_vector(n, denoms, 2)` is taken instead
-    (`direction_pairings`, which `lattice_gf_mapped` also orients by).
-    f is returned itself when it is already canonical under its
-    orientation.  Each pairing <ell, b> is computed once per direction
-    tried, and a term with no vector to flip is kept as the same object.
-    To re-orient f, canonicalize a copy that carries the new orientation.
+    (`direction_pairings`).  f is returned itself when it is already
+    canonical under its orientation.  Each pairing <ell, b> is computed once
+    per direction tried, and a term with no vector to flip is kept as the
+    same object.  To re-orient f, canonicalize a copy with the new one.
     """
     direction, pairings = direction_pairings(
         f.nvars, [t.denoms for t in f.terms], f.orientation
@@ -370,49 +416,26 @@ def canonicalize(f):
     flips = [any(p > 0 for p in ps) for ps in pairings]
     if direction == f.orientation and not any(flips):
         return f
-    new_terms = []
-    for t, ps, flip in zip(f.terms, pairings, flips):
-        if not flip:
-            new_terms.append(t)
-            continue
-        coeff = t.coeff
-        numer = t.numer
-        denoms = []
-        for d, p in zip(t.denoms, ps):
-            if p > 0:
-                coeff = -coeff
-                numer = tuple(a - b for a, b in zip(numer, d))
-                denoms.append(tuple(-b for b in d))
-            else:
-                denoms.append(d)
-        new_terms.append(_term(coeff, numer, tuple(denoms)))
-    return _gf(f.nvars, tuple(new_terms), f.index_bound, direction)
+    terms = tuple(
+        _term(*_flip(t.coeff, t.numer, t.denoms, [-p for p in ps])) if flip else t
+        for t, ps, flip in zip(f.terms, pairings, flips)
+    )
+    return _gf(f.nvars, terms, f.index_bound, direction)
 
 
 def term_positive_form(term):
     """Rewrite a canonical term as c' * sum_{m >= 0} t^(apex + sum m_j v_j).
 
-    Returns (coeff, apex, vecs) with every vec pairing positively with the
-    direction; this is the expansion actually enumerated by the oracle and
-    consumed by the Hadamard machinery.
+    Returns (coeff, apex, vecs), every denominator flipped (`_flip`) to
+    pair positively: the expansion the oracle enumerates.
     """
-    k = len(term.denoms)
-    coeff = term.coeff if k % 2 == 0 else -term.coeff
-    apex = term.numer
-    for d in term.denoms:
-        apex = tuple(a - b for a, b in zip(apex, d))
-    vecs = tuple(tuple(-b for b in d) for d in term.denoms)
-    return coeff, apex, vecs
+    return _flip(term.coeff, term.numer, term.denoms, (-1,) * len(term.denoms))
 
 
 def term_from_positive(coeff, apex, vecs):
-    """Inverse of `term_positive_form`: raw (*) data from expanded data,
-    with `coeff` an int or a Fraction."""
-    numer = tuple(apex)
-    for v in vecs:
-        numer = tuple(a - x for a, x in zip(numer, v))
-    denoms = tuple(tuple(-x for x in v) for v in vecs)
-    return _term(coeff if len(vecs) % 2 == 0 else -coeff, numer, denoms)
+    """Inverse of `term_positive_form`: the term whose denominators are the
+    flipped vecs, with `coeff` an int or a Fraction."""
+    return _term(*_flip(coeff, tuple(apex), vecs, (-1,) * len(vecs)))
 
 
 def oracle_expand(f, box, limit=None):

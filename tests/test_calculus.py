@@ -59,6 +59,7 @@ from shortgf import (
     tau_hadamard,
     zero_gf,
 )
+from shortgf._subst import substitute
 from shortgf.errors import SpecializationError
 from shortgf.calculus import _pair_terms, _polytope_pair_terms, _separable_terms
 from shortgf.gfcore import format_gf, term_from_positive, term_positive_form
@@ -150,6 +151,16 @@ class TestSubstituteMonomials:
         # the error names the canonical denominator: (4, -1) pairs positively
         # with the default direction (2, 3), so the term carries (-4, 1)
         assert (err.value.term_index, err.value.vector) == (1, (-4, 1))
+
+    def test_map_of_the_wrong_shape_raises(self):
+        f = from_point_set([(0, 0, 1), (0, 0, 2), (1, 0, 1)], 3)
+        with pytest.raises(ValueError, match="2 rows of 3 entries"):
+            substitute_monomials(f, [(1, 0), (0, 1)], 2)
+        with pytest.raises(ValueError, match="1 rows of 3 entries"):
+            substitute_monomials(f, [(1, 0, 0), (0, 1, 0)], 1)
+        with pytest.raises(ValueError, match="shift must have 1 entries"):
+            substitute(f, [(1, 1, 1)], 1, shift=(0, 0))
+        assert substitute(f, [(1, 1, 1)], 1, shift=(2,)).terms
 
 
 @st.composite
@@ -461,6 +472,15 @@ class TestProjMember:
         for x in range(16):
             assert proj_member(f, (x,), keep=[0]) == (x in xs)
 
+    def test_coordinates_out_of_range_raise(self):
+        f = box_range_gf([0, 0, 0], [1, 2, 3])
+        with pytest.raises(ValueError, match="distinct coordinates"):
+            specialize_vars(f, [5])
+        with pytest.raises(ValueError, match="distinct coordinates"):
+            proj_member(f, (0,), keep=[7])
+        with pytest.raises(ValueError, match="distinct coordinates"):
+            specialize_vars(f, [1, 1])
+
 
 class TestOracleProject:
     def test_project(self):
@@ -489,6 +509,12 @@ class TestOracleProject:
         with pytest.raises(ResourceLimitError):
             oracle_project(f, [0, 1], (4, 4), mode="anti", limit=15)
 
+    @pytest.mark.parametrize("keep", [[-1], [5], [0, 0]])
+    def test_bad_coordinates_raise(self, keep):
+        f = box_range_gf([0, 0, 0], [1, 2, 3])
+        with pytest.raises(ValueError, match="distinct coordinates"):
+            oracle_project(f, keep, (4, 4, 4))
+
 
 class TestMinkowski:
     def test_small_sum(self):
@@ -515,6 +541,16 @@ class TestMinkowski:
         f = from_point_set([(3,)], 1)
         with pytest.raises(ValueError):
             minkowski_oracle(f, f, (4,), out_box=(4,))
+
+    def test_arities_must_match(self):
+        g2 = box_range_gf([0, 0], [1, 1])
+        g1 = box_range_gf([0], [1])
+        with pytest.raises(ValueError, match="variable count"):
+            minkowski_oracle(g2, g2, (4, 4), out_box=(3,))
+        with pytest.raises(ValueError, match="variable count"):
+            minkowski_oracle(g2, g1, (4, 4))
+        h = minkowski_oracle(g2, g2, (4, 4), out_box=(3, 3))
+        assert support_points(h, (3, 3)) == set(product(range(3), repeat=2))
 
 
 class TestCompression:

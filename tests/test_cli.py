@@ -178,6 +178,32 @@ class TestErrors:
         assert out == ""
         assert "box arity does not match nvars" in err
 
+    def test_compress_groups_not_covering_the_gf_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "f.gf"
+        path.write_text(
+            "gf nvars=3 index=0\n"
+            "term c=1/1 a=0,0,1 b=\n"
+            "term c=1/1 a=0,0,2 b=\n"
+            "term c=1/1 a=1,0,1 b=\n"
+        )
+        code, out, err = run_cli(
+            ["op", "compress", str(path), "--groups", "1,1", "--box", "4"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: the exponent map must have 2 rows of 3 entries" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("keep", ["5", "-1", "0,0"])
+    def test_project_keep_out_of_range_exits_two(self, two_witness_file, keep, capsys):
+        code, out, err = run_cli(
+            ["project", two_witness_file, "--keep", keep, "--box", "4"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: keep must hold distinct coordinates of range(2)" in err
+        assert "Traceback" not in err
+
     def test_count_infinite_support_exits_two(self, tmp_path, capsys):
         path = tmp_path / "geom.gf"
         path.write_text("gf nvars=1 index=1\nterm c=1/1 a=0 b=1\n")

@@ -31,7 +31,16 @@ from shortgf import (
     semigroup_gf,
     support_points,
 )
-from shortgf.gfcore import _term, moment_vector
+import shortgf.gfcore
+from shortgf._subst import substitute
+from shortgf.gfcore import (
+    _term,
+    moment_vector,
+    oriented,
+    positive_terms,
+    term_from_positive,
+    term_positive_form,
+)
 
 
 def expand(f, box):
@@ -99,6 +108,116 @@ class TestCanonicalize:
         assert g.terms == f.terms
         assert is_canonical(g)
         assert canonicalize(g) is g
+
+
+# vectors that pair to zero with the default primes (2, 3) and (2, 3, 5)
+_PRIME_ZEROS = {2: [(3, -2), (-3, 2)], 3: [(3, -2, 0), (0, 5, -3), (5, 0, -2)]}
+
+
+@st.composite
+def oriented_gfs(draw):
+    """Raw GFs in 1-3 variables: signed int and Fraction coefficients,
+    mixed-sign denominators, some pairing to zero with the default primes
+    (which forces the moment-curve fallback), and no, the default or
+    another orientation."""
+    n = draw(st.integers(1, 3))
+    entry = st.integers(-3, 3)
+    vec = st.tuples(*[entry] * n).filter(any)
+    if n in _PRIME_ZEROS:
+        vec = st.one_of(vec, st.sampled_from(_PRIME_ZEROS[n]))
+    coeff = st.one_of(
+        st.integers(-4, 4),
+        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+    )
+    terms = draw(
+        st.lists(
+            st.builds(
+                GFTerm, coeff, st.tuples(*[entry] * n), st.lists(vec, max_size=3)
+            ),
+            max_size=4,
+        )
+    )
+    ell = st.lists(st.integers(1, 9), min_size=n, max_size=n, unique=True)
+    orientation = draw(
+        st.one_of(
+            st.none(),
+            st.just(direction_for(n)),
+            st.builds(lambda e: ExpansionDirection(tuple(e)), ell),
+        )
+    )
+    return ShortGF(n, tuple(terms), orientation=orientation)
+
+
+class TestOrientation:
+    @settings(max_examples=300, deadline=None)
+    @given(oriented_gfs())
+    @example(ShortGF(2, (GFTerm(Fraction(-3, 2), (1, 0), ((3, -2), (1, 1))),)))
+    @example(ShortGF(2, (GFTerm(2, (0, 1), ((-1, 1),)),), 1, ExpansionDirection((5, 2))))
+    def test_positive_terms_match_the_canonical_gf(self, f):
+        g = canonicalize(f)
+        want = [term_positive_form(t) for t in g.terms]
+        got = positive_terms(f)
+        assert got == want
+        assert repr(got) == repr(want)
+        for t in f.terms + g.terms:
+            assert term_from_positive(*term_positive_form(t)) == t
+
+    def test_prime_zero_forces_the_fallback(self):
+        f = ShortGF(2, (GFTerm(1, (0, 0), ((-3, 2),)),))
+        assert canonicalize(f).orientation == ExpansionDirection((1, 2))
+        assert positive_terms(f) == [(1, (0, 0), ((-3, 2),))]
+
+    def test_oriented_keeps_unflipped_triples(self):
+        # against the default ell = (2, 3): (1, 0) pairs to 2, (-1, 0) to -2
+        kept = (1, (0, 0), ((1, 0),))
+        flipped = (Fraction(1, 2), (1, 1), ((-1, 0), (0, 1)))
+        direction, out = oriented(2, [kept, flipped])
+        assert direction == direction_for(2)
+        assert out[0] is kept
+        assert out[1] == (Fraction(-1, 2), (2, 1), ((1, 0), (0, 1)))
+
+    def test_oriented_takes_the_given_direction(self):
+        # (1, -1) pairs to -1 with (2, 3) and to 3 with (5, 2)
+        triple = (1, (0, 0), ((1, -1),))
+        assert oriented(2, [triple])[1] == [(-1, (-1, 1), ((-1, 1),))]
+        other = ExpansionDirection((5, 2))
+        assert oriented(2, [triple], other) == (other, [triple])
+
+    def test_progression_gf_bytes_on_the_fallback(self):
+        # (-3, 2) pairs to zero with (2, 3); under (1, 2) both vectors
+        # pair positively, so the base term flips both
+        f = progression_gf((0, 0), ((-3, 2), (1, 0)), (3, 2))
+        assert f.orientation == ExpansionDirection((1, 2))
+        assert format_gf(f) == (
+            "gf nvars=2 index=2\n"
+            "term c=1/1 a=2,-2 b=3,-2;-1,0\n"
+            "term c=-1/1 a=-7,4 b=3,-2;-1,0\n"
+            "term c=-1/1 a=4,-2 b=3,-2;-1,0\n"
+            "term c=1/1 a=-5,4 b=3,-2;-1,0\n"
+        )
+        g = progression_gf((1, 1), ((3, -2),), (2,), -2)
+        assert format_gf(g) == (
+            "gf nvars=2 index=1\nterm c=-2/1 a=1,1 b=3,-2\nterm c=2/1 a=7,-3 b=3,-2\n"
+        )
+
+    def test_progression_gf_rejects_bad_vectors(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            progression_gf((0, 0), ((0, 0),), (2,))
+        with pytest.raises(ValueError, match="as long as the apex"):
+            progression_gf((0, 0), ((0,),), (2,))
+
+    def test_substitution_builds_each_term_once(self, monkeypatch):
+        # 1 / (1 - t^-1) under t -> u^-1 has the image 1 / (1 - u), which
+        # flips to -u^-1 / (1 - u^-1)
+        calls = []
+        real = shortgf.gfcore._term
+        monkeypatch.setattr(
+            shortgf.gfcore, "_term", lambda *a: calls.append(a) or real(*a)
+        )
+        f = ShortGF(1, (GFTerm(1, (0,), ((-1,),)),))
+        g = substitute(f, [(-1,)], 1)
+        assert g.terms == (GFTerm(-1, (-1,), ((-1,),)),)
+        assert len(calls) == len(g.terms)
 
 
 @st.composite
