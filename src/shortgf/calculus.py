@@ -639,9 +639,10 @@ def oracle_project(f, keep, box, mode="project", limit=None):
 
     mode 'project' returns the projected support as a dense GF; 'anti' its
     complement within the kept sub-box; 'specialize' verifies that every
-    projected point has exactly one witness before projecting.
+    projected point has exactly one witness before projecting.  `keep` is
+    checked before the support is expanded.
     """
-    keep = list(keep)
+    keep = _coordinates(keep, as_box(box).nvars)
     pts = _project_points(support_points(f, box, limit=limit), keep, box, mode, limit)
     return from_point_set(pts, len(keep))
 

@@ -510,8 +510,13 @@ class TestOracleProject:
             oracle_project(f, [0, 1], (4, 4), mode="anti", limit=15)
 
     @pytest.mark.parametrize("keep", [[-1], [5], [0, 0]])
-    def test_bad_coordinates_raise(self, keep):
+    def test_bad_coordinates_raise(self, keep, monkeypatch):
         f = box_range_gf([0, 0, 0], [1, 2, 3])
+        pts = [(0, 1, 2), (1, 0, 3)]
+        with pytest.raises(ValueError, match="distinct coordinates"):
+            shortgf.calculus._project_points(pts, keep, (4, 4, 4), "project")
+        # checked before the support is expanded
+        monkeypatch.setattr(shortgf.calculus, "support_points", None)
         with pytest.raises(ValueError, match="distinct coordinates"):
             oracle_project(f, keep, (4, 4, 4))
 

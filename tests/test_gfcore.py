@@ -162,11 +162,6 @@ class TestOrientation:
         for t in f.terms + g.terms:
             assert term_from_positive(*term_positive_form(t)) == t
 
-    def test_prime_zero_forces_the_fallback(self):
-        f = ShortGF(2, (GFTerm(1, (0, 0), ((-3, 2),)),))
-        assert canonicalize(f).orientation == ExpansionDirection((1, 2))
-        assert positive_terms(f) == [(1, (0, 0), ((-3, 2),))]
-
     def test_oriented_keeps_unflipped_triples(self):
         # against the default ell = (2, 3): (1, 0) pairs to 2, (-1, 0) to -2
         kept = (1, (0, 0), ((1, 0),))
