@@ -21,7 +21,8 @@ most the original term's denominator count.
 vecs), oriented as `canonicalize` orients them: `substitute` hands over a
 GF's `positive_terms`, `barvinok.lattice_gf_mapped` Brion's cone triples in
 that orientation (`gfcore.oriented`), so they never become a z-space GF.
-Its output triples are `oriented` too, and each becomes a term once.
+Its output triples go to `gfcore.canonical_sum`, which orients each by
+one flip and builds a term only for a key whose sum is nonzero.
 """
 
 from fractions import Fraction
@@ -31,14 +32,7 @@ from operator import mul
 from . import _linalg as la
 from ._series import eulerian_polynomials, limit_series
 from .errors import InfiniteSupportError, ZeroImageError
-from .gfcore import (
-    _gf,
-    moment_vector,
-    normalized,
-    oriented,
-    positive_terms,
-    term_from_positive,
-)
+from .gfcore import canonical_sum, moment_vector, positive_terms
 
 
 def substitute(
@@ -172,18 +166,16 @@ def _substitute_positive(
 
         emit(0, d, 1, 1, tuple(0 for _ in range(out_nvars)), [])
 
-    # a key whose sum is zero stays for `normalized` to drop: it may share
-    # its canonical form with a later key, whose place it then sets; an
-    # integral sum leaves as an int, with no Fraction built for it
-    direction, triples = oriented(
+    # the positive form (c, apex, vecs) is the raw term c u^apex / prod
+    # (1 - u^v), a zero sum included: its canonical key may set a later
+    # key's place.  An integral sum leaves as an int, with no Fraction built
+    return canonical_sum(
         out_nvars,
         [
             (num // den if num % den == 0 else Fraction(num, den), apex, vecs)
             for (apex, vecs), (num, den) in acc.items()
         ],
     )
-    terms = tuple(term_from_positive(*t) for t in triples)
-    return normalized(_gf(out_nvars, terms, None, direction))
 
 
 def evaluate_at_one(f):

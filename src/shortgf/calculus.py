@@ -32,21 +32,15 @@ from .errors import (
     ZeroImageError,
 )
 from .gfcore import (
-    GFTerm,
     LatticeBox,
-    ShortGF,
-    _gf,
-    _term,
     as_box,
+    canonical_sum,
     canonicalize,
-    concat,
     from_point_set,
     monomial,
-    normalized,
     oracle_expand,
     positive_terms,
     progression_gf,
-    scale,
 )
 
 __all__ = [
@@ -351,11 +345,12 @@ def tau_hadamard(f, g, tau_rows, box=None):
     vector v, when tau(aA) - aB = k v for an integer k >= 0, read off v's
     first nonzero coordinate by `divmod`.  A hit implies that the supports
     meet, so no box is built.  The hits of an f-term are summed into one
-    term cA * (sum of their cB) * t^aA, written out, even when the sum is
-    zero, once the run of hits ends: at a g-term with two or more vectors,
-    or at the f-term's end.  The result is the same as one term per pair:
-    `normalized` merges terms by key in the order keys first occur, and
-    sums exactly.  A g-term with two or more vectors goes to `_pair_terms`
+    triple (cA * (sum of their cB), aA, ()), written out, even when the sum
+    is zero, once the run of hits ends: at a g-term with two or more
+    vectors, or at the f-term's end.  The result is the same as one triple
+    per pair: `canonical_sum` merges the collected triples by key in the
+    order keys first occur, sums exactly, and builds a term only for a
+    nonzero sum.  A g-term with two or more vectors goes to `_pair_terms`
     when tau(aA) lies in its support box.
 
     Separable.  Under the identity functional a pair whose vectors are all
@@ -437,10 +432,11 @@ def tau_hadamard(f, g, tau_rows, box=None):
                     ):
                         continue
                     if hit:
-                        collected.append(_term(cA * total, aA))
+                        collected.append((cA * total, aA, ()))
                         total, hit = 0, False
                     collected.extend(
-                        _pair_terms(
+                        (t.coeff, t.numer, t.denoms)
+                        for t in _pair_terms(
                             cA * cB, aA, vecsA, tau_a, aB, vecsB, tau_rows,
                             pinned, False, box, f.nvars,
                         )
@@ -449,7 +445,7 @@ def tau_hadamard(f, g, tau_rows, box=None):
                 total += cB
                 hit = True
             if hit:
-                collected.append(_term(cA * total, aA))
+                collected.append((cA * total, aA, ()))
             continue
         f_box = _support_box(aA, vecsA)
         free = clipped = _image_box(tau_rows, f_box)
@@ -466,15 +462,14 @@ def tau_hadamard(f, g, tau_rows, box=None):
             image = clipped if boxed else free
             if image is None or not _meets(image, g_box):
                 continue
-            coeff = cA * cB
             collected.extend(
-                _pair_terms(
-                    coeff, aA, vecsA, tau_a, aB, vecsB, tau_rows, pinned,
+                (t.coeff, t.numer, t.denoms)
+                for t in _pair_terms(
+                    cA * cB, aA, vecsA, tau_a, aB, vecsB, tau_rows, pinned,
                     boxed, box, f.nvars,
                 )
             )
-    out = canonicalize(_gf(f.nvars, tuple(collected)))
-    return normalized(out)
+    return canonical_sum(f.nvars, collected)
 
 
 def hadamard(f, g, box=None):
@@ -496,16 +491,13 @@ def multiply(f, g):
     """Series product (Cauchy/Minkowski with multiplicity), term by term."""
     if f.nvars != g.nvars:
         raise ValueError("operands must share a variable space")
-    terms = []
-    for s in f.terms:
-        for t in g.terms:
-            c = s.coeff * t.coeff
-            if c == 0:
-                continue
-            terms.append(
-                GFTerm(c, la.vadd(s.numer, t.numer), s.denoms + t.denoms)
-            )
-    return normalized(canonicalize(ShortGF(f.nvars, tuple(terms))))
+    triples = [
+        (s.coeff * t.coeff, la.vadd(s.numer, t.numer), s.denoms + t.denoms)
+        for s in f.terms
+        for t in g.terms
+        if s.coeff and t.coeff
+    ]
+    return canonical_sum(f.nvars, triples)
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +516,11 @@ def boolean_combine(f, g, box, mode, check=True):
 
     Both supports must lie in `box`, which bounds the Hadamard product's
     pair polytopes rather than cutting the operands; a pair whose g-term is
-    a monomial carries no box rows (see `tau_hadamard`).
+    a monomial carries no box rows (see `tau_hadamard`).  Any other mode
+    raises ValueError before either operand is expanded.
     """
+    if mode not in ("intersect", "union", "minus"):
+        raise ValueError(f"unknown mode {mode!r}")
     box = as_box(box)
     if check:
         _check_zero_one(f, box)
@@ -533,11 +528,12 @@ def boolean_combine(f, g, box, mode, check=True):
     h = hadamard(f, g, box=box)
     if mode == "intersect":
         return h
-    if mode == "union":
-        return normalized(canonicalize(concat(concat(f, g), scale(h, -1))))
-    if mode == "minus":
-        return normalized(canonicalize(concat(f, scale(h, -1))))
-    raise ValueError(f"unknown mode {mode!r}")
+    # f + g - h or f - h, under f's orientation when every operand shares it
+    ops = ((1, f), (1, g), (-1, h)) if mode == "union" else ((1, f), (-1, h))
+    triples = [(s * t.coeff, t.numer, t.denoms) for s, op in ops for t in op.terms]
+    same = all(op.orientation == f.orientation for _, op in ops)
+    bound = max(op.index_bound for _, op in ops)
+    return canonical_sum(f.nvars, triples, bound, f.orientation if same else None)
 
 
 def box_range_gf(lows, highs):
@@ -639,9 +635,12 @@ def oracle_project(f, keep, box, mode="project", limit=None):
 
     mode 'project' returns the projected support as a dense GF; 'anti' its
     complement within the kept sub-box; 'specialize' verifies that every
-    projected point has exactly one witness before projecting.  `keep` is
-    checked before the support is expanded.
+    projected point has exactly one witness before projecting.  `keep` and
+    `mode` are checked before the support is expanded; any other mode
+    raises ValueError.
     """
+    if mode not in ("project", "anti", "specialize"):
+        raise ValueError(f"unknown mode {mode!r}")
     keep = _coordinates(keep, as_box(box).nvars)
     pts = _project_points(support_points(f, box, limit=limit), keep, box, mode, limit)
     return from_point_set(pts, len(keep))

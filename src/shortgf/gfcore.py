@@ -15,6 +15,9 @@ vectors that pair positively, `oriented` and `positive_terms` those that
 pair negatively, and `term_positive_form` and `term_from_positive` all of
 them.  No other module chooses a direction (`direction_pairings`).
 
+Operations that sum terms hand their raw (c, a, bs) triples to
+`canonical_sum`, which orients, merges and builds each nonzero term once.
+
 In canonical form each term expands as
 
     c * (-1)^k * sum_{m_1..m_k >= 1} t^(a - sum_j m_j b_j),
@@ -293,8 +296,8 @@ def progression_gf(apex, vecs, counts, coeff=1):
         raise ValueError("need nonzero vectors as long as the apex")
     # every term has the denominators of coeff * t^apex / prod (1 - t^v_j),
     # so orienting that one term, the first in mask order, orients them all
-    direction, (triple,) = oriented(n, [(coeff, apex, vecs)])
-    first = term_from_positive(*triple)
+    direction, (ps,) = direction_pairings(n, [vecs])
+    first = _term(*_flip(coeff, apex, vecs, [-p for p in ps]))
     signs = (first.coeff, -first.coeff)
     steps = [tuple(c * x for x in v) for v, c in zip(vecs, int_vector(counts))]
     terms = [first]
@@ -348,16 +351,20 @@ def direction_pairings(nvars, vec_lists, direction=None):
     `direction`, else `direction_for(nvars)`; when some vector pairs to zero
     with it, the moment-curve point `moment_vector(nvars, vecs, 2)` is taken
     instead.  Returns (direction, pairings), with one list of <ell, v> per
-    term.  The fallback depends only on which pairings are zero, so
-    denominators b and positive-form vectors -b choose the same direction.
+    term, () for a term with no vectors.  The fallback depends only on
+    which pairings are zero, so denominators b and positive-form vectors -b
+    choose the same direction.
     """
+
+    def pair(ell):
+        return [[sum(map(mul, ell, v)) for v in vs] if vs else () for vs in vec_lists]
+
     direction = direction or direction_for(nvars)
-    ell = direction.ell
-    pairings = [[sum(map(mul, ell, v)) for v in vs] for vs in vec_lists]
+    pairings = pair(direction.ell)
     if not all(all(ps) for ps in pairings):
         ell = moment_vector(nvars, (v for vs in vec_lists for v in vs), 2)
         direction = ExpansionDirection(ell)
-        pairings = [[sum(map(mul, ell, v)) for v in vs] for vs in vec_lists]
+        pairings = pair(ell)
     return direction, pairings
 
 
@@ -421,6 +428,35 @@ def canonicalize(f):
         for t, ps, flip in zip(f.terms, pairings, flips)
     )
     return _gf(f.nvars, terms, f.index_bound, direction)
+
+
+def canonical_sum(nvars, triples, index_bound=None, direction=None):
+    """`normalized(canonicalize(_gf(nvars, terms, index_bound, direction)))`
+    of the terms c * t^a / prod (1 - t^b) of a list of raw (c, a, bs),
+    building a term only for a key whose sum is nonzero.
+
+    Every triple, a zero one included, takes part in `direction_pairings`
+    and in a `None` bound, and is `_flip`ped by its negated pairings.  The
+    sums keep their keys (a, sorted bs) in first-occurrence order, a key
+    whose sum is zero included, and the zero sums are then dropped.
+    """
+    direction, pairings = direction_pairings(
+        nvars, [bs for _, _, bs in triples], direction
+    )
+    if index_bound is None:
+        index_bound = max((len(bs) for _, _, bs in triples), default=0)
+    acc = {}
+    for (c, a, bs), ps in zip(triples, pairings):
+        if ps:
+            if max(ps) > 0:
+                c, a, bs = _flip(c, a, bs, [-p for p in ps])
+            if len(bs) > 1:
+                bs = tuple(sorted(bs))
+        key = (a, bs)
+        hit = acc.get(key)
+        acc[key] = c if hit is None else hit + c
+    terms = tuple(_term(c, *key) for key, c in acc.items() if c)
+    return _gf(nvars, terms, index_bound, direction)
 
 
 def term_positive_form(term):
@@ -491,9 +527,9 @@ def normalized(f):
 
     The terms keep the order of their keys' first occurrences, with their
     denominator vectors sorted.  A term whose key occurs once and whose
-    denominators are already sorted is kept as the same object.
-    `tau_hadamard`, `substitute`, `lattice_gf_mapped` and `boolean_combine`
-    return their results through this pass.
+    denominators are already sorted is kept as the same object.  The
+    package's own results are merged by `canonical_sum`, which gives this
+    pass of their canonical GF without building a term per raw triple.
     """
     acc = {}
     for t in f.terms:

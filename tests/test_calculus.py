@@ -65,6 +65,20 @@ from shortgf.calculus import _pair_terms, _polytope_pair_terms, _separable_terms
 from shortgf.gfcore import format_gf, term_from_positive, term_positive_form
 
 
+def collected_triples():
+    """Patch `calculus.canonical_sum` to record, per call, the raw triples
+    handed to it; `tau_hadamard` hands over one (c, a, bs) per pair term
+    and per monomial run, unmerged and unoriented."""
+    calls = []
+    inner = shortgf.calculus.canonical_sum
+
+    def record(nvars, triples, *rest):
+        calls.append(list(triples))
+        return inner(nvars, triples, *rest)
+
+    return calls, mock.patch.object(shortgf.calculus, "canonical_sum", record)
+
+
 def interval_gf(lo, hi):
     """GF of {lo..hi} as t^lo (1 - t^(hi-lo+1))/(1 - t)."""
     return ShortGF(
@@ -305,9 +319,12 @@ class TestTauHadamard:
     def test_index_bound_single_terms(self, pair):
         f, g, tau, box = pair
         p, q = gf_index(f), gf_index(g)
-        # the bound is per term pair: leave the pair terms unmerged
-        with mock.patch.object(shortgf.calculus, "normalized", lambda f: f):
+        # the bound is per term pair: read the pair terms unmerged
+        calls, patch = collected_triples()
+        with patch:
             h = tau_hadamard(f, g, tau, box=box)
+        (raw,) = calls
+        assert max((len(bs) for _, _, bs in raw), default=0) <= p + q
         assert gf_index(h) <= p + q
 
     def test_power_series_multiplicities(self):
@@ -406,6 +423,16 @@ class TestBooleanCombine:
         for alias in ("&", "|", "\\"):
             with pytest.raises(ValueError, match="unknown mode"):
                 boolean_combine(f, f, (4,), alias)
+
+    def test_mode_is_checked_before_any_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work done for an unknown mode")
+
+        monkeypatch.setattr(shortgf.calculus, "hadamard", fail)
+        monkeypatch.setattr(shortgf.calculus, "oracle_expand", fail)
+        f = from_point_set([(1,)], 1)
+        with pytest.raises(ValueError, match="unknown mode"):
+            boolean_combine(f, f, (4,), "xor")
 
 
 class TestComplement:
@@ -520,6 +547,13 @@ class TestOracleProject:
         with pytest.raises(ValueError, match="distinct coordinates"):
             oracle_project(f, keep, (4, 4, 4))
 
+    def test_unknown_mode_raises(self, monkeypatch):
+        f = box_range_gf([0, 0], [1, 2])
+        # checked before the support is expanded
+        monkeypatch.setattr(shortgf.calculus, "support_points", None)
+        with pytest.raises(ValueError, match="unknown mode"):
+            oracle_project(f, [0], (4, 4), mode="antiproject")
+
 
 class TestMinkowski:
     def test_small_sum(self):
@@ -617,12 +651,16 @@ class TestCompression:
         assert len(packed.terms) <= len(f.terms)
         assert gf_index(packed) <= gf_index(f)
 
-    def test_decompress_index_bound(self, monkeypatch):
+    def test_decompress_index_bound(self):
         f = from_point_set([(9,)], 1)
         tau = TauMap(4, (2,))
-        monkeypatch.setattr(shortgf.calculus, "normalized", lambda f: f)
-        g = decompress(f, tau)
-        assert gf_index(g) <= 2 + 0 + 2  # n + s with slack for the box GF
+        calls, patch = collected_triples()
+        with patch:
+            g = decompress(f, tau)
+        (raw,) = calls
+        # n + s with slack for the box GF, per unmerged pair term
+        assert max((len(bs) for _, _, bs in raw), default=0) <= 2 + 0 + 2
+        assert gf_index(g) <= 2 + 0 + 2
 
 
 class TestMultiply:
@@ -1261,7 +1299,7 @@ class TestMonomialMembership:
                 want[x] = c
         assert got == want
 
-    def test_prime_pi_interval_terms_cancel_past_n(self, monkeypatch):
+    def test_prime_pi_interval_terms_cancel_past_n(self):
         seg = segment_set("PRIMES", 7)
         g = box_range_gf([0], [100])
         # +1/(1 - t) and -t^101/(1 - t): both reach every p > 100
@@ -1274,16 +1312,17 @@ class TestMonomialMembership:
             ((p,), 1) for p in seg.points if p <= 100
         ]
         assert prime_pi(100) == 25
-        # unmerged: one term per f-term some pair hits, a zero sum included,
-        # and none for a prime below 50, which no pair hits
-        monkeypatch.setattr(shortgf.calculus, "normalized", lambda f: f)
+        # unmerged: one monomial triple per f-term some pair hits, a zero
+        # sum included, and none for a prime below 50, which no pair hits
+        calls, patch = collected_triples()
         for lo in (0, 50):
-            raw = hadamard(seg.gf, box_range_gf([lo], [100]))
-            assert [(t.numer, t.coeff) for t in raw.terms] == [
-                ((p,), int(p <= 100)) for p in seg.points if p >= lo
+            with patch:
+                hadamard(seg.gf, box_range_gf([lo], [100]))
+            assert calls.pop() == [
+                (int(p <= 100), (p,), ()) for p in seg.points if p >= lo
             ]
 
-    def test_a_two_vector_g_term_breaks_the_run(self, monkeypatch):
+    def test_a_two_vector_g_term_breaks_the_run(self):
         # t^6 against 1/(1 - t), 1/((1 - t^2)(1 - t^3)) and -t^4/(1 - t^2):
         # 6 = 2 * 3 = 3 * 2, so the middle pair counts 2 through its polytope
         f = ShortGF(1, (GFTerm(3, (6,)),))
@@ -1293,11 +1332,13 @@ class TestMonomialMembership:
             term_from_positive(-1, (4,), ((2,),)),
         ))
         assert format_gf(hadamard(f, g)) == format_gf(ShortGF(1, (GFTerm(6, (6,)),)))
-        monkeypatch.setattr(shortgf.calculus, "normalized", lambda f: f)
-        raw = hadamard(f, g).terms
-        assert raw[0] == GFTerm(3, (6,)) and raw[-1] == GFTerm(-3, (6,))
-        assert {t.numer for t in raw[1:-1]} == {(6,)}
-        assert sum(t.coeff for t in raw[1:-1]) == 6
+        calls, patch = collected_triples()
+        with patch:
+            hadamard(f, g)
+        (raw,) = calls
+        assert raw[0] == (3, (6,), ()) and raw[-1] == (-3, (6,), ())
+        assert {(a, bs) for _, a, bs in raw[1:-1]} == {((6,), ())}
+        assert sum(c for c, _, _ in raw[1:-1]) == 6
 
     def test_first_occurrence_keeps_a_zero_run(self):
         # f: t^3, then t^5, then t^3 + t^4 + ...; g: t^3 - t^3/(1 - t).

@@ -1,6 +1,7 @@
 """Core data model: canonical flips, the expansion oracle, lengths, formats."""
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -16,6 +17,7 @@ from shortgf import (
     LatticeBox,
     NonCanonicalError,
     ShortGF,
+    box_range_gf,
     canonicalize,
     concat,
     direction_for,
@@ -23,18 +25,22 @@ from shortgf import (
     from_point_set,
     gf_index,
     gf_length,
+    hadamard,
     is_canonical,
     normalized,
     oracle_expand,
     parse_gf,
     progression_gf,
+    segment_set,
     semigroup_gf,
     support_points,
 )
 import shortgf.gfcore
 from shortgf._subst import substitute
 from shortgf.gfcore import (
+    _gf,
     _term,
+    canonical_sum,
     moment_vector,
     oriented,
     positive_terms,
@@ -487,6 +493,86 @@ class TestNormalized:
             expand(f, (8,)).support_with_values()
             == expand(g, (8,)).support_with_values()
         )
+
+
+@st.composite
+def raw_triple_lists(draw):
+    """(nvars, triples, index_bound, direction) for `canonical_sum`.
+
+    The triples are drawn from a small pool of (a, bs), each with its bs
+    also reversed, so keys repeat, some in another vector order, and their
+    signed int and Fraction coefficients can sum to zero before a later
+    triple of the same key.  Entries in [-3, 3] often pair to zero with the
+    first primes, which forces the moment-curve fallback.
+    """
+    n = draw(st.integers(1, 3))
+    entry = st.integers(-3, 3)
+    vec = st.tuples(*[entry] * n).filter(any)
+    pool = draw(
+        st.lists(
+            st.tuples(st.tuples(*[entry] * n), st.lists(vec, max_size=3)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    pool = [(a, tuple(bs)) for a, bs in pool] + [
+        (a, tuple(reversed(bs))) for a, bs in pool
+    ]
+    coeff = st.integers(-2, 2) | st.fractions(-2, 2, max_denominator=3)
+    triples = draw(
+        st.lists(
+            st.tuples(coeff, st.sampled_from(pool)).map(lambda x: (x[0], *x[1])),
+            max_size=10,
+        )
+    )
+    bound = draw(st.none() | st.integers(3, 4))
+    direction = draw(
+        st.none()
+        | st.permutations(range(1, 6)).map(
+            lambda p: ExpansionDirection(tuple(p[:n]))
+        )
+    )
+    return n, triples, bound, direction
+
+
+class TestCanonicalSum:
+    @settings(max_examples=200, deadline=None)
+    @given(raw_triple_lists())
+    # a zero-sum key before a later triple of the same key; two raw keys
+    # with one canonical form that cancel; a vector pairing to zero with
+    # (2, 3); a given direction under which (1, -1) pairs positively
+    @example((1, [(1, (0,), ()), (2, (1,), ()), (-1, (0,), ()), (3, (0,), ())], None, None))
+    @example((1, [(1, (0,), ((1,),)), (1, (-1,), ((-1,),)), (1, (2,), ())], None, None))
+    @example((2, [(1, (0, 0), ((3, -2), (1, 0))), (-1, (0, 0), ((1, 0), (3, -2)))], None, None))
+    @example((2, [(Fraction(1, 2), (0, 0), ((1, -1),))], 3, ExpansionDirection((5, 2))))
+    def test_equals_normalized_canonicalize(self, case):
+        n, triples, bound, direction = case
+        got = canonical_sum(n, triples, bound, direction)
+        want = normalized(
+            canonicalize(_gf(n, tuple(_term(*t) for t in triples), bound, direction))
+        )
+        assert format_gf(got) == format_gf(want)
+        assert got.orientation == want.orientation
+        assert [type(t.coeff) for t in got.terms] == [type(t.coeff) for t in want.terms]
+
+    def test_builds_one_term_per_output_term(self, monkeypatch):
+        # every prime above 100 hits both terms of g and sums to zero, and
+        # no term is built for it
+        f = segment_set("PRIMES", 7).gf
+        g = box_range_gf([0], [100])
+        inner = shortgf.gfcore._term
+        calls = []
+
+        def count(*args):
+            calls.append(args)
+            return inner(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("shortgf") and getattr(module, "_term", None) is inner:
+                monkeypatch.setattr(module, "_term", count)
+        h = hadamard(f, g)
+        assert len(h.terms) == 25
+        assert len(calls) == len(h.terms)
 
 
 class TestFormat:
