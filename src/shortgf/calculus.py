@@ -105,6 +105,9 @@ class TauMap:
         return out
 
     def apply(self, point):
+        """The packed image of `point`; ValueError unless it has nvars entries."""
+        if len(point) != self.nvars:
+            raise ValueError(f"point must have {self.nvars} entries")
         return tuple(la.dot(r, point) for r in self.rows())
 
 
@@ -434,13 +437,10 @@ def tau_hadamard(f, g, tau_rows, box=None):
                     if hit:
                         collected.append((cA * total, aA, ()))
                         total, hit = 0, False
-                    collected.extend(
-                        (t.coeff, t.numer, t.denoms)
-                        for t in _pair_terms(
-                            cA * cB, aA, vecsA, tau_a, aB, vecsB, tau_rows,
-                            pinned, False, box, f.nvars,
-                        )
-                    )
+                    collected.extend(_pair_terms(
+                        cA * cB, aA, vecsA, tau_a, aB, vecsB, tau_rows,
+                        pinned, False, box, f.nvars,
+                    ))
                     continue
                 total += cB
                 hit = True
@@ -462,13 +462,10 @@ def tau_hadamard(f, g, tau_rows, box=None):
             image = clipped if boxed else free
             if image is None or not _meets(image, g_box):
                 continue
-            collected.extend(
-                (t.coeff, t.numer, t.denoms)
-                for t in _pair_terms(
-                    cA * cB, aA, vecsA, tau_a, aB, vecsB, tau_rows, pinned,
-                    boxed, box, f.nvars,
-                )
-            )
+            collected.extend(_pair_terms(
+                cA * cB, aA, vecsA, tau_a, aB, vecsB, tau_rows, pinned,
+                boxed, box, f.nvars,
+            ))
     return canonical_sum(f.nvars, collected)
 
 
@@ -538,8 +535,10 @@ def boolean_combine(f, g, box, mode, check=True):
 
 def box_range_gf(lows, highs):
     """GF of the integer box prod [lo_j, hi_j]: zero when some hi_j = lo_j - 1,
-    ValueError when some hi_j is smaller."""
+    ValueError when some hi_j is smaller or the two lists differ in length."""
     n = len(lows)
+    if len(highs) != n:
+        raise ValueError("need one high per low")
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     return progression_gf(lows, units, [hi - lo + 1 for lo, hi in zip(lows, highs)])
 

@@ -15,8 +15,10 @@ vectors that pair positively, `oriented` and `positive_terms` those that
 pair negatively, and `term_positive_form` and `term_from_positive` all of
 them.  No other module chooses a direction (`direction_pairings`).
 
-Operations that sum terms hand their raw (c, a, bs) triples to
-`canonical_sum`, which orients, merges and builds each nonzero term once.
+A term is its own (c, a, bs) triple: `GFTerm` is a named tuple, equal to
+the plain tuple with the same entries and hashed like it, so a term goes
+wherever a triple does.  Operations that sum terms hand their raw triples
+to `canonical_sum`, which orients, merges and builds each nonzero term once.
 
 In canonical form each term expands as
 
@@ -27,6 +29,7 @@ in the ell direction.  `oracle_expand` enumerates these sums over a box and is
 the reference semantics every other operation in the package is tested against.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -96,39 +99,38 @@ def int_vector(v):
     return ints
 
 
-@dataclass(frozen=True)
-class GFTerm:
+class GFTerm(namedtuple("GFTerm", "coeff numer denoms")):
     """One summand c * t^numer / prod (1 - t^d) for d in denoms.
 
-    The coefficient is an int, or a Fraction whose denominator is > 1.  The
-    public constructor reads it through Fraction, coerces the exponents to
-    int tuples, rejecting a non-integral exponent, and validates the
-    denominator vectors.  Internal producers build terms with `_term`,
-    which keeps the coefficient rule and the validation, not the coercions.
+    A term is its own (coeff, numer, denoms) triple: it unpacks as one,
+    compares equal to a plain tuple with the same entries and shares that
+    tuple's hash.  The coefficient is an int, or a Fraction whose
+    denominator is > 1.  The public constructor reads it through Fraction,
+    coerces the exponents to int tuples, rejecting a non-integral exponent,
+    and validates the denominator vectors.  Internal producers build terms
+    with `_term`, which keeps the coefficient rule and the validation, not
+    the coercions.
     """
 
-    coeff: int | Fraction
-    numer: tuple
-    denoms: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        c = Fraction(self.coeff)
-        object.__setattr__(self, "coeff", c.numerator if c.denominator == 1 else c)
-        object.__setattr__(self, "numer", int_vector(self.numer))
-        object.__setattr__(
-            self, "denoms", tuple(int_vector(d) for d in self.denoms)
-        )
-        for d in self.denoms:
+    def __new__(cls, coeff, numer, denoms=()):
+        c = Fraction(coeff)
+        numer = int_vector(numer)
+        denoms = tuple(map(int_vector, denoms))
+        for d in denoms:
             if not any(d):
                 raise ValueError("denominator exponent vectors must be nonzero")
-            if len(d) != len(self.numer):
+            if len(d) != len(numer):
                 raise ValueError("denominator vector length mismatch")
+        coeff = c.numerator if c.denominator == 1 else c
+        return tuple.__new__(cls, (coeff, numer, denoms))
 
 
 def _term(coeff, numer, denoms=()):
     """GFTerm from an int or Fraction coefficient and int tuples.
 
-    The rules of `GFTerm.__post_init__` still hold: an integral Fraction
+    The rules of `GFTerm.__new__` still hold: an integral Fraction
     becomes its int numerator, and every denominator vector is nonzero
     and as long as the numerator.
     """
@@ -140,11 +142,7 @@ def _term(coeff, numer, denoms=()):
             raise ValueError("denominator exponent vectors must be nonzero")
         if len(d) != n:
             raise ValueError("denominator vector length mismatch")
-    t = object.__new__(GFTerm)
-    object.__setattr__(t, "coeff", coeff)
-    object.__setattr__(t, "numer", numer)
-    object.__setattr__(t, "denoms", denoms)
-    return t
+    return tuple.__new__(GFTerm, (coeff, numer, denoms))
 
 
 @dataclass(frozen=True)
@@ -400,9 +398,7 @@ def positive_terms(f):
     """`[term_positive_form(t) for t in canonicalize(f).terms]` without
     building that GF: each term is the triple (c, a, b's), `oriented` under
     f's orientation."""
-    return oriented(
-        f.nvars, [(t.coeff, t.numer, t.denoms) for t in f.terms], f.orientation
-    )[1]
+    return oriented(f.nvars, f.terms, f.orientation)[1]
 
 
 def canonicalize(f):
@@ -424,7 +420,7 @@ def canonicalize(f):
     if direction == f.orientation and not any(flips):
         return f
     terms = tuple(
-        _term(*_flip(t.coeff, t.numer, t.denoms, [-p for p in ps])) if flip else t
+        _term(*_flip(*t, [-p for p in ps])) if flip else t
         for t, ps, flip in zip(f.terms, pairings, flips)
     )
     return _gf(f.nvars, terms, f.index_bound, direction)
@@ -465,7 +461,7 @@ def term_positive_form(term):
     Returns (coeff, apex, vecs), every denominator flipped (`_flip`) to
     pair positively: the expansion the oracle enumerates.
     """
-    return _flip(term.coeff, term.numer, term.denoms, (-1,) * len(term.denoms))
+    return _flip(*term, (-1,) * len(term.denoms))
 
 
 def term_from_positive(coeff, apex, vecs):

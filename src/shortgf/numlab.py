@@ -151,9 +151,12 @@ _THETA_CAP = 1 << 18  # most terms signed_theta_gf lists
 def signed_theta_gf(r, K=None):
     """The signed square comb as an index-0 short power series (coefficient 2
     at positive squares), truncated below min(2^r, K+1).  Raises
-    ResourceLimitError, listing none, past `_THETA_CAP` terms."""
+    ResourceLimitError, listing none, past `_THETA_CAP` terms, and
+    ValueError for K < 0."""
     bound = 1 << r
     if K is not None:
+        if K < 0:
+            raise ValueError("K must be nonnegative")
         bound = min(bound, K + 1)
     if bound > _THETA_CAP**2:  # isqrt(bound - 1) + 1 > _THETA_CAP
         raise ResourceLimitError(f"signed theta has more than {_THETA_CAP} terms")

@@ -462,6 +462,12 @@ class TestBoxRange:
         with pytest.raises(ValueError, match="nonnegative"):
             box_range_gf([3], [1])
 
+    def test_lists_of_different_lengths_raise(self):
+        # zip would cut the highs down to the one low: the interval [0, 3]
+        for lows, highs in (([0], [3, 5]), ([0, 0], [3])):
+            with pytest.raises(ValueError, match="one high per low"):
+                box_range_gf(lows, highs)
+
 
 class TestCoefficient:
     def test_interval(self):
@@ -603,6 +609,15 @@ class TestCompression:
         g = from_point_set([(0, 0), (1, 2), (3, 1)], 2)
         tau = TauMap(4, (2,))
         assert evaluate_at_one(compress(g, tau)) == evaluate_at_one(g)
+
+    def test_apply_needs_one_entry_per_variable(self):
+        tau = TauMap(4, (1, 2))
+        assert tau.apply((1, 2, 3)) == (1, 14)
+        # la.dot zips a row with the point, so a short or long point would
+        # be packed from the wrong coordinates
+        for point in ((1, 2), (1, 2, 3, 4)):
+            with pytest.raises(ValueError, match="3 entries"):
+                tau.apply(point)
 
     def test_unpack_monomial(self):
         f = from_point_set([(9,)], 1)
@@ -1077,7 +1092,7 @@ class TestHadamardWork:
         g1 = box_range_gf([2], [10])
         f2 = from_point_set([(0, 1), (2, 3), (3, 0), (5, 5)], 2)
         g2 = box_range_gf([1, 0], [4, 6])
-        calls = self._count(monkeypatch, GFTerm, "__post_init__")
+        calls = self._count(monkeypatch, GFTerm, "__new__")
         h1 = hadamard(f1, g1, box=(16,))
         h2 = hadamard(f2, g2, box=(8, 8))
         h3 = hadamard(g2, f2, box=(8, 8))

@@ -164,7 +164,7 @@ class TestOrientation:
         want = [term_positive_form(t) for t in g.terms]
         got = positive_terms(f)
         assert got == want
-        assert repr(got) == repr(want)
+        assert repr([tuple(t) for t in got]) == repr([tuple(t) for t in want])
         for t in f.terms + g.terms:
             assert term_from_positive(*term_positive_form(t)) == t
 
@@ -404,6 +404,17 @@ class TestTermConstructors:
         t = _term(Fraction(-8, 4), (0,))
         assert type(t.coeff) is int and t.coeff == -2
         assert type(_term(Fraction(3, 2), (0,)).coeff) is Fraction
+
+    def test_a_term_is_its_triple(self):
+        t = GFTerm(Fraction(4, 2), (1, 2), ((1, 0),))
+        assert tuple(t) == (2, (1, 2), ((1, 0),))
+        assert t == (2, (1, 2), ((1, 0),))
+        assert hash(t) == hash((2, (1, 2), ((1, 0),)))
+        assert repr(t) == "GFTerm(coeff=2, numer=(1, 2), denoms=((1, 0),))"
+        assert repr(GFTerm(Fraction(3, 2), (0,))) == (
+            "GFTerm(coeff=Fraction(3, 2), numer=(0,), denoms=())"
+        )
+        assert type(_term(1, (0,))) is GFTerm
 
     def test_internal_constructor_validates(self):
         t = _term(Fraction(3, 2), (1, 2), ((0, -1),))

@@ -1,5 +1,5 @@
-"""No module of the package imports a name it never uses or defines a
-function or class that nothing names.
+"""No module of the package imports a name it never uses, defines a
+function or class that nothing names, or takes a term apart field by field.
 
 Stdlib-`ast` stand-ins for a linter's unused-import and dead-code checks,
 run on `src/shortgf/*.py`.  `__init__.py` is left out: its imports are the
@@ -9,6 +9,8 @@ counts as used when some file under `src/`, `tests/`, `perfbench/` or
 `scripts/` other than `__init__.py` names it outside its own body: as a
 variable, an attribute, an imported name or a string constant (the
 benchmark tracer and `monkeypatch.setattr` name functions by string).
+A term is its own (coeff, numer, denoms) triple, so no module rebuilds that
+triple from one object's three fields, in a tuple or as call arguments.
 """
 
 import ast
@@ -133,3 +135,40 @@ def test_checker_flags_an_unused_definition():
 def test_no_unused_definitions():
     modules = {p.stem: p.read_text() for p in MODULES}
     assert unused_definitions(modules, [p.read_text() for p in SCANNED]) == []
+
+
+TERM_FIELDS = ("coeff", "numer", "denoms")
+
+
+def field_by_field_triples(source):
+    """Line of every tuple or call in `source` that lists x.coeff, x.numer,
+    x.denoms of one object x in a row."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        items = node.elts if isinstance(node, ast.Tuple) else (
+            node.args if isinstance(node, ast.Call) else ()
+        )
+        for i in range(len(items) - 2):
+            run = items[i:i + 3]
+            if all(
+                isinstance(e, ast.Attribute) and e.attr == name
+                for e, name in zip(run, TERM_FIELDS)
+            ) and len({ast.dump(e.value) for e in run}) == 1:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_flags_a_field_by_field_triple():
+    source = (
+        "a = [(t.coeff, t.numer, t.denoms) for t in f.terms]\n"
+        "b = _flip(s.coeff, s.numer, s.denoms, ps)\n"
+        "c = (s.coeff * t.coeff, t.numer, t.denoms)\n"
+        "d = (s.coeff, t.numer, t.denoms)\n"
+        "e = GFTerm(t.coeff * 2, t.numer, t.denoms)\n"
+    )
+    assert field_by_field_triples(source) == [1, 2]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_field_by_field_triples(path):
+    assert field_by_field_triples(path.read_text()) == []

@@ -78,6 +78,12 @@ class TestSignedTheta:
         )
         assert signed_theta_gf(16, K=100).terms == want[:11]
 
+    def test_negative_K_raises(self):
+        # the truncation below K + 1 = 0 would be empty, not t^0
+        assert signed_theta_gf(4, K=0).terms == (GFTerm(1, (0,)),)
+        with pytest.raises(ValueError, match="nonnegative"):
+            signed_theta_gf(4, -1)
+
     def test_too_many_terms_raise_before_listing(self):
         # 2^50 terms: the count is known before the loop
         with pytest.raises(ResourceLimitError, match="more than"):
